@@ -155,6 +155,7 @@ let status_text = function
   | 404 -> "Not Found"
   | 405 -> "Method Not Allowed"
   | 409 -> "Conflict"
+  | 422 -> "Unprocessable Entity"
   | 500 -> "Internal Server Error"
   | 503 -> "Service Unavailable"
   | _ -> "Status"

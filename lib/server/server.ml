@@ -739,6 +739,12 @@ let resolve_scenario t body =
 let err status msg = (status, Json.Obj [ ("error", Json.str msg) ])
 let ok fields = (200, Json.Obj fields)
 
+(* the learner found no consistent answer on the session's data (an
+   upload whose target has no drag-and-drop example, say): the request
+   is well formed but its content cannot be learned — 422, not a
+   server error *)
+let learning_failed e = err 422 ("learning failed: " ^ e)
+
 let fresh_id t =
   Printf.sprintf "%s-%x" t.id_prefix (Atomic.fetch_and_add t.id_counter 1)
 
@@ -809,8 +815,7 @@ let handle_answer t ~t0 id body =
         | None -> err 409 "session already finished"
         | Some fields -> ok fields
         | exception Invalid_argument e -> err 400 e
-        | exception Xl_core.Learn_types.Learning_failed e ->
-          err 500 ("learning failed: " ^ e)))
+        | exception Xl_core.Learn_types.Learning_failed e -> learning_failed e))
 
 let handle_question t id =
   with_sess t id (fun s ->
@@ -1048,7 +1053,7 @@ let dispatch t (req : Http.request) =
     match route t ~t0 req with
     | v -> v
     | exception Xl_core.Learn_types.Learning_failed e ->
-      ("other", err 500 ("learning failed: " ^ e))
+      ("other", learning_failed e)
     | exception Machine.Corrupt e -> ("other", err 400 ("corrupt: " ^ e))
     (* a request racing shutdown finds the worker service stopped — that
        is server state, not a client mistake: 503, not 400 *)

@@ -37,7 +37,9 @@
     corpus, and uploaded documents are deduplicated by content digest.
     Malformed requests (HTTP framing or JSON bodies) answer 400 with
     [{"error":…,"offset":…}] and never kill the accept loop or a
-    worker; requests racing shutdown answer 503. *)
+    worker; a learning failure on the session's data (no consistent
+    drag-and-drop example, say) answers 422 with [{"error":…}];
+    requests racing shutdown answer 503. *)
 
 type t
 

@@ -14,7 +14,9 @@
     - [use_hash_join]: an equality [where] clause whose build side is a
       path over a [for] variable with a closed binding sequence executes
       as a hash join — the build side is indexed once per (sequence, key)
-      pair and cached on the context, the probe side streams.
+      pair and cached on the context, the probe side streams.  A [some]
+      quantifier of the same shape (Rel3 relay conditions) runs as a
+      hash semi-join over the same index.
 
     FLWOR tuple streams are lazy ([Seq]-based), so [where] filters tuples
     as they are produced instead of after a full cross-product
@@ -61,7 +63,8 @@ type ctx = {
   mutable use_extent_cache : bool;
       (** memoize DFA selections per (DFA, base node) across calls *)
   join_cache : (Ast.expr * Ast.expr, join_index) Hashtbl.t;
-  plan_cache : (Ast.flwor, join_plan option) Hashtbl.t;
+  plan_cache : (Ast.expr, join_plan option) Hashtbl.t;
+      (** keyed by the [Flwor] or [Some_] expression planned *)
   frozen_syms : (int, int array * int) Hashtbl.t;
       (** {!Xl_xml.Frozen.t} uid -> (local symbol id -> alphabet id or -1,
           alphabet size at build) — rebuilt when the alphabet grows *)
@@ -81,6 +84,9 @@ type ctx = {
    walked — the per-query attribution behind the fast-path speedups *)
 let c_flwor_hash = Xl_obs.Obs.Counter.make "eval_flwor_hash_join"
 let c_flwor_nested = Xl_obs.Obs.Counter.make "eval_flwor_nested_loop"
+let c_quant_semi = Xl_obs.Obs.Counter.make "eval_quant_semi_join"
+let c_quant_nested = Xl_obs.Obs.Counter.make "eval_quant_nested"
+let c_quant_witnesses = Xl_obs.Obs.Counter.make "eval_quant_witnesses"
 let c_tag_index = Xl_obs.Obs.Counter.make "eval_tag_index_hits"
 let c_nodes_visited = Xl_obs.Obs.Counter.make "eval_nodes_visited"
 let c_frozen_selects = Xl_obs.Obs.Counter.make "eval_frozen_selects"
@@ -611,12 +617,32 @@ let plan_hash_join (f : Ast.flwor) : join_plan option =
       in
       scan [] conjs
 
-let flwor_plan (ctx : ctx) (f : Ast.flwor) : join_plan option =
-  match Hashtbl.find_opt ctx.plan_cache f with
+(** Plan [some $w in src satisfies body] as a hash semi-join: the same
+    eligibility as a one-binding FLWOR whose [where] is [body], plus a
+    pure [body].  The plan only prunes witnesses whose key values miss
+    the probe values — for those the join conjunct, hence the body, is
+    false — and the full body is re-checked on the survivors, so its
+    [jp_residual] is unused.  Purity makes the skipped bodies
+    unobservable. *)
+let plan_semi_join (bs : Ast.binding list) (body : Ast.expr) : join_plan option =
+  match bs with
+  | [ b ] when pure_expr body ->
+    plan_hash_join
+      {
+        Ast.for_ = [ b ];
+        let_ = [];
+        where = Some body;
+        order_by = [];
+        return = Ast.Sequence [];
+      }
+  | _ -> None
+
+let memo_plan (ctx : ctx) (key : Ast.expr) plan : join_plan option =
+  match Hashtbl.find_opt ctx.plan_cache key with
   | Some p -> p
   | None ->
-    let p = plan_hash_join f in
-    Hashtbl.replace ctx.plan_cache f p;
+    let p = plan () in
+    Hashtbl.replace ctx.plan_cache key p;
     p
 
 exception Type_error of string
@@ -718,7 +744,10 @@ and probe_join (ctx : ctx) (env : Env.t) (p : join_plan) : Env.t Seq.t =
   Seq.map (fun i -> Env.bind env p.jp_var [ ji.items.(i) ]) (List.to_seq idxs)
 
 and eval_flwor ctx env (f : Ast.flwor) : Value.t =
-  let plan = if ctx.use_hash_join then flwor_plan ctx f else None in
+  let plan =
+    if ctx.use_hash_join then memo_plan ctx (Ast.Flwor f) (fun () -> plan_hash_join f)
+    else None
+  in
   (match plan with
   | Some _ -> Xl_obs.Obs.Counter.incr c_flwor_hash
   | None -> if f.Ast.where <> None then Xl_obs.Obs.Counter.incr c_flwor_nested);
@@ -783,20 +812,34 @@ and eval_flwor ctx env (f : Ast.flwor) : Value.t =
     List.concat_map (fun env -> eval ctx env f.Ast.return) sorted
 
 and eval_quant ctx env bs body ~exists : bool =
-  (* lazy expansion: [some] stops at the first witness, [every] at the
-     first counterexample *)
-  let tuples =
-    List.fold_left
-      (fun envs (v, e) ->
-        Seq.concat_map
-          (fun env ->
-            Seq.map (fun item -> Env.bind env v [ item ])
-              (List.to_seq (eval ctx env e)))
-          envs)
-      (Seq.return env) bs
+  let plan =
+    if exists && ctx.use_hash_join then
+      memo_plan ctx (Ast.Some_ (bs, body)) (fun () -> plan_semi_join bs body)
+    else None
   in
-  if exists then Seq.exists (fun env -> Value.to_bool (eval ctx env body)) tuples
-  else Seq.for_all (fun env -> Value.to_bool (eval ctx env body)) tuples
+  let holds env =
+    Xl_obs.Obs.Counter.incr c_quant_witnesses;
+    Value.to_bool (eval ctx env body)
+  in
+  match plan with
+  | Some p ->
+    Xl_obs.Obs.Counter.incr c_quant_semi;
+    Seq.exists holds (probe_join ctx env p)
+  | None ->
+    Xl_obs.Obs.Counter.incr c_quant_nested;
+    (* lazy expansion: [some] stops at the first witness, [every] at the
+       first counterexample *)
+    let tuples =
+      List.fold_left
+        (fun envs (v, e) ->
+          Seq.concat_map
+            (fun env ->
+              Seq.map (fun item -> Env.bind env v [ item ])
+                (List.to_seq (eval ctx env e)))
+            envs)
+        (Seq.return env) bs
+    in
+    if exists then Seq.exists holds tuples else Seq.for_all holds tuples
 
 and general_compare op (va : Value.t) (vb : Value.t) : bool =
   match op with

@@ -10,8 +10,10 @@
     the per-context switches) serve the hot shapes of the Figure-16
     suites:
     document-rooted child-tag chains answer from the store's nodes-by-tag
-    index, and eligible equality [where] clauses run as cached hash joins
-    instead of nested loops.  FLWOR tuple streams are lazy. *)
+    index, eligible equality [where] clauses run as cached hash joins
+    instead of nested loops, and eligible [some] quantifiers (Rel3 relay
+    conditions) as hash semi-joins over the same cached index.  FLWOR
+    tuple streams are lazy. *)
 
 type compiled_path = {
   dfa : Xl_automata.Dfa.t;
@@ -26,15 +28,18 @@ type join_index = {
   built_at : int;  (** {!Xl_xml.Store.generation} at build time *)
 }
 
-(** A planned hash join for one FLWOR (see {!plan_hash_join} in the
-    implementation for the eligibility rules). *)
+(** A planned hash join for one FLWOR or one [some] quantifier (see
+    [plan_hash_join] and [plan_semi_join] in the implementation for the
+    eligibility rules). *)
 type join_plan = {
   jp_binding : int;  (** index of the build binding in [for_] *)
   jp_var : string;
   jp_source : Ast.expr;  (** closed source sequence of the build binding *)
   jp_key : Ast.expr;  (** build-side key, mentions only [jp_var] *)
   jp_probe : Ast.expr;  (** probe-side key, evaluable before the build *)
-  jp_residual : Ast.expr option;  (** rest of the [where] clause *)
+  jp_residual : Ast.expr option;
+      (** rest of the [where] clause; unused by quantifier plans, which
+          re-check the whole body *)
 }
 
 type ctx = {
@@ -43,7 +48,8 @@ type ctx = {
   cache : (Path_expr.t, compiled_path) Hashtbl.t;
   mutable constructed : int;  (** constructed-element counter *)
   mutable use_hash_join : bool;
-      (** execute eligible equality [where] clauses as hash joins *)
+      (** execute eligible equality [where] clauses as hash joins and
+          eligible [some] quantifiers as hash semi-joins *)
   mutable use_tag_index : bool;
       (** answer doc-rooted tag chains from the nodes-by-tag index *)
   mutable use_frozen : bool;
@@ -54,7 +60,8 @@ type ctx = {
       (** memoize DFA selections per (DFA, base node id) across calls —
           the cross-round extent cache of the learning loop *)
   join_cache : (Ast.expr * Ast.expr, join_index) Hashtbl.t;
-  plan_cache : (Ast.flwor, join_plan option) Hashtbl.t;
+  plan_cache : (Ast.expr, join_plan option) Hashtbl.t;
+      (** hash-join plans, keyed by the [Flwor] or [Some_] expression *)
   frozen_syms : (int, int array * int) Hashtbl.t;
       (** {!Xl_xml.Frozen.t} uid -> (local symbol id -> alphabet id or
           -1, alphabet size at build); rebuilt when the alphabet grows *)

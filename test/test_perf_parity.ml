@@ -112,6 +112,196 @@ let test_fuzz_corpus_parity () =
         naive fast)
     outcomes
 
+(* ---------- quantifier semi-join ------------------------------------------ *)
+
+(* Keys chosen to stress the semi-join's superset filter: numeric and
+   string coercion ("1", "1.0", "01", the number 1), NaN, missing and
+   multi-valued keys, and witnesses that meet a key but fail the rest of
+   the body (a relay_conds-style [<] residual). *)
+let semi_xml =
+  {|<r>
+      <a k="1"/><a k="1.0"/><a k="01"/><a k="x"/><a k="NaN"/><a k="5"/><a/>
+      <a><k>7</k><k>x</k></a>
+      <w p="1" q="9"/><w p="01" q="2"/><w p="x" q="1"/><w p="NaN" q="1"/>
+      <w q="1"/><w p="1.0" q="3"/><w p="5" q="9"/>
+      <w><p>7</p><p>y</p><q>1</q></w>
+    </r>|}
+
+let ka = "data(($a/@k, $a/k))"
+let kw = "data(($w/@p, $w/p))"
+let qw = "data(($w/@q, $w/q))"
+let per_a body = Printf.sprintf "for $a in /r/a return <o>{%s}</o>" body
+
+(* (id, query, the fast path's expected branch: [true] semi-join) *)
+let semi_queries =
+  [
+    ("build-left", per_a (Printf.sprintf "some $w in /r/w satisfies %s = %s" kw ka), true);
+    ("build-right", per_a (Printf.sprintf "some $w in /r/w satisfies %s = %s" ka kw), true);
+    ( "lt-residual",
+      per_a (Printf.sprintf "some $w in /r/w satisfies %s = %s and %s < 3" ka kw qw),
+      true );
+    ( "residual-first",
+      per_a (Printf.sprintf "some $w in /r/w satisfies %s < 3 and %s = %s" qw kw ka),
+      true );
+    ( "relay-shape",
+      per_a
+        (Printf.sprintf "some $w in /r/w satisfies %s = data($w/@p) and %s = %s" ka qw ka),
+      true );
+    ( "literal-probes",
+      {|for $s in ("1", "1.0", "01", 1, "x", "NaN", "") return <o>{some $w in /r/w satisfies data($w/@p) = $s}</o>|},
+      true );
+    ( "nan-literal",
+      {|<o>{some $w in /r/w satisfies data($w/@p) = "NaN"}</o>|},
+      true );
+    ( "in-flwor-where",
+      Printf.sprintf "for $a in /r/a where some $w in /r/w satisfies %s = %s return $a" kw ka,
+      true );
+    ( "empty-source",
+      per_a (Printf.sprintf "some $w in /r/none satisfies %s = %s" kw ka),
+      true );
+    ( "impure-body",
+      per_a (Printf.sprintf "some $w in /r/w satisfies %s = %s and %s + 0 < 3" ka kw qw),
+      false );
+    ( "impure-body-raises",
+      per_a (Printf.sprintf "some $w in /r/w satisfies %s = %s and data($w/@q) + 0 < 3" ka kw),
+      false );
+    ("every", per_a (Printf.sprintf "every $w in /r/w satisfies %s = %s" kw ka), false);
+    ( "two-bindings",
+      per_a
+        (Printf.sprintf
+           "some $w in /r/w, $v in /r/a satisfies %s = data($v/@k) and data($v/@k) = %s"
+           kw ka),
+      false );
+    ( "open-source",
+      per_a (Printf.sprintf "some $w in (/r/w, $a) satisfies %s = %s" kw ka),
+      false );
+    ( "key-mentions-outer",
+      per_a (Printf.sprintf "some $w in /r/w satisfies data(($w/@p, $a/@k)) = %s" ka),
+      false );
+  ]
+
+let quant_counter name =
+  match Xl_obs.Obs.Counter.find name with
+  | Some c -> Xl_obs.Obs.Counter.value c
+  | None -> 0
+
+(* (semi-joins, nested loops, bodies evaluated) of one evaluation *)
+let with_quant_counts f =
+  Xl_obs.Obs.reset ();
+  Xl_obs.Obs.set_enabled true;
+  let v = Fun.protect ~finally:(fun () -> Xl_obs.Obs.set_enabled false) f in
+  ( v,
+    ( quant_counter "eval_quant_semi_join",
+      quant_counter "eval_quant_nested",
+      quant_counter "eval_quant_witnesses" ) )
+
+let test_semi_join_parity () =
+  let store =
+    Xml.Store.of_docs [ Xml.Xml_parser.parse_doc ~uri:"semi.xml" semi_xml ]
+  in
+  check_query_parity ~suite:"semi-join" store
+    (List.map (fun (id, q, _) -> (id, q)) semi_queries);
+  (* the branch each query takes on the fast path, and that the nested
+     loop stays the reference with fast paths off *)
+  List.iter
+    (fun (id, q, semi) ->
+      let ast = Parser.parse q in
+      let run fast_paths () =
+        try ignore (Eval.run (Eval.make_ctx ~fast_paths store) ast)
+        with Eval.Type_error _ -> ()
+      in
+      let (), (s, n, _) = with_quant_counts (run true) in
+      Alcotest.(check bool) (id ^ ": semi-join planned") semi (s > 0);
+      Alcotest.(check bool) (id ^ ": no mixed branches") true (s = 0 || n = 0);
+      let (), (s, _, _) = with_quant_counts (run false) in
+      Alcotest.(check int) (id ^ ": fast paths off never probe") 0 s)
+    semi_queries
+
+(* Every Rel3 candidate the C-Learner enumerates on the tiny XMark
+   instance, evaluated as a condition over every (person, item) pair,
+   must agree between the semi-join and the nested loop. *)
+let test_semi_join_rel3_candidates () =
+  let doc = Xl_workload.Xmark_gen.generate ~seed:1 Xl_workload.Xmark_gen.tiny_scale in
+  let store = Xml.Store.of_docs [ doc ] in
+  Xml.Store.prepare store;
+  let dg = Xl_core.Data_graph.build store in
+  let ctx = Eval.make_ctx store in
+  let nodes q = Value.nodes_of (Eval.run ctx (Parser.parse q)) in
+  let persons = nodes "/site/people/person" in
+  let items = nodes "/site/regions//item" in
+  let relays =
+    List.fold_left
+      (fun acc (p, i) ->
+        List.fold_left
+          (fun acc (c : Xl_xqtree.Cond.t) ->
+            match c with
+            | Xl_xqtree.Cond.Relay _ when not (List.exists (Xl_xqtree.Cond.equal c) acc) ->
+              c :: acc
+            | _ -> acc)
+          acc
+          (Xl_core.Cond_enum.candidates dg [ ("p", p) ] ~ve:"i" i))
+      []
+      (List.concat_map (fun p -> List.map (fun i -> (p, i)) items) persons)
+  in
+  Alcotest.(check bool) "the instance yields Rel3 candidates" true (relays <> []);
+  let frame =
+    match
+      Parser.parse
+        "for $p in /site/people/person, $i in /site/regions//item return 1"
+    with
+    | Ast.Flwor f -> f
+    | _ -> assert false
+  in
+  let outcomes =
+    List.map
+      (fun c ->
+        let ast = Ast.Flwor { frame with Ast.return = Xl_xqtree.Cond.to_expr c } in
+        let run fast_paths =
+          with_quant_counts (fun () ->
+              fingerprint store (Eval.run (Eval.make_ctx ~fast_paths store) ast))
+        in
+        (Xl_xqtree.Cond.to_string c, run true, run false))
+      relays
+  in
+  List.iter
+    (fun (label, (fast, (semi, _, _)), (naive, _)) ->
+      Alcotest.(check string) label naive fast;
+      Alcotest.(check bool) (label ^ ": answered by probe") true (semi > 0))
+    outcomes
+
+(* Counts, not time: on the Q9 target, the semi-join evaluates a body
+   per (person, item) pair and matching auction, so growing the instance
+   4x grows the bodies evaluated by about persons x items (16x); the
+   nested loop grows by persons x items x closed auctions (64x). *)
+let test_semi_join_scaling () =
+  let q9 ?scale ?streamed () =
+    List.assoc "Q9" (Xl_workload.Xmark_scenarios.all ?scale ?streamed ())
+  in
+  let count (sc : Xl_core.Scenario.t) ~fast_paths =
+    let store = sc.Xl_core.Scenario.store in
+    Xml.Store.prepare store;
+    let ast = Xl_xqtree.Xqtree.to_ast sc.Xl_core.Scenario.target in
+    with_quant_counts (fun () ->
+        Eval.run_to_string (Eval.make_ctx ~fast_paths store) ast)
+  in
+  let x1 = q9 () in
+  let x4 = q9 ~scale:(Xl_workload.Xmark_gen.scale_factor 4) ~streamed:true () in
+  let r1, (q1, _, w1) = count x1 ~fast_paths:true in
+  let r4, (q4, _, w4) = count x4 ~fast_paths:true in
+  let n1, (_, _, nw1) = count x1 ~fast_paths:false in
+  let n4, (_, _, nw4) = count x4 ~fast_paths:false in
+  Alcotest.(check string) "1x result, semi-join vs nested loop" n1 r1;
+  Alcotest.(check string) "4x result, semi-join vs nested loop" n4 r4;
+  Alcotest.(check int) "quantifiers grow with persons x items" (16 * q1) q4;
+  if w4 > 24 * w1 then
+    Alcotest.failf "semi-join bodies grew %d -> %d (%.1fx), over ~16x" w1 w4
+      (float_of_int w4 /. float_of_int w1);
+  if nw4 < 48 * nw1 then
+    Alcotest.failf "nested-loop bodies grew %d -> %d, expected ~64x" nw1 nw4;
+  (* learning Q9 on the larger instance asks the same questions *)
+  let row sc = Xl_core.Stats.to_row (Xl_core.Learn.run sc).Xl_core.Learn.stats in
+  Alcotest.(check string) "Q9 row at 4x equals 1x" (row x1) (row x4)
+
 (* Three-way corpus sweep isolating the frozen selection engine: the
    default configuration (frozen scan + extent cache), the same fast
    paths with the frozen engine and extent cache switched off (tag
@@ -463,8 +653,9 @@ let test_fuzz_batch_parity () =
    pins the Figure-16 interaction counts: re-learning a scenario must
    reproduce its stats row byte for byte, whatever the engine does
    under the hood.  Checked on the extremes — cheap XMP Q1, cheap XMark
-   Q1, and XMark Q7, whose tens of thousands of auto-answered queries
-   exercise both the extent cache and the R1 step memo. *)
+   Q1, XMark Q7, whose tens of thousands of auto-answered queries
+   exercise both the extent cache and the R1 step memo, and XMark Q9,
+   whose Rel3 relay condition runs as a quantifier semi-join. *)
 let baseline_stats ~suite ~name : string =
   let text =
     (* dune runtest runs in test/, dune exec in the project root *)
@@ -504,6 +695,7 @@ let test_pinned_fig16_counts () =
     [
       ("xmark", "Q1", List.assoc "Q1" (Xl_workload.Xmark_scenarios.all ()));
       ("xmark", "Q7", List.assoc "Q7" (Xl_workload.Xmark_scenarios.all ()));
+      ("xmark", "Q9", List.assoc "Q9" (Xl_workload.Xmark_scenarios.all ()));
       ("xmp", "Q1", List.assoc "Q1" (Xl_workload.Xmp_scenarios.all ()));
     ]
   in
@@ -531,6 +723,15 @@ let () =
             test_fuzz_corpus_engines;
           Alcotest.test_case "fig16 stores, select-engine parity" `Quick
             test_select_engine_parity;
+        ] );
+      ( "semi-join",
+        [
+          Alcotest.test_case "coercion, NaN, residuals, fallbacks" `Quick
+            test_semi_join_parity;
+          Alcotest.test_case "every Rel3 candidate on tiny XMark" `Quick
+            test_semi_join_rel3_candidates;
+          Alcotest.test_case "Q9 bodies scale with persons x items" `Quick
+            test_semi_join_scaling;
         ] );
       ( "streaming",
         [

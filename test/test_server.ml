@@ -17,7 +17,8 @@
    - suspend/resume: a session survives the spool round trip and still
      verifies; uploaded-corpus sessions refuse to suspend (409);
    - uploads: a serialized copy of a catalog document uploaded as a
-     fresh corpus learns its target and verifies;
+     fresh corpus learns its target and verifies; a document on which
+     the target has no drag-and-drop example answers 422;
    - fault injection: garbage request lines, oversized framing and
      malformed JSON bodies answer 400 with a structured
      {"error","offset"} object and never kill the accept loop —
@@ -429,6 +430,33 @@ let test_upload () =
   ignore (req c "DELETE" ("/sessions/" ^ id) ());
   Client.close c
 
+(* An upload whose data cannot be learned is the client's problem: Q4's
+   target needs an auction the catalog's bidder bid in, and this
+   document has none, so no drag-and-drop example exists.  The server
+   answers 422 with a structured error, not 500. *)
+let test_upload_unlearnable () =
+  let c = connect () in
+  let xml =
+    "<site><open_auctions><open_auction><reserve>10</reserve>\
+     </open_auction></open_auctions></site>"
+  in
+  let status, j =
+    Client.request c ~meth:"POST" ~path:"/sessions"
+      ~body:
+        (Json.Obj
+           [
+             ( "document",
+               Json.Obj [ ("uri", Json.str "empty.xml"); ("xml", Json.str xml) ] );
+             ("target", Json.str "xmark/Q4");
+           ])
+      ()
+  in
+  Alcotest.(check int) "unlearnable upload answers 422" 422 status;
+  let e = get_str "error" j in
+  Alcotest.(check bool) "error names the learning failure" true
+    (String.length e > 15 && String.equal (String.sub e 0 15) "learning failed");
+  Client.close c
+
 (* ---------- fault injection ----------------------------------------------- *)
 
 let status_of_raw raw =
@@ -550,6 +578,8 @@ let () =
             test_suspend_resume;
           Alcotest.test_case "uploaded corpus learns its target" `Quick
             test_upload;
+          Alcotest.test_case "unlearnable upload answers 422" `Quick
+            test_upload_unlearnable;
         ] );
       ( "faults",
         [
