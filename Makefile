@@ -16,16 +16,17 @@ bench-par:
 	dune exec bench/main.exe -- fig16-xmark fig16-xmp
 
 # Batched membership oracle vs word-at-a-time: a micro of the shared
-# prefix-trie pass, then both Figure-16 suites end-to-end with batching
-# on and off.  Fails if the batched answers or the per-scenario
-# interaction rows differ from the word-at-a-time run — batching must
-# change who computes answers, never the answers.
+# prefix-trie pass, which fails if the batched answers differ from the
+# per-word answers, then both Figure-16 suites end-to-end reporting the
+# batched share of L* (the learner has no per-word mode to rerun; its
+# rows are pinned by test_perf_parity instead).
 bench-batch:
 	dune build bench/main.exe
 	dune exec bench/main.exe -- batch
 
 # Produce the machine-readable perf baseline and fail if it can't be
-# written, if the hash-join fast path stops beating the nested loop, or
+# written, if the hash join stops beating the reference evaluator's
+# nested loop, or
 # if the fig16 scenario rows differ between the sequential and parallel
 # runs (perf-json runs both and diffs them; no speedup ratio is
 # asserted — CI core counts vary).
@@ -54,7 +55,7 @@ bench-gate:
 
 # Frozen-store selection micro on the domain pool: per-domain contexts
 # scanning one shared snapshot, checked against the pointer-walking
-# reference, at 1 and 4 workers.
+# reference evaluator (lib/fuzz/ref_eval.ml), at 1 and 4 workers.
 bench-frozen:
 	dune build bench/main.exe
 	dune exec bench/main.exe -- frozen -j 1

@@ -18,7 +18,8 @@
                                                  scale ladder, 10x fig16 variant
                                                  (make bench-stream)
      dune exec bench/main.exe -- batch        -- batched vs per-word membership
-                                                 oracle (make bench-batch)
+                                                 micro, fig16 batching share
+                                                 (make bench-batch)
      dune exec bench/main.exe -- obs-report T -- offline analysis of a JSONL
                                                  trace T: span-tree self time,
                                                  worker utilization, critical
@@ -516,36 +517,17 @@ let perf_json () =
     stream_speedup parse_mb_s load_speedup;
   ignore (bench "store-nodes" (fun () -> ignore (Xl_xml.Store.nodes store)));
   ignore (bench "data-graph-build" (fun () -> ignore (Xl_core.Data_graph.build store)));
-  (* the deep-path workload under each selection engine (the AST is
-     pre-parsed, like q1's: these time evaluation, not the parser):
-     the default is the frozen scan memoized per (DFA, base) — the
-     steady state of the learning loop — then the same scan without
-     memoization, the legacy tag-index answer, and the pointer-walking
-     reference *)
+  (* the deep-path workload (the AST is pre-parsed, like q1's: these
+     time evaluation, not the parser) — the frozen scan memoized per
+     (DFA, base), the steady state of the learning loop *)
   let deep_ast = Xl_xquery.Parser.parse "/site/regions/europe/item/description" in
   ignore
     (bench "path-eval-deep" (fun () -> ignore (Xl_xquery.Eval.run ctx deep_ast)));
-  ctx.Xl_xquery.Eval.use_extent_cache <- false;
-  ignore
-    (bench "frozen-select" (fun () -> ignore (Xl_xquery.Eval.run ctx deep_ast)));
-  ctx.Xl_xquery.Eval.use_frozen <- false;
-  ignore
-    (bench "path-eval-tag-index" (fun () ->
-         ignore (Xl_xquery.Eval.run ctx deep_ast)));
-  ctx.Xl_xquery.Eval.use_tag_index <- false;
-  ignore
-    (bench "path-eval-pointer-walk" (fun () ->
-         ignore (Xl_xquery.Eval.run ctx deep_ast)));
-  ctx.Xl_xquery.Eval.use_tag_index <- true;
-  ctx.Xl_xquery.Eval.use_frozen <- true;
-  ctx.Xl_xquery.Eval.use_extent_cache <- true;
-  ctx.Xl_xquery.Eval.use_hash_join <- true;
+  (* Q1's join: the hash join against the nested-loop reference *)
   let hash_ns = bench "q1-eval-hash-join" (fun () -> ignore (Xl_xquery.Eval.run ctx q1_join)) in
-  ctx.Xl_xquery.Eval.use_hash_join <- false;
   let nested_ns =
-    bench "q1-eval-nested-loop" (fun () -> ignore (Xl_xquery.Eval.run ctx q1_join))
+    bench "q1-eval-nested-loop" (fun () -> ignore (Xl_fuzz.Ref_eval.run ctx q1_join))
   in
-  ctx.Xl_xquery.Eval.use_hash_join <- true;
   let speedup = nested_ns /. hash_ns in
   Printf.printf "=> Q1 join: hash %.0f ns vs nested %.0f ns (%.1fx)\n%!" hash_ns
     nested_ns speedup;
@@ -802,8 +784,9 @@ let perf_json () =
    concurrently by every pool worker through per-domain evaluation
    contexts (the snapshots are immutable and shared).  Each engine's
    results are fingerprinted; a digest mismatch — across domains or
-   between the frozen scan and the pointer-walking reference — fails the
-   run.  Worker count: -j N as elsewhere. *)
+   between the frozen scan and the pointer-walking reference evaluator
+   ({!Xl_fuzz.Ref_eval}) — fails the run.  Worker count: -j N as
+   elsewhere. *)
 let frozen_bench () =
   print_endline line;
   print_endline "Frozen-store single-pass selection (shared snapshots across domains)";
@@ -838,21 +821,20 @@ let frozen_bench () =
     (* per-task context: domain-confined mutable state over the shared
        read-only store, per the pool's confinement contract *)
     let ctx = Xl_xquery.Eval.make_ctx store in
-    (match engine with
-    | `Frozen ->
-      (* raw scan speed, not memoized replay *)
-      ctx.Xl_xquery.Eval.use_extent_cache <- false
-    | `Pointer_walk ->
-      ctx.Xl_xquery.Eval.use_extent_cache <- false;
-      ctx.Xl_xquery.Eval.use_frozen <- false;
-      ctx.Xl_xquery.Eval.use_tag_index <- false);
+    let run =
+      match engine with
+      | `Frozen ->
+        fun ast ->
+          (* raw scan speed, not memoized replay *)
+          Hashtbl.reset ctx.Xl_xquery.Eval.extent_cache;
+          Xl_xquery.Eval.run_to_string ctx ast
+      | `Pointer_walk -> Xl_fuzz.Ref_eval.run_to_string ctx
+    in
     let asts = List.map Xl_xquery.Parser.parse paths in
     let buf = Buffer.create 4096 in
     for _ = 1 to rounds do
       Buffer.clear buf;
-      List.iter
-        (fun ast -> Buffer.add_string buf (Xl_xquery.Eval.run_to_string ctx ast))
-        asts
+      List.iter (fun ast -> Buffer.add_string buf (run ast)) asts
     done;
     Digest.to_hex (Digest.string (Buffer.contents buf))
   in
@@ -978,11 +960,9 @@ let stream_bench () =
 
 (* [batch] quantifies the batched membership oracle: first a micro
    comparison — one DFA pass over a fill's shared prefix trie vs one
-   automaton walk per word, on an observation-table-shaped batch — then
-   the Figure-16 suites end-to-end with batching on and off.  Batching
-   changes who computes the answers, never the answers: the per-scenario
-   interaction rows of the two end-to-end runs must be identical
-   (exit 1 otherwise). *)
+   automaton walk per word, on an observation-table-shaped batch, whose
+   answers must agree (exit 1 otherwise) — then the Figure-16 suites
+   end-to-end, reporting how much of L* the batched oracle carries. *)
 let batch_bench () =
   print_endline line;
   print_endline "Batched membership oracle vs word-at-a-time (make bench-batch)";
@@ -1042,7 +1022,7 @@ let batch_bench () =
     (float_of_int n_steps /. float_of_int n_shared)
     per_word_ns batched_ns
     ((batched_ns -. per_word_ns) /. float_of_int n_words);
-  (* end-to-end: both fig16 suites, batching toggled by Learn.config *)
+  (* end-to-end: both fig16 suites *)
   let scenarios =
     prepare_scenarios (Xl_workload.Xmark_scenarios.all ())
     @ prepare_scenarios (Xl_workload.Xmp_scenarios.all ())
@@ -1056,50 +1036,24 @@ let batch_bench () =
     | Some t -> t.Obs.st_total_ns
     | None -> 0
   in
-  let run_mode ~batch =
-    Obs.reset ();
-    Obs.set_enabled true;
-    let config = { Xl_core.Learn.default_config with batch } in
-    let t0 = Unix.gettimeofday () in
-    let rows =
-      List.map
-        (fun (name, sc) ->
-          match Xl_core.Learn.run ~config sc with
-          | r -> (name, Xl_core.Stats.to_json r.Xl_core.Learn.stats)
-          | exception e -> (name, Printexc.to_string e))
-        scenarios
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    let lstar_ns = span_ns "lstar.learn" in
-    let oracle_batch_ns = span_ns "oracle.batch" in
-    let mq_batched =
-      match Obs.Counter.find "mq_batched" with
-      | Some c -> Obs.Counter.value c
-      | None -> 0
-    in
-    Obs.set_enabled false;
-    (rows, wall, lstar_ns, oracle_batch_ns, mq_batched)
+  Obs.reset ();
+  Obs.set_enabled true;
+  let t0 = Unix.gettimeofday () in
+  List.iter (fun (_, sc) -> ignore (Xl_core.Learn.run sc)) scenarios;
+  let wall = Unix.gettimeofday () -. t0 in
+  let lstar_ns = span_ns "lstar.learn" and oracle_batch_ns = span_ns "oracle.batch" in
+  let mq_batched =
+    match Obs.Counter.find "mq_batched" with
+    | Some c -> Obs.Counter.value c
+    | None -> 0
   in
-  let rows_b, wall_b, lstar_b, obatch_b, mq_b = run_mode ~batch:true in
-  let rows_w, wall_w, lstar_w, _, _ = run_mode ~batch:false in
+  Obs.set_enabled false;
   Printf.printf
-    "fig16 end-to-end  batched : wall %.2f s, lstar.learn %.1f ms, oracle.batch %.1f ms, %d membership queries batch-answered\n%!"
-    wall_b
-    (float_of_int lstar_b /. 1e6)
-    (float_of_int obatch_b /. 1e6)
-    mq_b;
-  Printf.printf "fig16 end-to-end  per-word: wall %.2f s, lstar.learn %.1f ms\n%!"
-    wall_w
-    (float_of_int lstar_w /. 1e6);
-  if rows_b <> rows_w then begin
-    Printf.eprintf
-      "FAIL: interaction rows differ between batched and per-word runs\n";
-    exit 1
-  end;
-  Printf.printf
-    "=> lstar.learn %.2fx, suite wall %.2fx; interaction rows identical with batching on and off\n\n"
-    (float_of_int lstar_w /. float_of_int (max 1 lstar_b))
-    (wall_w /. wall_b)
+    "fig16 end-to-end: wall %.2f s, lstar.learn %.1f ms, oracle.batch %.1f ms, %d membership queries batch-answered\n\n%!"
+    wall
+    (float_of_int lstar_ns /. 1e6)
+    (float_of_int oracle_batch_ns /. 1e6)
+    mq_batched
 
 (* ---------- resumable machine smoke (bench machine) ---------------------- *)
 

@@ -18,9 +18,9 @@ open Xl_xml
     (compiled over [ctx]'s alphabet), document order.
 
     Delegates to the evaluator's selection engine ({!Xl_xquery.Eval.select_dfa}):
-    the frozen single-pass scan with the per-(DFA, base) extent cache
-    when the context's fast paths are on, the pointer-walking reference
-    implementation otherwise.  Both handle the ε-accepting start — the
+    the frozen single-pass scan for store-resident bases, the pointer
+    walk for constructed ones, memoized per (DFA, base).  Both handle the
+    ε-accepting start — the
     empty relative path denotes the base itself, and a relative task
     whose extent contains its own anchor learns an ε-accepting DFA —
     and both emit in document order (a DFS that appends attributes

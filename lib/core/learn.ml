@@ -11,8 +11,6 @@ type config = Learn_types.config = {
   rules : Plearner.config;
   strategy : Oracle.strategy;
   max_rounds : int;
-  fast_paths : bool;
-  batch : bool;
   pool : Xl_exec.Pool.t option;
 }
 

@@ -19,15 +19,6 @@ type config = Learn_types.config = {
   rules : Plearner.config;
   strategy : Oracle.strategy;
   max_rounds : int;  (** bound on equivalence-query rounds per task *)
-  fast_paths : bool;
-      (** evaluator fast paths for this run's context (default [true]);
-          the parity sweep sets [false] to learn against the naive
-          nested-loop evaluator *)
-  batch : bool;
-      (** answer L* observation-table fills through the batched
-          membership oracle (default [true]); the parity sweep sets
-          [false] to force word-at-a-time queries — answers and
-          interaction counts are identical either way *)
   pool : Xl_exec.Pool.t option;
       (** intra-scenario parallelism: schema precomputation, oracle
           batch chunks and the C-Learner relay scan fan out across the

@@ -9,8 +9,6 @@ type config = {
   rules : Plearner.config;
   strategy : Oracle.strategy;
   max_rounds : int;
-  fast_paths : bool;
-  batch : bool;
   pool : Xl_exec.Pool.t option;
 }
 
@@ -19,8 +17,6 @@ let default_config =
     rules = Plearner.default_config;
     strategy = Oracle.Best;
     max_rounds = 400;
-    fast_paths = true;
-    batch = true;
     pool = None;
   }
 

@@ -8,8 +8,6 @@ type config = {
   rules : Plearner.config;
   strategy : Oracle.strategy;
   max_rounds : int;
-  fast_paths : bool;
-  batch : bool;
   pool : Xl_exec.Pool.t option;
 }
 

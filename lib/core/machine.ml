@@ -200,9 +200,9 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
       teacher.Teacher.path_membership ~label ~context ~rel_path:s ~witness:None
     in
     let ask_batch =
-      match teacher.Teacher.path_membership_batch with
-      | Some f when config.batch -> Some (fun ss -> f ~label ~context ~rel_paths:ss)
-      | _ -> None
+      Option.map
+        (fun f ss -> f ~label ~context ~rel_paths:ss)
+        teacher.Teacher.path_membership_batch
     in
     let shared, on_reuse =
       match session with
@@ -280,7 +280,7 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
       in
       loop ()
     in
-    let dfa = Plearner.learn ~batch:config.batch pl ~equivalence in
+    let dfa = Plearner.learn pl ~equivalence in
     let order = teacher.Teacher.order_box ~label in
     if order <> [] then stats.Stats.ob <- stats.Stats.ob + List.length order;
     (* the conjecture may over-generalize on paths the instance cannot
@@ -472,8 +472,7 @@ let sweep_once ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
     (* the sweep's private oracle follows the run's own configuration —
        pool included, so a pooled run never falls back to sequential
        extent evaluation mid-repair *)
-    Oracle.create ~strategy:config.strategy ~fast_paths:config.fast_paths
-      ?pool:config.pool
+    Oracle.create ~strategy:config.strategy ?pool:config.pool
       { scenario with Scenario.target = learned }
   in
   let tasks = Task.tasks_of learned in
@@ -683,8 +682,7 @@ let run_engine ~(config : config) ~(rt : runtime) ~(teacher : Teacher.t)
   @@ fun () ->
   let oracle, oracle_teacher =
     Xl_obs.Obs.span ~name:"oracle.init" (fun () ->
-        Oracle.create ~strategy:config.strategy ~fast_paths:config.fast_paths
-          ?pool:config.pool scenario)
+        Oracle.create ~strategy:config.strategy ?pool:config.pool scenario)
   in
   rt.oracle <- Some (oracle, oracle_teacher);
   let ctx = Oracle.eval_ctx oracle in
@@ -698,11 +696,10 @@ let run_engine ~(config : config) ~(rt : runtime) ~(teacher : Teacher.t)
       [ Xl_schema.Schema_source.of_dataguide
           (Xl_schema.Dataguide.of_store scenario.Scenario.store) ]
     | dtds ->
-      (* step memoization follows the run's fast-path switch so parity
-         sweeps exercise the naive stepper too.  Each DTD compiles into
-         its own stepper with no shared state, so R1's reachability
-         precomputation fans out over the pool (order-preserving map). *)
-      let compile = Xl_schema.Schema_source.of_dtd ~memo:config.fast_paths in
+      (* each DTD compiles into its own stepper with no shared state, so
+         R1's reachability precomputation fans out over the pool
+         (order-preserving map) *)
+      let compile = Xl_schema.Schema_source.of_dtd in
       (match config.pool with
       | Some pool when List.length dtds > 1 -> Xl_exec.Pool.map pool compile dtds
       | _ -> List.map compile dtds)
@@ -1135,12 +1132,12 @@ let answer_to_string (a : answer) : string =
 (* Snapshots                                                               *)
 (* ---------------------------------------------------------------------- *)
 
-(* Layout (little-endian, version 1) — the framing conventions of
+(* Layout (little-endian, version 2) — the framing conventions of
    {!Xl_xml.Snapshot}:
 
      magic "XLMACHIN"                                  8 bytes
      version                                           u32
-     config: r1 r2 fast_paths batch                    4 x u8
+     config: r1 r2                                     2 x u8
              strategy (0 Best, 1 Worst)                u8
              max_rounds                                u32
      scenario name                                     blob
@@ -1162,7 +1159,7 @@ let answer_to_string (a : answer) : string =
    parallelism is an execution resource, not learner state. *)
 
 let snapshot_magic = "XLMACHIN"
-let snapshot_version = 1
+let snapshot_version = 2
 
 let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
 let add_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
@@ -1233,8 +1230,6 @@ let snapshot (m : t) : string =
       add_u32 b snapshot_version;
       add_bool b m.t_config.rules.Plearner.r1;
       add_bool b m.t_config.rules.Plearner.r2;
-      add_bool b m.t_config.fast_paths;
-      add_bool b m.t_config.batch;
       add_u8 b (match m.t_config.strategy with Oracle.Best -> 0 | Oracle.Worst -> 1);
       add_u32 b m.t_config.max_rounds;
       add_blob b m.t_scenario.Scenario.name;
@@ -1396,8 +1391,6 @@ let restore ?pool ?session ?on_auto ~(scenario : Scenario.t) (data : string) : t
       then corrupt "checksum mismatch (snapshot corrupted or truncated)";
       let r1 = read_bool c "config.r1" in
       let r2 = read_bool c "config.r2" in
-      let fast_paths = read_bool c "config.fast_paths" in
-      let batch = read_bool c "config.batch" in
       let strategy =
         match u8 c "config.strategy" with
         | 0 -> Oracle.Best
@@ -1406,7 +1399,7 @@ let restore ?pool ?session ?on_auto ~(scenario : Scenario.t) (data : string) : t
       in
       let max_rounds = u32 c "config.max_rounds" in
       let config =
-        { rules = { Plearner.r1; r2 }; strategy; max_rounds; fast_paths; batch; pool }
+        { rules = { Plearner.r1; r2 }; strategy; max_rounds; pool }
       in
       let name = blob c "scenario name" in
       if not (String.equal name scenario.Scenario.name) then

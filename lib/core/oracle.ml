@@ -95,28 +95,24 @@ let path_dfa (o : t) (task : Task.t) : Xl_automata.Dfa.t =
 (** The intended extent EXT_{e,context} of the task at [label]. *)
 let target_extent (o : t) (label : string) (context : Teacher.context) :
     Node.t list =
-  let compute () =
+  let key =
+    (label, List.map (fun (v, (n : Node.t)) -> (v, n.Node.id)) context)
+  in
+  match Hashtbl.find_opt o.extents key with
+  | Some r ->
+    Xl_obs.Obs.Counter.incr c_extent_hit;
+    r
+  | None ->
+    Xl_obs.Obs.Counter.incr c_extent_miss;
     let task = task_of_label o label in
     let base = base_node o task context in
     let candidates = Extent.select_by_dfa o.ctx (path_dfa o task) base in
-    Extent.filter_conds o.ctx context ~bind:(Task.bindings_of task)
-      (Task.conds task) candidates
-  in
-  if not o.ctx.Xl_xquery.Eval.use_extent_cache then compute ()
-  else begin
-    let key =
-      (label, List.map (fun (v, (n : Node.t)) -> (v, n.Node.id)) context)
+    let r =
+      Extent.filter_conds o.ctx context ~bind:(Task.bindings_of task)
+        (Task.conds task) candidates
     in
-    match Hashtbl.find_opt o.extents key with
-    | Some r ->
-      Xl_obs.Obs.Counter.incr c_extent_hit;
-      r
-    | None ->
-      Xl_obs.Obs.Counter.incr c_extent_miss;
-      let r = compute () in
-      Hashtbl.replace o.extents key r;
-      r
-  end
+    Hashtbl.replace o.extents key r;
+    r
 
 let path_membership (o : t) ~label ~context ~rel_path ~witness =
   ignore context;
@@ -225,9 +221,8 @@ let condition_box (o : t) ~label ~context ~negative_example =
 
 let order_box (o : t) ~label = Task.order_by (task_of_label o label)
 
-let create ?(strategy = Best) ?fast_paths ?pool (scenario : Scenario.t) :
-    t * Teacher.t =
-  let ctx = Xl_xquery.Eval.make_ctx ?fast_paths scenario.Scenario.store in
+let create ?(strategy = Best) ?pool (scenario : Scenario.t) : t * Teacher.t =
+  let ctx = Xl_xquery.Eval.make_ctx scenario.Scenario.store in
   (* the alphabet must cover the source schema, for R1 and shared DFAs *)
   List.iter
     (fun dtd ->

@@ -16,12 +16,10 @@ type strategy =
 type t
 
 val create :
-  ?strategy:strategy -> ?fast_paths:bool -> ?pool:Xl_exec.Pool.t ->
-  Scenario.t -> t * Teacher.t
-(** [fast_paths] is forwarded to {!Xl_xquery.Eval.make_ctx} for the
-    shared evaluation context (default [true]).  [pool], when given,
-    lets the batched membership oracle split large batches into
-    per-domain chunks (each chunk is an independent pure DFA pass). *)
+  ?strategy:strategy -> ?pool:Xl_exec.Pool.t -> Scenario.t -> t * Teacher.t
+(** [pool], when given, lets the batched membership oracle split large
+    batches into per-domain chunks (each chunk is an independent pure
+    DFA pass).  Target extents are memoized per (task, context). *)
 
 val path_membership_batch :
   t -> ?pool:Xl_exec.Pool.t -> label:string -> context:Teacher.context ->

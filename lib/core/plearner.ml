@@ -471,13 +471,13 @@ let known_positive_paths t = t.known_positive
 (** Run L* to convergence, restarting on R2 backtracks.  [equivalence]
     is the outer equivalence-query loop (extent comparison); it returns a
     counterexample *word* when the path hypothesis must change. *)
-let learn ?(batch = true) (t : t)
+let learn (t : t)
     ~(equivalence : Xl_automata.Dfa.t -> int list option) : Xl_automata.Dfa.t =
   let alphabet_size = Xl_automata.Alphabet.size t.alphabet in
   let teacher =
     {
       Xl_automata.Lstar.membership = membership t;
-      membership_batch = (if batch then Some (membership_batch t) else None);
+      membership_batch = Some (membership_batch t);
       equivalence;
     }
   in

@@ -74,10 +74,8 @@ val note_negative : t -> string list -> unit
 val known_positive_paths : t -> string list list
 
 val learn :
-  ?batch:bool -> t ->
-  equivalence:(Xl_automata.Dfa.t -> int list option) -> Xl_automata.Dfa.t
+  t -> equivalence:(Xl_automata.Dfa.t -> int list option) -> Xl_automata.Dfa.t
 (** Run L* to convergence, restarting on rule backtracks.  [equivalence]
     is the outer extent-comparison loop; it returns a counterexample
-    word when the path hypothesis must change.  [batch] (default [true])
-    hands L* the batched membership oracle; turning it off forces the
-    word-at-a-time path (parity sweeps compare the two). *)
+    word when the path hypothesis must change.  L* fills its observation
+    table through {!membership_batch}; single words go to {!membership}. *)

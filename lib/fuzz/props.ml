@@ -33,7 +33,7 @@ let failure_to_string = function
   | R1_unsound s -> "R1_unsound: rejected in-language word " ^ s
   | Training_mismatch -> "Training_mismatch: learned query differs on the training document"
   | Fresh_mismatch i -> Printf.sprintf "Fresh_mismatch: learned query differs on fresh document %d" i
-  | Parity_mismatch -> "Parity_mismatch: hash-join and naive evaluation differ"
+  | Parity_mismatch -> "Parity_mismatch: Eval and Ref_eval differ"
   | Unprepared_store_mismatch -> "Unprepared_store_mismatch: lazy and prepared stores differ"
 
 let constructor_name = function
@@ -92,9 +92,11 @@ let value_to_string (v : Value.t) : string =
          | Value.Atom a -> Value.atom_to_string a)
        v)
 
-let eval_to_string ?(fast_paths = true) (t : Xqtree.t) (store : Store.t) : string =
-  let ctx = Eval.make_ctx ~fast_paths store in
-  value_to_string (Eval.run ctx (Xqtree.to_ast t))
+let eval_to_string (t : Xqtree.t) (store : Store.t) : string =
+  value_to_string (Eval.run (Eval.make_ctx store) (Xqtree.to_ast t))
+
+let ref_eval_to_string (t : Xqtree.t) (store : Store.t) : string =
+  value_to_string (Ref_eval.run (Eval.make_ctx store) (Xqtree.to_ast t))
 
 let validate_frag dtd ~what frag =
   let doc = Doc.of_frag ~uri:(what ^ ".xml") frag in
@@ -197,9 +199,9 @@ let check ?bug ?(fresh = 3) (case : Case.t) : failure option =
   | None -> (
     (* 2: evaluator parity and store-preparation parity on the target *)
     let prepared = Case.store_of ~prepare:true case in
-    let out_fast = eval_to_string ~fast_paths:true target prepared in
-    let out_naive = eval_to_string ~fast_paths:false target prepared in
-    if not (String.equal out_fast out_naive) then Some Parity_mismatch
+    let out_fast = eval_to_string target prepared in
+    if not (String.equal out_fast (ref_eval_to_string target prepared)) then
+      Some Parity_mismatch
     else
       let lazy_store = Case.store_of ~prepare:false case in
       let out_lazy = eval_to_string target lazy_store in

@@ -27,12 +27,10 @@ type t = {
   names : string array;  (** state - 1 -> element name *)
   leaf : int;
   dead : int;
-  memo : (int * string, int) Hashtbl.t option;
-      (** (state, symbol) -> next state; [None] when memoization is off
-          (the naive parity configuration) *)
+  memo : (int * string, int) Hashtbl.t;  (** (state, symbol) -> next state *)
 }
 
-let compile ?(memo = true) (dtd : Dtd.t) : t =
+let compile (dtd : Dtd.t) : t =
   let children = Hashtbl.create 64 in
   let atts = Hashtbl.create 64 in
   let mixed = Hashtbl.create 64 in
@@ -79,7 +77,7 @@ let compile ?(memo = true) (dtd : Dtd.t) : t =
     names;
     leaf;
     dead;
-    memo = (if memo then Some (Hashtbl.create 256) else None);
+    memo = Hashtbl.create 256;
   }
 
 let lookup tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k)
@@ -105,18 +103,15 @@ let compute_step (t : t) (q : int) (sym : string) : int =
     else t.dead
 
 let step (t : t) (q : int) (sym : string) : int =
-  match t.memo with
-  | None -> compute_step t q sym
-  | Some memo -> (
-    match Hashtbl.find_opt memo (q, sym) with
-    | Some q' ->
-      Xl_obs.Obs.Counter.incr c_r1_hit;
-      q'
-    | None ->
-      Xl_obs.Obs.Counter.incr c_r1_miss;
-      let q' = compute_step t q sym in
-      Hashtbl.replace memo (q, sym) q';
-      q')
+  match Hashtbl.find_opt t.memo (q, sym) with
+  | Some q' ->
+    Xl_obs.Obs.Counter.incr c_r1_hit;
+    q'
+  | None ->
+    Xl_obs.Obs.Counter.incr c_r1_miss;
+    let q' = compute_step t q sym in
+    Hashtbl.replace t.memo (q, sym) q';
+    q'
 
 let run (t : t) (q : int) (path : string list) : int =
   List.fold_left (fun q sym -> step t q sym) q path

@@ -13,10 +13,9 @@
 
 type t
 
-val compile : ?memo:bool -> Dtd.t -> t
-(** [memo] (default [true]) caches (state, symbol) steps, counted by the
-    [r1_cache_hit]/[r1_cache_miss] telemetry counters; pass [false] for
-    the naive parity configuration. *)
+val compile : Dtd.t -> t
+(** The stepper caches (state, symbol) steps, counted by the
+    [r1_cache_hit]/[r1_cache_miss] telemetry counters. *)
 
 val start : t -> int
 (** The initial state (before any symbol; not accepting). *)

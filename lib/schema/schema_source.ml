@@ -15,7 +15,7 @@ type t =
 
 
 
-let of_dtd ?memo dtd = Dtd_paths (Schema_paths.compile ?memo dtd)
+let of_dtd dtd = Dtd_paths (Schema_paths.compile dtd)
 let of_relaxng rng = Relax_ng rng
 let of_dataguide dg = Data_guide dg
 

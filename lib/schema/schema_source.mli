@@ -7,8 +7,7 @@ type t =
   | Relax_ng of Relaxng.t
   | Data_guide of Dataguide.t
 
-val of_dtd : ?memo:bool -> Dtd.t -> t
-(** [memo] (default [true]) is forwarded to {!Schema_paths.compile}. *)
+val of_dtd : Dtd.t -> t
 
 val of_relaxng : Relaxng.t -> t
 val of_dataguide : Dataguide.t -> t

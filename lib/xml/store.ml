@@ -6,7 +6,7 @@
 
     The store carries persistent indexes built lazily, once per
     registration epoch: the flattened element/attribute node universe, an
-    id->node table, a tag-symbol index and a value index.  The value
+    id->node table, a value index and the frozen array snapshots.  The value
     index is shared with {!Xl_core.Data_graph} so building the data graph
     does not re-scan every document.  Registering a new document bumps
     [generation] and drops the indexes; readers rebuild on demand, so a
@@ -18,8 +18,6 @@ type index = {
       (** element/attribute nodes, document order within each document,
           documents in registration order — the extent universe *)
   by_id : (int, Node.t) Hashtbl.t;  (** every node, text and doc included *)
-  by_tag : (string, Node.t list) Hashtbl.t;
-      (** tag-path symbol ([Node.symbol]) -> nodes, document order *)
   by_value : (string, Node.t list) Hashtbl.t;
       (** direct value -> value-bearing nodes (v-equality neighbours) *)
   frozen : Frozen.t list;
@@ -131,15 +129,6 @@ let build_index t : index =
         (fun n -> Hashtbl.replace by_id n.Node.id n)
         (Doc.all_nodes d))
     (docs t);
-  let by_tag = Hashtbl.create 256 in
-  List.iter
-    (fun n ->
-      let s = Node.symbol n in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_tag s) in
-      Hashtbl.replace by_tag s (n :: cur))
-    univ;
-  (* buckets were built by prepending: restore document order *)
-  Hashtbl.filter_map_inplace (fun _ ns -> Some (List.rev ns)) by_tag;
   (* value index: same construction (and hence same bucket order) as the
      data graph historically used, so learner behaviour is unchanged *)
   let by_value = Hashtbl.create 4096 in
@@ -159,7 +148,7 @@ let build_index t : index =
         | None -> Frozen.freeze d)
       (docs t)
   in
-  { univ; by_id; by_tag; by_value; frozen })
+  { univ; by_id; by_value; frozen })
 
 let index t =
   match t.index with
@@ -200,11 +189,6 @@ let set_strict t flag = t.strict <- flag
 let nodes t = (index t).univ
 
 let find_node_by_id t id = Hashtbl.find_opt (index t).by_id id
-
-(** Nodes whose tag-path symbol ([Node.symbol]) is [s], document order:
-    elements by tag, attributes by ["@name"]. *)
-let nodes_with_tag t s =
-  Option.value ~default:[] (Hashtbl.find_opt (index t).by_tag s)
 
 (** Value-bearing nodes whose direct value is [v] — the v-equality
     neighbours of the data graph. *)

@@ -4,9 +4,10 @@
     learner a single node universe spanning several documents (the XMP
     scenarios join [bib.xml] with [reviews.xml] and [prices.xml]).
 
-    Carries persistent indexes — flattened node universe, id->node,
-    nodes-by-tag and the v-equality value index — built lazily once per
-    registration epoch and dropped whenever a document is added. *)
+    Carries persistent indexes — flattened node universe, id->node, the
+    v-equality value index and the frozen array snapshots — built lazily
+    once per registration epoch and dropped whenever a document is
+    added. *)
 
 type t
 
@@ -69,10 +70,6 @@ val set_strict : t -> bool -> unit
     and hides a forgotten re-{!prepare} after an {!add}.  {!prepare}
     itself still builds.  Off by default; switch it on right after
     preparing a store that a pool fan-out will share. *)
-
-val nodes_with_tag : t -> string -> Node.t list
-(** Nodes whose {!Node.symbol} is the argument, document order: elements
-    by tag, attributes by ["@name"]. *)
 
 val with_value : t -> string -> Node.t list
 (** Value-bearing nodes with the given direct value — the v-equality

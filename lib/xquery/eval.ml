@@ -6,17 +6,23 @@
     "selection by regular path expression" cheap enough to recompute
     extents repeatedly during learning.
 
-    Two optional fast paths (on by default, switchable per context for
-    A/B measurement) accelerate the hot shapes of the Figure-16 suites:
+    There is one evaluation path, chosen by the input alone:
 
-    - [use_tag_index]: document-rooted child-tag chains are answered from
-      the store's nodes-by-tag index instead of a full tree walk;
-    - [use_hash_join]: an equality [where] clause whose build side is a
-      path over a [for] variable with a closed binding sequence executes
-      as a hash join — the build side is indexed once per (sequence, key)
-      pair and cached on the context, the probe side streams.  A [some]
+    - a selection from a store-resident base is a linear scan of the
+      store's frozen arrays; a constructed (foreign) base takes the
+      pointer walk [tree_select], the only engine that reaches it.
+      Either way the result is memoized per (DFA, base node);
+    - an equality [where] clause whose build side is a path over a
+      [for] variable with a closed binding sequence executes as a hash
+      join — the build side is indexed once per (sequence, key) pair and
+      cached on the context, the probe side streams.  A [some]
       quantifier of the same shape (Rel3 relay conditions) runs as a
-      hash semi-join over the same index.
+      hash semi-join over the same index.  Everything else is a nested
+      loop.
+
+    The nested-loop, pointer-walk-only reference that tests compare
+    against is [Xl_fuzz.Ref_eval], built from this module's exported
+    helpers.
 
     FLWOR tuple streams are lazy ([Seq]-based), so [where] filters tuples
     as they are produced instead of after a full cross-product
@@ -55,13 +61,6 @@ type ctx = {
   alphabet : Xl_automata.Alphabet.t;
   cache : (Path_expr.t, compiled_path) Hashtbl.t;
   mutable constructed : int;  (** count of constructed elements (stats) *)
-  mutable use_hash_join : bool;
-  mutable use_tag_index : bool;
-  mutable use_frozen : bool;
-      (** answer DFA selections by a linear scan over the store's frozen
-          array snapshots instead of the pointer-walking reference path *)
-  mutable use_extent_cache : bool;
-      (** memoize DFA selections per (DFA, base node) across calls *)
   join_cache : (Ast.expr * Ast.expr, join_index) Hashtbl.t;
   plan_cache : (Ast.expr, join_plan option) Hashtbl.t;
       (** keyed by the [Flwor] or [Some_] expression planned *)
@@ -81,13 +80,12 @@ type ctx = {
 }
 
 (* telemetry: which evaluator branch answered, and how much tree was
-   walked — the per-query attribution behind the fast-path speedups *)
+   walked — the per-query attribution behind the join and scan speedups *)
 let c_flwor_hash = Xl_obs.Obs.Counter.make "eval_flwor_hash_join"
 let c_flwor_nested = Xl_obs.Obs.Counter.make "eval_flwor_nested_loop"
 let c_quant_semi = Xl_obs.Obs.Counter.make "eval_quant_semi_join"
 let c_quant_nested = Xl_obs.Obs.Counter.make "eval_quant_nested"
 let c_quant_witnesses = Xl_obs.Obs.Counter.make "eval_quant_witnesses"
-let c_tag_index = Xl_obs.Obs.Counter.make "eval_tag_index_hits"
 let c_nodes_visited = Xl_obs.Obs.Counter.make "eval_nodes_visited"
 let c_frozen_selects = Xl_obs.Obs.Counter.make "eval_frozen_selects"
 let c_frozen_scanned = Xl_obs.Obs.Counter.make "eval_frozen_nodes_scanned"
@@ -101,7 +99,7 @@ let intern_doc_symbols alphabet doc =
     (fun n -> ignore (Xl_automata.Alphabet.intern alphabet (Node.symbol n)))
     (Doc.all_nodes doc)
 
-let make_ctx ?(fast_paths = true) (store : Store.t) : ctx =
+let make_ctx (store : Store.t) : ctx =
   let alphabet = Xl_automata.Alphabet.create () in
   List.iter (intern_doc_symbols alphabet) (Store.docs store);
   (* constructed text nodes must already be interned when a path walks a
@@ -112,10 +110,6 @@ let make_ctx ?(fast_paths = true) (store : Store.t) : ctx =
     alphabet;
     cache = Hashtbl.create 32;
     constructed = 0;
-    use_hash_join = fast_paths;
-    use_tag_index = fast_paths;
-    use_frozen = fast_paths;
-    use_extent_cache = fast_paths;
     join_cache = Hashtbl.create 16;
     plan_cache = Hashtbl.create 16;
     frozen_syms = Hashtbl.create 4;
@@ -125,7 +119,7 @@ let make_ctx ?(fast_paths = true) (store : Store.t) : ctx =
     frozen_scratch = [||];
   }
 
-let ctx_of_doc ?fast_paths doc = make_ctx ?fast_paths (Store.of_docs [ doc ])
+let ctx_of_doc doc = make_ctx (Store.of_docs [ doc ])
 
 (* intern every tag literal of the path so Any_elem expansion and
    compilation agree on the alphabet *)
@@ -155,22 +149,6 @@ let compile_path (ctx : ctx) (p : Path_expr.t) : compiled_path =
     Hashtbl.replace ctx.cache p c;
     c
 
-(** The symbol word of a pure child-tag chain (e.g. [/site/people/person]
-    or [.../@id]), if the path is one — the shape the nodes-by-tag index
-    can answer directly. *)
-let tag_chain (p : Path_expr.t) : string list option =
-  let rec go acc p =
-    match p with
-    | Path_expr.Step (Path_expr.Child, test) -> (
-      match Path_expr.test_symbol test with
-      | Some s -> Some (s :: acc)
-      | None -> None)
-    | Path_expr.Seq (a, b) -> (
-      match go acc b with Some acc -> go acc a | None -> None)
-    | _ -> None
-  in
-  go [] p
-
 (* ---------- DFA selection engine ---------------------------------------- *)
 
 (* liveness of a DFA not compiled by this context (the oracle's target
@@ -184,8 +162,9 @@ let live_of (ctx : ctx) (dfa : Xl_automata.Dfa.t) : bool array =
     Hashtbl.replace ctx.live_cache dfa l;
     l
 
-(* Reference implementation: the pointer walk with dead-state pruning.
-   A DFS taking attributes before element/text children — the order
+(* The pointer walk with dead-state pruning: the engine for constructed
+   bases, and the reference the frozen scan is tested against.  A DFS
+   taking attributes before element/text children — the order
    [Doc.of_frag] numbered them in — emits document order directly, so
    the accumulator only needs reversing, never sorting. *)
 let tree_select (ctx : ctx) (dfa : Xl_automata.Dfa.t) (live : bool array)
@@ -303,10 +282,7 @@ let frozen_select (ctx : ctx) (fz : Frozen.t) ~(base_pos : int)
 
 let raw_select (ctx : ctx) (dfa : Xl_automata.Dfa.t) (live : bool array)
     (base : Node.t) : Node.t list =
-  let frozen =
-    if ctx.use_frozen then Store.frozen_of_node ctx.store base else None
-  in
-  match frozen with
+  match Store.frozen_of_node ctx.store base with
   | Some (fz, pos) -> frozen_select ctx fz ~base_pos:pos dfa live
   | None -> tree_select ctx dfa live base
 
@@ -325,20 +301,17 @@ let check_extent_gen (ctx : ctx) =
    store's generation moves.  Cached lists are immutable and shared. *)
 let select_dfa_live (ctx : ctx) (dfa : Xl_automata.Dfa.t) (live : bool array)
     (base : Node.t) : Node.t list =
-  if not ctx.use_extent_cache then raw_select ctx dfa live base
-  else begin
-    check_extent_gen ctx;
-    let key = (dfa, base.Node.id) in
-    match Hashtbl.find_opt ctx.extent_cache key with
-    | Some r ->
-      Xl_obs.Obs.Counter.incr c_extent_hit;
-      r
-    | None ->
-      Xl_obs.Obs.Counter.incr c_extent_miss;
-      let r = raw_select ctx dfa live base in
-      Hashtbl.replace ctx.extent_cache key r;
-      r
-  end
+  check_extent_gen ctx;
+  let key = (dfa, base.Node.id) in
+  match Hashtbl.find_opt ctx.extent_cache key with
+  | Some r ->
+    Xl_obs.Obs.Counter.incr c_extent_hit;
+    r
+  | None ->
+    Xl_obs.Obs.Counter.incr c_extent_miss;
+    let r = raw_select ctx dfa live base in
+    Hashtbl.replace ctx.extent_cache key r;
+    r
 
 (** Nodes under [base] whose relative tag path the DFA accepts, document
     order — extent selection for externally compiled DFAs. *)
@@ -349,39 +322,8 @@ let select_dfa (ctx : ctx) (dfa : Xl_automata.Dfa.t) (base : Node.t) :
 (** Nodes reachable from [from] by the regular path [p] — [from]'s own
     symbol is not consumed.  Results in document order. *)
 let eval_path (ctx : ctx) (p : Path_expr.t) (from : Node.t) : Node.t list =
-  let use_frozen_here =
-    ctx.use_frozen && Store.frozen_of_node ctx.store from <> None
-  in
-  let indexed =
-    if
-      (not use_frozen_here)
-      && ctx.use_tag_index
-      && from.Node.kind = Node.Document
-      && (match Store.find_node_by_id ctx.store from.Node.id with
-         | Some n -> Node.equal n from
-         | None -> false)
-    then
-      match tag_chain p with
-      | Some (_ :: _ as syms) ->
-        (* the index only covers elements and attributes: a text() target
-           must take the tree walk *)
-        let last = List.nth syms (List.length syms - 1) in
-        if String.equal last "#text" then None else Some (syms, last)
-      | _ -> None
-    else None
-  in
-  match indexed with
-  | Some (syms, last) ->
-    (* document-rooted tag chain: look up candidates by the final symbol
-       and keep those with the exact tag path inside this document *)
-    Xl_obs.Obs.Counter.incr c_tag_index;
-    List.filter
-      (fun n -> Node.tag_path n = syms && Node.equal (Node.root n) from)
-      (Store.nodes_with_tag ctx.store last)
-    |> List.sort_uniq Node.compare_order
-  | None ->
-    let { dfa; live } = compile_path ctx p in
-    select_dfa_live ctx dfa live from
+  let { dfa; live } = compile_path ctx p in
+  select_dfa_live ctx dfa live from
 
 (* ---------- element construction ---------------------------------------- *)
 
@@ -647,6 +589,94 @@ let memo_plan (ctx : ctx) (key : Ast.expr) plan : join_plan option =
 
 exception Type_error of string
 
+(* ---------- pure helpers (shared with the reference evaluator) ---------- *)
+
+let general_compare op (va : Value.t) (vb : Value.t) : bool =
+  match op with
+  | Ast.Is ->
+    (* node identity, existentially over the two sequences *)
+    List.exists
+      (function
+        | Value.Node n ->
+          List.exists
+            (function Value.Node m -> Xl_xml.Node.equal n m | Value.Atom _ -> false)
+            vb
+        | Value.Atom _ -> false)
+      va
+  | _ ->
+  let atoms_a = Value.atomize va and atoms_b = Value.atomize vb in
+  let holds a b =
+    let c = Value.atom_compare a b in
+    match op with
+    | Ast.Eq -> Value.atom_equal a b
+    | Ast.Ne -> not (Value.atom_equal a b)
+    | Ast.Lt -> c < 0
+    | Ast.Le -> c <= 0
+    | Ast.Gt -> c > 0
+    | Ast.Ge -> c >= 0
+    | Ast.Is -> assert false
+  in
+  List.exists (fun a -> List.exists (fun b -> holds a b) atoms_b) atoms_a
+
+let eval_arith op va vb : Value.t =
+  let num v =
+    match List.filter_map Value.numeric_of_atom (Value.atomize v) with
+    | [ n ] -> n
+    | [] -> raise (Type_error "arithmetic on empty sequence")
+    | _ -> raise (Type_error "arithmetic on a sequence")
+  in
+  let a = num va and b = num vb in
+  let r =
+    match op with
+    | Ast.Add -> a +. b
+    | Ast.Sub -> a -. b
+    | Ast.Mul -> a *. b
+    | Ast.Div -> a /. b
+    | Ast.Mod -> Float.rem a b
+  in
+  Value.of_float r
+
+let eval_elem (ctx : ctx) (eval_in : Ast.expr -> Value.t) tag
+    (contents : Ast.expr list) : Value.t =
+  let attrs, kids =
+    List.fold_left
+      (fun (attrs, kids) c ->
+        match c with
+        | Ast.Attr_c (name, e) ->
+          (attrs @ [ (name, Value.string_value (eval_in e)) ], kids)
+        | _ -> (attrs, kids @ content_kids (eval_in c)))
+      ([], []) contents
+  in
+  ctx.constructed <- ctx.constructed + 1;
+  [ Value.Node (construct_element ctx tag attrs kids) ]
+
+let order_tuples (eval_in : Env.t -> Ast.expr -> Value.t)
+    (keys : Ast.order_key list) (tuples : Env.t list) : Env.t list =
+  let decorated =
+    List.map
+      (fun env ->
+        (List.map (fun k -> (Value.atomize (eval_in env k.Ast.key), k.Ast.descending)) keys, env))
+      tuples
+  in
+  let cmp_keys (ka, _) (kb, _) =
+    let rec go a b =
+      match a, b with
+      | [], [] -> 0
+      | (xa, desc) :: ra, (xb, _) :: rb ->
+        let c =
+          match xa, xb with
+          | [], [] -> 0
+          | [], _ -> -1
+          | _, [] -> 1
+          | a0 :: _, b0 :: _ -> Value.atom_compare a0 b0
+        in
+        if c <> 0 then if desc then -c else c else go ra rb
+      | _ -> 0
+    in
+    go ka kb
+  in
+  List.map snd (List.stable_sort cmp_keys decorated)
+
 let rec eval (ctx : ctx) (env : Env.t) (e : Ast.expr) : Value.t =
   match e with
   | Ast.Literal a -> [ Value.Atom a ]
@@ -669,18 +699,7 @@ let rec eval (ctx : ctx) (env : Env.t) (e : Ast.expr) : Value.t =
   | Ast.Every (bs, body) -> Value.of_bool (eval_quant ctx env bs body ~exists:false)
   | Ast.If (c, t, f) ->
     if Value.to_bool (eval ctx env c) then eval ctx env t else eval ctx env f
-  | Ast.Elem (tag, contents) ->
-    let attrs, kids =
-      List.fold_left
-        (fun (attrs, kids) c ->
-          match c with
-          | Ast.Attr_c (name, e) ->
-            (attrs @ [ (name, Value.string_value (eval ctx env e)) ], kids)
-          | _ -> (attrs, kids @ content_kids (eval ctx env c)))
-        ([], []) contents
-    in
-    ctx.constructed <- ctx.constructed + 1;
-    [ Value.Node (construct_element ctx tag attrs kids) ]
+  | Ast.Elem (tag, contents) -> eval_elem ctx (eval ctx env) tag contents
   | Ast.Attr_c (_, e) ->
     (* attribute outside an element constructor: atomize *)
     [ Value.Atom (Value.Str (Value.string_value (eval ctx env e))) ]
@@ -744,10 +763,7 @@ and probe_join (ctx : ctx) (env : Env.t) (p : join_plan) : Env.t Seq.t =
   Seq.map (fun i -> Env.bind env p.jp_var [ ji.items.(i) ]) (List.to_seq idxs)
 
 and eval_flwor ctx env (f : Ast.flwor) : Value.t =
-  let plan =
-    if ctx.use_hash_join then memo_plan ctx (Ast.Flwor f) (fun () -> plan_hash_join f)
-    else None
-  in
+  let plan = memo_plan ctx (Ast.Flwor f) (fun () -> plan_hash_join f) in
   (match plan with
   | Some _ -> Xl_obs.Obs.Counter.incr c_flwor_hash
   | None -> if f.Ast.where <> None then Xl_obs.Obs.Counter.incr c_flwor_nested);
@@ -785,35 +801,13 @@ and eval_flwor ctx env (f : Ast.flwor) : Value.t =
     List.of_seq
       (Seq.concat_map (fun env -> List.to_seq (eval ctx env f.Ast.return)) tuples)
   | keys ->
-    let decorated =
-      List.map
-        (fun env ->
-          (List.map (fun k -> (Value.atomize (eval ctx env k.Ast.key), k.Ast.descending)) keys, env))
-        (List.of_seq tuples)
-    in
-    let cmp_keys (ka, _) (kb, _) =
-      let rec go a b =
-        match a, b with
-        | [], [] -> 0
-        | (xa, desc) :: ra, (xb, _) :: rb ->
-          let c =
-            match xa, xb with
-            | [], [] -> 0
-            | [], _ -> -1
-            | _, [] -> 1
-            | a0 :: _, b0 :: _ -> Value.atom_compare a0 b0
-          in
-          if c <> 0 then if desc then -c else c else go ra rb
-        | _ -> 0
-      in
-      go ka kb
-    in
-    let sorted = List.map snd (List.stable_sort cmp_keys decorated) in
-    List.concat_map (fun env -> eval ctx env f.Ast.return) sorted
+    List.concat_map
+      (fun env -> eval ctx env f.Ast.return)
+      (order_tuples (eval ctx) keys (List.of_seq tuples))
 
 and eval_quant ctx env bs body ~exists : bool =
   let plan =
-    if exists && ctx.use_hash_join then
+    if exists then
       memo_plan ctx (Ast.Some_ (bs, body)) (fun () -> plan_semi_join bs body)
     else None
   in
@@ -841,60 +835,17 @@ and eval_quant ctx env bs body ~exists : bool =
     in
     if exists then Seq.exists holds tuples else Seq.for_all holds tuples
 
-and general_compare op (va : Value.t) (vb : Value.t) : bool =
-  match op with
-  | Ast.Is ->
-    (* node identity, existentially over the two sequences *)
-    List.exists
-      (function
-        | Value.Node n ->
-          List.exists
-            (function Value.Node m -> Xl_xml.Node.equal n m | Value.Atom _ -> false)
-            vb
-        | Value.Atom _ -> false)
-      va
-  | _ ->
-  let atoms_a = Value.atomize va and atoms_b = Value.atomize vb in
-  let holds a b =
-    let c = Value.atom_compare a b in
-    match op with
-    | Ast.Eq -> Value.atom_equal a b
-    | Ast.Ne -> not (Value.atom_equal a b)
-    | Ast.Lt -> c < 0
-    | Ast.Le -> c <= 0
-    | Ast.Gt -> c > 0
-    | Ast.Ge -> c >= 0
-    | Ast.Is -> assert false
-  in
-  List.exists (fun a -> List.exists (fun b -> holds a b) atoms_b) atoms_a
-
-and eval_arith op va vb : Value.t =
-  let num v =
-    match List.filter_map Value.numeric_of_atom (Value.atomize v) with
-    | [ n ] -> n
-    | [] -> raise (Type_error "arithmetic on empty sequence")
-    | _ -> raise (Type_error "arithmetic on a sequence")
-  in
-  let a = num va and b = num vb in
-  let r =
-    match op with
-    | Ast.Add -> a +. b
-    | Ast.Sub -> a -. b
-    | Ast.Mul -> a *. b
-    | Ast.Div -> a /. b
-    | Ast.Mod -> Float.rem a b
-  in
-  Value.of_float r
-
 (** Evaluate a closed query against a store. *)
 let run ?(env = Env.empty) (ctx : ctx) (e : Ast.expr) : Value.t = eval ctx env e
 
-(** Evaluate and serialize the result. *)
-let run_to_string ?(env = Env.empty) (ctx : ctx) (e : Ast.expr) : string =
-  let v = run ~env ctx e in
+let value_to_string (v : Value.t) : string =
   String.concat ""
     (List.map
        (function
          | Value.Node n -> Serialize.node_to_string n
          | Value.Atom a -> Value.atom_to_string a)
        v)
+
+(** Evaluate and serialize the result. *)
+let run_to_string ?(env = Env.empty) (ctx : ctx) (e : Ast.expr) : string =
+  value_to_string (run ~env ctx e)

@@ -6,14 +6,16 @@
     by regular path expression" cheap enough to recompute extents
     repeatedly during learning.
 
-    Two fast paths (on by default; see {!make_ctx}'s [?fast_paths] and
-    the per-context switches) serve the hot shapes of the Figure-16
-    suites:
-    document-rooted child-tag chains answer from the store's nodes-by-tag
-    index, eligible equality [where] clauses run as cached hash joins
-    instead of nested loops, and eligible [some] quantifiers (Rel3 relay
-    conditions) as hash semi-joins over the same cached index.  FLWOR
-    tuple streams are lazy. *)
+    There is one evaluation path and no switch: the input picks the
+    engine.  Selections from store-resident bases scan the store's frozen
+    arrays, selections from constructed nodes take the pointer walk
+    ({!tree_select}), and both are memoized per (DFA, base node).
+    Eligible equality [where] clauses run as cached hash joins and
+    eligible [some] quantifiers (Rel3 relay conditions) as hash
+    semi-joins over the same cached index; everything else is a nested
+    loop.  FLWOR tuple streams are lazy.  [Xl_fuzz.Ref_eval], the
+    nested-loop pointer-walk reference, is the differential oracle the
+    tests hold this module to. *)
 
 type compiled_path = {
   dfa : Xl_automata.Dfa.t;
@@ -47,18 +49,6 @@ type ctx = {
   alphabet : Xl_automata.Alphabet.t;
   cache : (Path_expr.t, compiled_path) Hashtbl.t;
   mutable constructed : int;  (** constructed-element counter *)
-  mutable use_hash_join : bool;
-      (** execute eligible equality [where] clauses as hash joins and
-          eligible [some] quantifiers as hash semi-joins *)
-  mutable use_tag_index : bool;
-      (** answer doc-rooted tag chains from the nodes-by-tag index *)
-  mutable use_frozen : bool;
-      (** answer DFA selections by a linear scan over the store's frozen
-          array snapshots ({!Xl_xml.Frozen}) instead of the
-          pointer-walking reference path *)
-  mutable use_extent_cache : bool;
-      (** memoize DFA selections per (DFA, base node id) across calls —
-          the cross-round extent cache of the learning loop *)
   join_cache : (Ast.expr * Ast.expr, join_index) Hashtbl.t;
   plan_cache : (Ast.expr, join_plan option) Hashtbl.t;
       (** hash-join plans, keyed by the [Flwor] or [Some_] expression *)
@@ -66,7 +56,8 @@ type ctx = {
       (** {!Xl_xml.Frozen.t} uid -> (local symbol id -> alphabet id or
           -1, alphabet size at build); rebuilt when the alphabet grows *)
   extent_cache : (Xl_automata.Dfa.t * int, Xl_xml.Node.t list) Hashtbl.t;
-      (** (DFA, base node id) -> selection, flushed on store change *)
+      (** (DFA, base node id) -> selection, flushed on store change — the
+          cross-round extent cache of the learning loop *)
   mutable extent_cache_gen : int;  (** {!Xl_xml.Store.generation} stamp *)
   live_cache : (Xl_automata.Dfa.t, bool array) Hashtbl.t;
       (** liveness of externally compiled DFAs (the oracle's) *)
@@ -79,14 +70,11 @@ val liveness : Xl_automata.Dfa.t -> bool array
 (** Per-state "can still accept" flags, for pruning tree walks.
     Alias of {!Xl_automata.Dfa.liveness}. *)
 
-val make_ctx : ?fast_paths:bool -> Xl_xml.Store.t -> ctx
-(** Interns every symbol of every document in the store.  [fast_paths]
-    (default [true]) sets both per-context switches; the parity tests
-    pass [false] to compare optimized and naive evaluation end to end.
-    There is deliberately no global default: contexts with different
-    settings can now coexist, including on concurrent domains. *)
+val make_ctx : Xl_xml.Store.t -> ctx
+(** Interns every symbol of every document in the store.  A context
+    holds mutable caches: keep each one on a single domain. *)
 
-val ctx_of_doc : ?fast_paths:bool -> Xl_xml.Doc.t -> ctx
+val ctx_of_doc : Xl_xml.Doc.t -> ctx
 
 val intern_path_symbols : Xl_automata.Alphabet.t -> Path_expr.t -> unit
 (** Intern a path's literal tags so wildcard expansion and compilation
@@ -94,14 +82,19 @@ val intern_path_symbols : Xl_automata.Alphabet.t -> Path_expr.t -> unit
 
 val compile_path : ctx -> Path_expr.t -> compiled_path
 
+val tree_select :
+  ctx -> Xl_automata.Dfa.t -> bool array -> Xl_xml.Node.t -> Xl_xml.Node.t list
+(** [tree_select ctx dfa live base]: the pointer walk with dead-state
+    pruning ([live] from {!liveness}), document order, no memoization.
+    The engine for constructed bases, and the reference walk. *)
+
 val select_dfa :
   ctx -> Xl_automata.Dfa.t -> Xl_xml.Node.t -> Xl_xml.Node.t list
 (** Nodes under the base whose relative tag path the DFA accepts (the
-    base itself when the DFA accepts ε), document order.  Dispatches to
-    the frozen single-pass scan when the base is store-resident and
-    [use_frozen] is set, and memoizes per (DFA, base id) when
-    [use_extent_cache] is set; otherwise runs the pointer-walking
-    reference selection.  Never interns. *)
+    base itself when the DFA accepts ε), document order.  Runs the
+    frozen single-pass scan when the base is store-resident and
+    {!tree_select} otherwise, memoized per (DFA, base id).  Never
+    interns. *)
 
 val eval_path : ctx -> Path_expr.t -> Xl_xml.Node.t -> Xl_xml.Node.t list
 (** Nodes reachable from the base by the regular path (the base's own
@@ -110,6 +103,30 @@ val eval_path : ctx -> Path_expr.t -> Xl_xml.Node.t -> Xl_xml.Node.t list
     symbols outside the alphabet simply cannot match. *)
 
 exception Type_error of string
+
+(** {2 Pure helpers}
+
+    Shared with the reference evaluator, so the two differ only in how
+    they select paths and run FLWORs and quantifiers. *)
+
+val general_compare : Ast.cmp_op -> Value.t -> Value.t -> bool
+(** General comparison, existential over both sequences; [Is] is node
+    identity. *)
+
+val eval_arith : Ast.arith_op -> Value.t -> Value.t -> Value.t
+(** Raises {!Type_error} unless each side atomizes to one number. *)
+
+val eval_elem : ctx -> (Ast.expr -> Value.t) -> string -> Ast.expr list -> Value.t
+(** [eval_elem ctx eval_in tag contents] constructs [<tag>] from its
+    attribute constructors and content expressions, evaluated in order
+    with [eval_in]; counts the element in [ctx.constructed]. *)
+
+val order_tuples :
+  (Env.t -> Ast.expr -> Value.t) -> Ast.order_key list -> Env.t list -> Env.t list
+(** Stable sort of FLWOR tuples by their [order by] keys. *)
+
+val value_to_string : Value.t -> string
+(** Nodes serialized, atoms printed, concatenated. *)
 
 val eval : ctx -> Env.t -> Ast.expr -> Value.t
 

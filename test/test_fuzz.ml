@@ -89,14 +89,14 @@ let test_unprepared_store_parity () =
 let test_strict_store_fails_loudly () =
   let case = Case.generate ~seed ~index:0 in
   let store = Case.store_of ~prepare:false ~strict:true case in
-  (match Store.nodes_with_tag store "r" with
+  (match Store.nodes store with
   | _ -> Alcotest.fail "strict unprepared store did not raise"
   | exception Failure _ -> ());
   (* prepare lifts the restriction without turning strictness off *)
   Store.prepare store;
   Alcotest.(check bool)
     "index demand succeeds after prepare" true
-    (ignore (Store.nodes_with_tag store "r");
+    (ignore (Store.nodes store);
      true)
 
 (* ---------- pinned regression fixtures --------------------------------- *)

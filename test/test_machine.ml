@@ -10,7 +10,8 @@
      query and the same Stats (mq and auto_known included) as the
      uninterrupted run;
    - corruption: flipping any single byte of a snapshot (and truncating
-     it) raises Machine.Corrupt — never a silently wrong answer;
+     it) raises Machine.Corrupt — never a silently wrong answer; so does
+     a well-formed snapshot of the retired version 1;
    - repair-sweep state: a machine suspended while phase = Repairing
      resumes inside the same sweep (the spare-join fixture, whose
      verification sweep must restore a minimized-away join);
@@ -308,6 +309,23 @@ let test_corrupt_byte_flips () =
       | exception M.Corrupt _ -> ())
     [ 0; 4; String.length snap / 2; String.length snap - 1 ]
 
+(* Version 1 snapshots carried two config bytes that no longer exist;
+   one with a valid digest must still be refused, by its version. *)
+let test_v1_snapshot_rejected () =
+  let scenario = fig16_scenario "xmp-Q1" in
+  let snap = M.snapshot (M.start scenario) in
+  ignore (M.restore ~scenario snap);
+  let body = Bytes.of_string (String.sub snap 0 (String.length snap - 16)) in
+  Bytes.set_int32_le body 8 1l;
+  let v1 = Bytes.to_string body ^ Digest.bytes body in
+  match M.restore ~scenario v1 with
+  | _ -> Alcotest.fail "version-1 snapshot accepted"
+  | exception M.Corrupt msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "Corrupt names version 1: %s" msg)
+      true
+      (String.starts_with ~prefix:"unsupported machine snapshot version 1 " msg)
+
 (* ---------- resuming mid-repair ----------------------------------------- *)
 
 (* The spare-join fixture: greedy minimization discards a join the drop
@@ -418,6 +436,8 @@ let () =
             test_concurrent_snapshot_mid_eq;
           Alcotest.test_case "single-byte flips and truncations raise Corrupt"
             `Quick test_corrupt_byte_flips;
+          Alcotest.test_case "a version-1 snapshot raises Corrupt" `Quick
+            test_v1_snapshot_rejected;
           Alcotest.test_case "resuming mid-repair finishes the same sweep"
             `Quick test_resume_mid_repair;
         ] );

@@ -345,10 +345,9 @@ let test_trace_jsonl () =
 
 (* The learning loop's memoization layers report through Obs counters:
    the extent cache (Oracle + Eval, shared names) and the R1 step memo
-   (Schema_paths).  A fast-path learning run must show traffic on all of
-   them — and a naive run must leave them at zero, proving the caches
-   are really off, not just unreported.  Zero-valued counters are also
-   filtered from the telemetry JSON. *)
+   (Schema_paths).  A default learning run must show traffic on all of
+   them, and zero-valued counters are filtered from the telemetry
+   JSON. *)
 
 let cache_counters =
   [ "extent_cache_hit"; "extent_cache_miss"; "r1_cache_hit"; "r1_cache_miss" ]
@@ -365,21 +364,19 @@ let has_sub sub l =
   in
   find 0
 
-let run_xmp_q2 ~fast_paths =
-  let sc = List.assoc "Q2" (Xl_workload.Xmp_scenarios.all ()) in
-  (* word-at-a-time: batched fills answer R1 through the compiled schema
-     DFA, which bypasses the step memo by design — the memo serves the
-     sequential query path, so that is the path this test must drive *)
-  let config = { Xl_core.Learn.default_config with fast_paths; batch = false } in
-  ignore (Xl_core.Learn.run ~config sc)
+let has_counter json name = has_sub (Printf.sprintf "{\"name\":\"%s\"" name) json
 
+(* XMark Q10 on the default config: batched fills answer R1 through the
+   compiled schema DFA, which bypasses the step memo, but the R1 cursor
+   pre-walks and single-word questions step it, and on Q10 often enough
+   to hit as well as miss *)
 let test_cache_counters_enabled () =
   with_obs (fun () ->
-      run_xmp_q2 ~fast_paths:true;
+      ignore (Xl_core.Learn.run (List.assoc "Q10" (Xl_workload.Xmark_scenarios.all ())));
       List.iter
         (fun name ->
           Alcotest.(check bool)
-            (Printf.sprintf "%s > 0 after a fast-path run" name)
+            (Printf.sprintf "%s > 0 after a default run" name)
             true
             (counter_value name > 0))
         cache_counters;
@@ -389,26 +386,24 @@ let test_cache_counters_enabled () =
           Alcotest.(check bool)
             (Printf.sprintf "%s appears in the telemetry block" name)
             true
-            (has_sub (Printf.sprintf "{\"name\":\"%s\"" name) json))
+            (has_counter json name))
         cache_counters)
 
-let test_cache_counters_disabled_paths () =
+let test_zero_counters_filtered () =
+  let idle = Obs.Counter.make "test_idle_counter" in
+  let bumped = Obs.Counter.make "test_bumped_counter" in
   with_obs (fun () ->
-      run_xmp_q2 ~fast_paths:false;
-      List.iter
-        (fun name ->
-          Alcotest.(check int)
-            (Printf.sprintf "%s stays 0 on a naive run" name)
-            0 (counter_value name))
-        cache_counters;
+      Obs.Counter.incr bumped;
+      Alcotest.(check int) "idle counter is zero" 0 (Obs.Counter.value idle);
       let json = Obs.telemetry_json () in
+      Alcotest.(check bool) "bumped counter exported" true
+        (has_counter json "test_bumped_counter");
       List.iter
         (fun name ->
           Alcotest.(check bool)
             (Printf.sprintf "zero %s filtered from telemetry" name)
-            false
-            (has_sub (Printf.sprintf "{\"name\":\"%s\"" name) json))
-        cache_counters)
+            false (has_counter json name))
+        ("test_idle_counter" :: cache_counters))
 
 (* ---------- clock -------------------------------------------------------- *)
 
@@ -712,8 +707,8 @@ let () =
         [
           Alcotest.test_case "extent + R1 counters on a fast-path run" `Quick
             test_cache_counters_enabled;
-          Alcotest.test_case "counters stay zero on a naive run" `Quick
-            test_cache_counters_disabled_paths;
+          Alcotest.test_case "zero counters absent from telemetry" `Quick
+            test_zero_counters_filtered;
         ] );
       ( "reset", [ Alcotest.test_case "reset semantics" `Quick test_reset ] );
     ]

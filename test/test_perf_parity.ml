@@ -1,7 +1,8 @@
-(* Parity tests for the evaluator fast paths: the indexed / hash-join
-   evaluation must be observationally equivalent to the naive nested-loop
-   walk — same node sequences (ids and order) on every benchmark query,
-   and identical learner interaction counts across the Figure-16 suites.
+(* Parity tests for the evaluator: {!Eval} (frozen scan, extent cache,
+   hash joins and semi-joins) must be observationally equivalent to the
+   nested-loop, pointer-walk reference {!Xl_fuzz.Ref_eval} — same node
+   sequences (ids and order) on every benchmark query — and the learner
+   must reproduce every committed Figure-16 interaction row.
 
    The sweeps fan out on a {!Xl_exec.Pool}: each work item (a query, or a
    whole scenario run) is checked inside a worker domain and reduced to a
@@ -30,7 +31,7 @@ let fingerprint (store : Xml.Store.t) (v : Value.t) : string =
          | Value.Atom a -> "A:" ^ Value.atom_to_string a)
        v)
 
-(* Evaluate every query under both strategies — concurrently, one worker
+(* Evaluate every query under both evaluators — concurrently, one worker
    per query, each with its own pair of contexts (evaluation contexts
    carry mutable caches and must stay domain-confined) — then compare
    fingerprints (or exception messages, when both raise). *)
@@ -42,25 +43,24 @@ let check_query_parity ~suite (store : Xml.Store.t)
       (fun (qid, text) ->
         let label = Printf.sprintf "%s/%s" suite qid in
         let ast = Parser.parse text in
-        let run ~fast_paths =
-          let ctx = Eval.make_ctx ~fast_paths store in
-          match Eval.run ctx ast with
+        let run eval =
+          match eval (Eval.make_ctx store) ast with
           | v -> Ok (fingerprint store v)
           | exception e -> Error (Printexc.to_string e)
         in
-        (label, run ~fast_paths:true, run ~fast_paths:false))
+        (label, run (Eval.run ?env:None), run (Xl_fuzz.Ref_eval.run ?env:None)))
       queries
   in
   List.iter
-    (fun (label, fast, naive) ->
-      match (fast, naive) with
+    (fun (label, got, reference) ->
+      match (got, reference) with
       | Ok a, Ok b -> Alcotest.(check string) label b a
       | Error a, Error b -> Alcotest.(check string) (label ^ " (raises)") b a
       | Ok _, Error e ->
-        Alcotest.failf "%s: naive evaluation raised %s but fast path succeeded"
+        Alcotest.failf "%s: the reference raised %s but Eval succeeded"
           label e
       | Error e, Ok _ ->
-        Alcotest.failf "%s: fast path raised %s but naive evaluation succeeded"
+        Alcotest.failf "%s: Eval raised %s but the reference succeeded"
           label e)
     outcomes
 
@@ -87,29 +87,28 @@ let test_xmp_parity () =
        Xl_workload.Xmp_queries.all)
 
 (* The randomized fuzz corpus sweeps far more DTD/document/query shapes
-   through the hash-join fast paths than the paper suites do; a fixed
-   25-seed slice keeps the sweep deterministic.  Each worker generates
-   its case, evaluates the target query under both strategies on its
-   own store and reduces to a serialized form (node-identity free, so
-   the comparison is meaningful across separately built stores). *)
+   through the hash joins than the paper suites do; a fixed 25-seed
+   slice keeps the sweep deterministic.  Each worker generates its case,
+   evaluates the target query under both evaluators on its own store
+   and reduces to a serialized form (node-identity free, so the
+   comparison is meaningful across separately built stores). *)
 let test_fuzz_corpus_parity () =
   let outcomes =
     Xl_exec.Pool.map pool
       (fun index ->
         let case = Xl_fuzz.Case.generate ~seed:20040301 ~index in
         let store = Xl_fuzz.Case.store_of ~prepare:true case in
-        let run ~fast_paths =
-          Xl_fuzz.Props.eval_to_string ~fast_paths case.Xl_fuzz.Case.target
-            store
-        in
-        (index, run ~fast_paths:true, run ~fast_paths:false))
+        let target = case.Xl_fuzz.Case.target in
+        ( index,
+          Xl_fuzz.Props.eval_to_string target store,
+          Xl_fuzz.Props.ref_eval_to_string target store ))
       (List.init 25 Fun.id)
   in
   List.iter
-    (fun (index, fast, naive) ->
+    (fun (index, got, reference) ->
       Alcotest.(check string)
-        (Printf.sprintf "fuzz case %d hash-join vs naive" index)
-        naive fast)
+        (Printf.sprintf "fuzz case %d Eval vs Ref_eval" index)
+        reference got)
     outcomes
 
 (* ---------- quantifier semi-join ------------------------------------------ *)
@@ -132,7 +131,7 @@ let kw = "data(($w/@p, $w/p))"
 let qw = "data(($w/@q, $w/q))"
 let per_a body = Printf.sprintf "for $a in /r/a return <o>{%s}</o>" body
 
-(* (id, query, the fast path's expected branch: [true] semi-join) *)
+(* (id, query, Eval's expected branch: [true] semi-join) *)
 let semi_queries =
   [
     ("build-left", per_a (Printf.sprintf "some $w in /r/w satisfies %s = %s" kw ka), true);
@@ -185,7 +184,8 @@ let quant_counter name =
   | Some c -> Xl_obs.Obs.Counter.value c
   | None -> 0
 
-(* (semi-joins, nested loops, bodies evaluated) of one evaluation *)
+(* (semi-joins, nested loops, bodies evaluated) of one evaluation; the
+   reference evaluator only counts bodies *)
 let with_quant_counts f =
   Xl_obs.Obs.reset ();
   Xl_obs.Obs.set_enabled true;
@@ -193,7 +193,8 @@ let with_quant_counts f =
   ( v,
     ( quant_counter "eval_quant_semi_join",
       quant_counter "eval_quant_nested",
-      quant_counter "eval_quant_witnesses" ) )
+      quant_counter "eval_quant_witnesses"
+      + quant_counter "ref_eval_quant_witnesses" ) )
 
 let test_semi_join_parity () =
   let store =
@@ -201,25 +202,22 @@ let test_semi_join_parity () =
   in
   check_query_parity ~suite:"semi-join" store
     (List.map (fun (id, q, _) -> (id, q)) semi_queries);
-  (* the branch each query takes on the fast path, and that the nested
-     loop stays the reference with fast paths off *)
+  (* the branch each query takes in Eval *)
   List.iter
     (fun (id, q, semi) ->
       let ast = Parser.parse q in
-      let run fast_paths () =
-        try ignore (Eval.run (Eval.make_ctx ~fast_paths store) ast)
+      let run () =
+        try ignore (Eval.run (Eval.make_ctx store) ast)
         with Eval.Type_error _ -> ()
       in
-      let (), (s, n, _) = with_quant_counts (run true) in
+      let (), (s, n, _) = with_quant_counts run in
       Alcotest.(check bool) (id ^ ": semi-join planned") semi (s > 0);
-      Alcotest.(check bool) (id ^ ": no mixed branches") true (s = 0 || n = 0);
-      let (), (s, _, _) = with_quant_counts (run false) in
-      Alcotest.(check int) (id ^ ": fast paths off never probe") 0 s)
+      Alcotest.(check bool) (id ^ ": no mixed branches") true (s = 0 || n = 0))
     semi_queries
 
 (* Every Rel3 candidate the C-Learner enumerates on the tiny XMark
    instance, evaluated as a condition over every (person, item) pair,
-   must agree between the semi-join and the nested loop. *)
+   must agree between the semi-join and the reference's nested loop. *)
 let test_semi_join_rel3_candidates () =
   let doc = Xl_workload.Xmark_gen.generate ~seed:1 Xl_workload.Xmark_gen.tiny_scale in
   let store = Xml.Store.of_docs [ doc ] in
@@ -256,16 +254,18 @@ let test_semi_join_rel3_candidates () =
     List.map
       (fun c ->
         let ast = Ast.Flwor { frame with Ast.return = Xl_xqtree.Cond.to_expr c } in
-        let run fast_paths =
+        let run eval =
           with_quant_counts (fun () ->
-              fingerprint store (Eval.run (Eval.make_ctx ~fast_paths store) ast))
+              fingerprint store (eval (Eval.make_ctx store) ast))
         in
-        (Xl_xqtree.Cond.to_string c, run true, run false))
+        ( Xl_xqtree.Cond.to_string c,
+          run (Eval.run ?env:None),
+          run (Xl_fuzz.Ref_eval.run ?env:None) ))
       relays
   in
   List.iter
-    (fun (label, (fast, (semi, _, _)), (naive, _)) ->
-      Alcotest.(check string) label naive fast;
+    (fun (label, (got, (semi, _, _)), (reference, _)) ->
+      Alcotest.(check string) label reference got;
       Alcotest.(check bool) (label ^ ": answered by probe") true (semi > 0))
     outcomes
 
@@ -277,19 +277,20 @@ let test_semi_join_scaling () =
   let q9 ?scale ?streamed () =
     List.assoc "Q9" (Xl_workload.Xmark_scenarios.all ?scale ?streamed ())
   in
-  let count (sc : Xl_core.Scenario.t) ~fast_paths =
+  let count (sc : Xl_core.Scenario.t) run_to_string =
     let store = sc.Xl_core.Scenario.store in
     Xml.Store.prepare store;
     let ast = Xl_xqtree.Xqtree.to_ast sc.Xl_core.Scenario.target in
-    with_quant_counts (fun () ->
-        Eval.run_to_string (Eval.make_ctx ~fast_paths store) ast)
+    with_quant_counts (fun () -> run_to_string (Eval.make_ctx store) ast)
   in
+  let eval = Eval.run_to_string ?env:None
+  and reference = Xl_fuzz.Ref_eval.run_to_string ?env:None in
   let x1 = q9 () in
   let x4 = q9 ~scale:(Xl_workload.Xmark_gen.scale_factor 4) ~streamed:true () in
-  let r1, (q1, _, w1) = count x1 ~fast_paths:true in
-  let r4, (q4, _, w4) = count x4 ~fast_paths:true in
-  let n1, (_, _, nw1) = count x1 ~fast_paths:false in
-  let n4, (_, _, nw4) = count x4 ~fast_paths:false in
+  let r1, (q1, _, w1) = count x1 eval in
+  let r4, (q4, _, w4) = count x4 eval in
+  let n1, (_, _, nw1) = count x1 reference in
+  let n4, (_, _, nw4) = count x4 reference in
   Alcotest.(check string) "1x result, semi-join vs nested loop" n1 r1;
   Alcotest.(check string) "4x result, semi-join vs nested loop" n4 r4;
   Alcotest.(check int) "quantifiers grow with persons x items" (16 * q1) q4;
@@ -302,53 +303,38 @@ let test_semi_join_scaling () =
   let row sc = Xl_core.Stats.to_row (Xl_core.Learn.run sc).Xl_core.Learn.stats in
   Alcotest.(check string) "Q9 row at 4x equals 1x" (row x1) (row x4)
 
-(* Three-way corpus sweep isolating the frozen selection engine: the
-   default configuration (frozen scan + extent cache), the same fast
-   paths with the frozen engine and extent cache switched off (tag
-   index + pointer walk), and the fully naive evaluator must agree on
-   every case. *)
-let eval_config (case : Xl_fuzz.Case.t) (store : Xml.Store.t) ~fast_paths
-    ~frozen =
-  let ctx = Eval.make_ctx ~fast_paths store in
-  if not frozen then begin
-    ctx.Eval.use_frozen <- false;
-    ctx.Eval.use_extent_cache <- false
-  end;
-  let v = Eval.run ctx (Xl_xqtree.Xqtree.to_ast case.Xl_fuzz.Case.target) in
-  String.concat "\n"
-    (List.map
-       (function
-         | Value.Node n -> Xml.Serialize.node_to_string n
-         | Value.Atom a -> Value.atom_to_string a)
-       v)
-
+(* The extent and join caches over the corpus: evaluating a case's
+   target twice on one context — cold, then answered from the caches the
+   first run filled — must match the reference both times. *)
 let test_fuzz_corpus_engines () =
   let outcomes =
     Xl_exec.Pool.map pool
       (fun index ->
         let case = Xl_fuzz.Case.generate ~seed:20040301 ~index in
         let store = Xl_fuzz.Case.store_of ~prepare:true case in
-        ( index,
-          eval_config case store ~fast_paths:true ~frozen:true,
-          eval_config case store ~fast_paths:true ~frozen:false,
-          eval_config case store ~fast_paths:false ~frozen:false ))
+        let ast = Xl_xqtree.Xqtree.to_ast case.Xl_fuzz.Case.target in
+        let ctx = Eval.make_ctx store in
+        let cold = Eval.run_to_string ctx ast in
+        let warm = Eval.run_to_string ctx ast in
+        (index, cold, warm, Xl_fuzz.Ref_eval.run_to_string (Eval.make_ctx store) ast))
       (List.init 25 Fun.id)
   in
   List.iter
-    (fun (index, frozen, unfrozen, naive) ->
+    (fun (index, cold, warm, reference) ->
       Alcotest.(check string)
-        (Printf.sprintf "fuzz case %d frozen vs tag-index" index)
-        unfrozen frozen;
+        (Printf.sprintf "fuzz case %d cold Eval vs Ref_eval" index)
+        reference cold;
       Alcotest.(check string)
-        (Printf.sprintf "fuzz case %d frozen vs naive" index)
-        naive frozen)
+        (Printf.sprintf "fuzz case %d warm Eval vs Ref_eval" index)
+        reference warm)
     outcomes
 
 (* Direct selection parity on the Figure-16 stores: for a sample of
    concrete nodes, select by the node's generalized tag-path expression
    from the document root — and by the relative remainder from an
-   ancestor base — under the frozen scan, the memoized frozen scan, and
-   the pointer walk, comparing node-id sequences (identity and order). *)
+   ancestor base — by the frozen scan (extent cache emptied first), the
+   memoized answer to the same call, and the pointer walk, comparing
+   node-id sequences (identity and order). *)
 let test_select_engine_parity () =
   let stores =
     [
@@ -372,15 +358,10 @@ let test_select_engine_parity () =
   let outcomes =
     Xl_exec.Pool.map pool
       (fun (suite, store, sample) ->
-        let ctx_frozen = Eval.make_ctx ~fast_paths:true store in
-        ctx_frozen.Eval.use_extent_cache <- false;
-        let ctx_cached = Eval.make_ctx ~fast_paths:true store in
-        let ctx_walk = Eval.make_ctx ~fast_paths:false store in
-        let ids ctx p base =
+        let ctx = Eval.make_ctx store in
+        let ids nodes =
           String.concat ","
-            (List.map
-               (fun (n : Xml.Node.t) -> string_of_int n.Xml.Node.id)
-               (Eval.eval_path ctx p base))
+            (List.map (fun (n : Xml.Node.t) -> string_of_int n.Xml.Node.id) nodes)
         in
         let mismatches = ref [] in
         List.iter
@@ -428,9 +409,13 @@ let test_select_engine_parity () =
             in
             List.iter
               (fun (p, base) ->
-                let f = ids ctx_frozen p base in
-                let c = ids ctx_cached p base in
-                let w = ids ctx_walk p base in
+                Hashtbl.reset ctx.Eval.extent_cache;
+                let f = ids (Eval.eval_path ctx p base) in
+                let c = ids (Eval.eval_path ctx p base) in
+                let w =
+                  let cp = Eval.compile_path ctx p in
+                  ids (Eval.tree_select ctx cp.Eval.dfa cp.Eval.live base)
+                in
                 if not (String.equal f w && String.equal c w) then
                   mismatches :=
                     Printf.sprintf "%s node %d: frozen=%s cached=%s walk=%s"
@@ -512,9 +497,8 @@ let test_streaming_fig16_parity () =
         (Xml.Frozen.structural_equal tree_fz stream_fz))
     (Xml.Store.docs (Xl_workload.Xmp_data.store ()))
 
-(* The learner drives the evaluator on every membership/equivalence
-   query; identical interaction counts under both strategies show the
-   fast paths never change what the teacher observes. *)
+(* One comparable line per learning run: interaction counts and the
+   verified flag. *)
 let stats_row (name : string) (r : Xl_core.Learn.result) : string =
   let s = r.Xl_core.Learn.stats in
   Printf.sprintf "%s dd=%d(%d) mq=%d eq=%d ce=%d cb=%d(%d) ob=%d r=(%d,%d,%d) auto=%d restarts=%d verified=%b"
@@ -536,26 +520,6 @@ let fig16_scenarios () =
     (fun (_, _, sc) -> Xml.Store.prepare sc.Xl_core.Scenario.store)
     scenarios;
   scenarios
-
-let run_learner_suite ~fast_paths scenarios : string list =
-  let config = { Xl_core.Learn.default_config with fast_paths } in
-  Xl_exec.Pool.map pool
-    (fun (suite, name, sc) ->
-      let label = suite ^ "-" ^ name in
-      match Xl_core.Learn.run ~config sc with
-      | r -> stats_row label r
-      | exception e -> label ^ " FAILED " ^ Printexc.to_string e)
-    scenarios
-
-let test_learner_parity () =
-  let scenarios = fig16_scenarios () in
-  let fast = run_learner_suite ~fast_paths:true scenarios in
-  let naive = run_learner_suite ~fast_paths:false scenarios in
-  Alcotest.(check int) "same number of scenarios" (List.length naive)
-    (List.length fast);
-  List.iter2
-    (fun f n -> Alcotest.(check string) "interaction counts" n f)
-    fast naive
 
 (* A streamed XMark store (documents ingested through the builder and
    registered with their pre-built snapshots) must be indistinguishable
@@ -581,22 +545,19 @@ let test_streamed_store_learner_parity () =
     (fun t s -> Alcotest.(check string) "interaction counts" t s)
     tree streamed
 
-(* Batched-oracle invariance (DESIGN.md §5h): the batched membership
-   oracle and the intra-scenario pool change who computes answers, never
-   the answers — every Figure-16 stats row must be byte-identical with
-   batching on and off, and with the fan-outs on one domain and on four.
-   Scenarios run on the main domain here so the config's pool is the
-   only pool in play. *)
+(* Pool invariance (DESIGN.md §5h): the intra-scenario pool (oracle
+   batch chunks, schema precompute, relay scan) changes who computes
+   answers, never the answers — every stats row must be byte-identical
+   with the fan-outs on one domain and on four.  Scenarios run on the
+   main domain here so the config's pool is the only pool in play. *)
 let sweep_configs () =
   let pool4 = Xl_exec.Pool.create ~domains:4 () in
   [
-    ("batch=off pool=seq", { Xl_core.Learn.default_config with batch = false });
-    ("batch=on  pool=seq", { Xl_core.Learn.default_config with batch = true });
-    ( "batch=on  pool=4",
-      { Xl_core.Learn.default_config with batch = true; pool = Some pool4 } );
+    ("pool=seq", Xl_core.Learn.default_config);
+    ("pool=4", { Xl_core.Learn.default_config with pool = Some pool4 });
   ]
 
-let test_learner_batch_parity () =
+let test_learner_pool_parity () =
   let scenarios = fig16_scenarios () in
   let rows_under config =
     List.map
@@ -623,9 +584,9 @@ let test_learner_batch_parity () =
 
 (* The same invariance over the randomized corpus: 25 deterministic fuzz
    cases sweep many more DTD/alphabet/counterexample shapes through the
-   batch resolver (compiled-DFA R1, deferred genuine questions, Any_last
-   fallback) than the two paper suites do. *)
-let test_fuzz_batch_parity () =
+   batch resolver and its pool chunks (compiled-DFA R1, deferred genuine
+   questions, Any_last fallback) than the two paper suites do. *)
+let test_fuzz_pool_parity () =
   let configs = sweep_configs () in
   List.iter
     (fun index ->
@@ -650,12 +611,9 @@ let test_fuzz_batch_parity () =
     (List.init 25 Fun.id)
 
 (* The committed perf baseline (BENCH_perf.json, a declared test dep)
-   pins the Figure-16 interaction counts: re-learning a scenario must
-   reproduce its stats row byte for byte, whatever the engine does
-   under the hood.  Checked on the extremes — cheap XMP Q1, cheap XMark
-   Q1, XMark Q7, whose tens of thousands of auto-answered queries
-   exercise both the extent cache and the R1 step memo, and XMark Q9,
-   whose Rel3 relay condition runs as a quantifier semi-join. *)
+   pins the Figure-16 interaction counts: re-learning any scenario of
+   either suite must reproduce its stats row byte for byte, whatever the
+   engine does under the hood.  This is the learner-behaviour guard. *)
 let baseline_stats ~suite ~name : string =
   let text =
     (* dune runtest runs in test/, dune exec in the project root *)
@@ -691,23 +649,19 @@ let baseline_stats ~suite ~name : string =
   String.sub text stats_at (close stats_at - stats_at + 1)
 
 let test_pinned_fig16_counts () =
-  let subjects =
-    [
-      ("xmark", "Q1", List.assoc "Q1" (Xl_workload.Xmark_scenarios.all ()));
-      ("xmark", "Q7", List.assoc "Q7" (Xl_workload.Xmark_scenarios.all ()));
-      ("xmark", "Q9", List.assoc "Q9" (Xl_workload.Xmark_scenarios.all ()));
-      ("xmp", "Q1", List.assoc "Q1" (Xl_workload.Xmp_scenarios.all ()));
-    ]
+  let rows =
+    Xl_exec.Pool.map pool
+      (fun (suite, name, sc) ->
+        (suite, name, Xl_core.Stats.to_json (Xl_core.Learn.run sc).Xl_core.Learn.stats))
+      (fig16_scenarios ())
   in
+  Alcotest.(check int) "every fig16 scenario" 30 (List.length rows);
   List.iter
-    (fun (suite, name, sc) ->
-      let expected = baseline_stats ~suite ~name in
-      let r = Xl_core.Learn.run sc in
+    (fun (suite, name, got) ->
       Alcotest.(check string)
         (Printf.sprintf "%s %s stats row matches committed baseline" suite name)
-        expected
-        (Xl_core.Stats.to_json r.Xl_core.Learn.stats))
-    subjects
+        (baseline_stats ~suite ~name) got)
+    rows
 
 let () =
   Alcotest.run "perf-parity"
@@ -719,7 +673,7 @@ let () =
           Alcotest.test_case "xmp use-case store" `Quick test_xmp_parity;
           Alcotest.test_case "randomized fuzz corpus, 25 seeds" `Quick
             test_fuzz_corpus_parity;
-          Alcotest.test_case "fuzz corpus, frozen vs tag-index vs naive" `Quick
+          Alcotest.test_case "fuzz corpus, cold vs warm caches" `Quick
             test_fuzz_corpus_engines;
           Alcotest.test_case "fig16 stores, select-engine parity" `Quick
             test_select_engine_parity;
@@ -742,14 +696,12 @@ let () =
         ] );
       ( "learner",
         [
-          Alcotest.test_case "fig16 suites, fast vs naive" `Slow
-            test_learner_parity;
           Alcotest.test_case "xmark suite, streamed store vs tree store" `Slow
             test_streamed_store_learner_parity;
-          Alcotest.test_case "fig16 suites, batch on/off x pool 1/4" `Slow
-            test_learner_batch_parity;
-          Alcotest.test_case "fuzz corpus, batch on/off x pool 1/4, 25 seeds"
-            `Slow test_fuzz_batch_parity;
+          Alcotest.test_case "fig16 suites, one vs four domains" `Slow
+            test_learner_pool_parity;
+          Alcotest.test_case "fuzz corpus, one vs four domains" `Slow
+            test_fuzz_pool_parity;
           Alcotest.test_case "interaction counts pinned to BENCH_perf.json"
             `Slow test_pinned_fig16_counts;
         ] );

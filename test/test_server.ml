@@ -15,7 +15,8 @@
      scenario survives cond_json/cond_of_json structurally intact
      (the codec that replaced Marshal on the wire);
    - suspend/resume: a session survives the spool round trip and still
-     verifies; uploaded-corpus sessions refuse to suspend (409);
+     verifies; uploaded-corpus sessions refuse to suspend (409); a
+     spooled snapshot of the retired machine version 1 resumes as 400;
    - uploads: a serialized copy of a catalog document uploaded as a
      fresh corpus learns its target and verifies; a document on which
      the target has no drag-and-drop example answers 422;
@@ -395,6 +396,45 @@ let test_suspend_resume () =
   ignore (req c "DELETE" ("/sessions/" ^ id) ());
   Client.close c
 
+(* A spool file whose embedded machine snapshot is version 1 (digests
+   recomputed, so only the version is wrong) is a client-visible 400,
+   not a server error. *)
+let test_resume_v1_snapshot () =
+  let c = connect () in
+  let j =
+    req c "POST" "/sessions" ~body:(Json.Obj [ ("scenario", Json.Str "xmp/Q1") ]) ()
+  in
+  let id = get_str "id" j in
+  ignore (req c "POST" ("/sessions/" ^ id ^ "/suspend") ());
+  let path = Filename.concat spool (id ^ ".sess") in
+  let data = In_channel.with_open_bin path In_channel.input_all in
+  (* spool framing: magic, u32 version, then id / scenario / snapshot
+     blobs (u32 length + bytes), then the MD5 of everything before *)
+  let blob_at pos = (pos + 4, Int32.to_int (String.get_int32_le data pos)) in
+  let id_at, id_len = blob_at 12 in
+  let sc_at, sc_len = blob_at (id_at + id_len) in
+  let snap_at, snap_len = blob_at (sc_at + sc_len) in
+  let snap = Bytes.of_string (String.sub data snap_at (snap_len - 16)) in
+  Bytes.set_int32_le snap 8 1l;
+  let snap = Bytes.to_string snap ^ Digest.bytes snap in
+  let body = String.sub data 0 snap_at ^ snap in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (body ^ Digest.string body));
+  let status, r =
+    Client.request c ~meth:"POST" ~path:"/sessions/resume"
+      ~body:(Json.Obj [ ("id", Json.Str id) ]) ()
+  in
+  Alcotest.(check int) "version-1 snapshot resumes as 400" 400 status;
+  Alcotest.(check bool)
+    (Printf.sprintf "error names the version: %s" (Json.to_string r))
+    true
+    (match Json.mem_str "error" r with
+    | Some e ->
+      String.starts_with
+        ~prefix:"corrupt snapshot: unsupported machine snapshot version 1 " e
+    | None -> false);
+  Client.close c
+
 (* ---------- uploaded corpus ----------------------------------------------- *)
 
 let test_upload () =
@@ -576,6 +616,8 @@ let () =
         [
           Alcotest.test_case "suspend/resume through the spool" `Quick
             test_suspend_resume;
+          Alcotest.test_case "version-1 spooled snapshot answers 400" `Quick
+            test_resume_v1_snapshot;
           Alcotest.test_case "uploaded corpus learns its target" `Quick
             test_upload;
           Alcotest.test_case "unlearnable upload answers 422" `Quick

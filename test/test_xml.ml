@@ -451,7 +451,9 @@ let test_snapshot_store_reuse () =
     | [ fz' ] -> fz' == fz
     | _ -> false);
   check cbool "store queries work" true
-    (List.length (Store.nodes_with_tag store "item") = 1)
+    (List.length
+       (List.filter (fun n -> String.equal (Node.symbol n) "item") (Store.nodes store))
+     = 1)
 
 (* ---------- Properties ------------------------------------------------------ *)
 
