@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-par bench-batch bench-check bench-gate bench-frozen bench-stream bench-machine bench-serve machine-test machine-demo serve obs-demo obs-report fuzz clean
+.PHONY: build test bench bench-par bench-frozen bench-stream bench-machine bench-serve machine-test machine-demo serve obs-demo obs-report fuzz clean
 
 build:
 	dune build
@@ -15,45 +15,7 @@ bench:
 bench-par:
 	dune exec bench/main.exe -- fig16-xmark fig16-xmp
 
-# Batched membership oracle vs word-at-a-time: a micro of the shared
-# prefix-trie pass, which fails if the batched answers differ from the
-# per-word answers, then both Figure-16 suites end-to-end reporting the
-# batched share of L* (the learner has no per-word mode to rerun; its
-# rows are pinned by test_perf_parity instead).
-bench-batch:
-	dune build bench/main.exe
-	dune exec bench/main.exe -- batch
-
-# Produce the machine-readable perf baseline and fail if it can't be
-# written, if the hash join stops beating the reference evaluator's
-# nested loop, or
-# if the fig16 scenario rows differ between the sequential and parallel
-# runs (perf-json runs both and diffs them; no speedup ratio is
-# asserted — CI core counts vary).
-bench-check:
-	dune build bench/main.exe
-	dune exec bench/main.exe -- perf-json
-	test -s BENCH_perf.json
-
-# Perf regression gate: stage the committed BENCH_perf.json as the
-# baseline, regenerate it on this machine (perf-json then the session
-# server's `serve` leg, which owns the "server" block), and fail if
-# path-eval-deep, the Q1 hash join, snapshot-load, parse throughput,
-# the fig16 total wall time, the fig16 parallel speedup, the server's
-# sessions/sec or its request / suspend-resume p50 latencies regressed
-# by more than 25% (bench/main.ml perf-gate; ratios are gated relative
-# to the committed baseline, not against absolute numbers — CI core
-# counts vary).  The staged baseline is removed so a later bench-check
-# never diffs against a stale copy.
-bench-gate:
-	dune build bench/main.exe
-	cp BENCH_perf.json BENCH_baseline.json
-	dune exec bench/main.exe -- perf-json
-	dune exec bench/main.exe -- serve
-	test -s BENCH_perf.json
-	dune exec bench/main.exe -- perf-gate; status=$$?; rm -f BENCH_baseline.json; exit $$status
-
-# Frozen-store selection micro on the domain pool: per-domain contexts
+# Frozen-store selection parity on the domain pool: per-domain contexts
 # scanning one shared snapshot, checked against the pointer-walking
 # reference evaluator (lib/fuzz/ref_eval.ml), at 1 and 4 workers.
 bench-frozen:
@@ -62,10 +24,11 @@ bench-frozen:
 	dune exec bench/main.exe -- frozen -j 4
 
 # Streaming ingestion ladder (DESIGN.md §5i): one-pass builder vs tree
-# walk + freeze at XMark 1x/10x/100x, XML parse throughput, snapshot
-# save/load, then the Figure-16 XMark suite on a 10x streamed store.
-# Every leg is parity-checked (exit 1 on any structural difference);
-# the 10x snapshot is left behind as XMARK_10x.snapshot.
+# walk + freeze at XMark 1x/10x/100x, a parse of the serialized
+# document, the snapshot round trip, then the Figure-16 XMark suite on
+# a 10x streamed store.  Every leg is parity-checked (exit 1 on any
+# structural difference); the 10x snapshot is left behind as
+# XMARK_10x.snapshot.
 bench-stream:
 	dune build bench/main.exe
 	dune exec bench/main.exe -- stream
@@ -78,12 +41,12 @@ bench-machine:
 	dune build bench/main.exe
 	dune exec bench/main.exe -- machine
 
-# Learning-as-a-service load harness: in-process lib/server over a real
+# Learning-as-a-service under load: in-process lib/server over a real
 # Unix socket — Figure-16 parity through the wire, 1024 concurrent
-# sessions driven by interleaved client threads (sessions/sec and
-# request p50/p95/p99), and suspend/resume round-trip micros.  Updates
-# the "server" block of BENCH_perf.json; exit 1 on any parity mismatch,
-# request error or failed verification.
+# sessions driven by interleaved client threads, and suspend/resume
+# round trips; exit 1 on any parity mismatch, request error or failed
+# verification.  Served latency is measured by perfbench's serve-churn
+# workload (BENCHMARK.json).
 bench-serve:
 	dune build bench/main.exe
 	dune exec bench/main.exe -- serve

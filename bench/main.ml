@@ -1,32 +1,34 @@
-(* Benchmark harness: regenerates every table/figure of the paper's
-   evaluation (Figures 15 and 16), adds an R1/R2 ablation, and measures
-   the pipeline's building blocks with Bechamel.
+(* Evaluation harness: regenerates every table/figure of the paper's
+   evaluation (Figures 15 and 16), adds an R1/R2 ablation, and runs the
+   untimed correctness legs of the engine, the learner machine and the
+   server.
+   Performance is measured in one place, the repository benchmark
+   (perfbench/, declared by BENCHMARK.json); nothing here is timed.
 
-     dune exec bench/main.exe                 -- everything
+     dune exec bench/main.exe                 -- the paper tables
      dune exec bench/main.exe -- fig15        -- expressive power table
      dune exec bench/main.exe -- fig16-xmark  -- interaction counts, XMark
      dune exec bench/main.exe -- fig16-xmp    -- interaction counts, XMP
      dune exec bench/main.exe -- ablation     -- rules R1/R2 on/off
-     dune exec bench/main.exe -- perf         -- Bechamel micro-benchmarks
-     dune exec bench/main.exe -- perf-json    -- machine-readable baseline
-                                                 (writes BENCH_perf.json)
-     dune exec bench/main.exe -- perf-gate    -- diff BENCH_perf.json against
-                                                 BENCH_baseline.json (make bench-gate)
-     dune exec bench/main.exe -- frozen       -- frozen-store scan micro on the
+     dune exec bench/main.exe -- reuse        -- re-learning with a session cache
+     dune exec bench/main.exe -- sgml         -- extra suite: UC "SGML"
+     dune exec bench/main.exe -- frozen       -- frozen-store scan parity on the
                                                  domain pool (make bench-frozen)
      dune exec bench/main.exe -- stream       -- streaming ingestion + snapshot
-                                                 scale ladder, 10x fig16 variant
+                                                 parity ladder, 10x fig16 variant
                                                  (make bench-stream)
-     dune exec bench/main.exe -- batch        -- batched vs per-word membership
-                                                 micro, fig16 batching share
-                                                 (make bench-batch)
+     dune exec bench/main.exe -- machine      -- record/replay/resume parity
+                                                 (make bench-machine)
+     dune exec bench/main.exe -- serve        -- server parity under concurrent
+                                                 sessions (make bench-serve)
+     dune exec bench/main.exe -- fuzz         -- differential fuzzing (make fuzz)
      dune exec bench/main.exe -- obs-report T -- offline analysis of a JSONL
                                                  trace T: span-tree self time,
                                                  worker utilization, critical
                                                  path (make obs-report)
 
-   The Figure-16 suites and the perf-json baseline fan their independent
-   learn-and-verify scenario runs across OCaml 5 domains (Xl_exec.Pool).
+   The Figure-16 suites fan their independent learn-and-verify scenario
+   runs across OCaml 5 domains (Xl_exec.Pool).
    Worker count: -j N / --jobs N, else the XLEARNER_JOBS environment
    variable, else Domain.recommended_domain_count () - 1 (floor 1).
    Results are collected per scenario and printed in suite order, so the
@@ -72,6 +74,8 @@ let prepare_scenarios scenarios =
   scenarios
 
 let line = String.make 78 '-'
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* ---------- Figure 15 -------------------------------------------------- *)
 
@@ -268,516 +272,7 @@ let reuse () =
     "\n=> a re-learned drop box replays the stored answers: zero membership";
   print_endline "   queries the second time around\n"
 
-(* ---------- Bechamel micro-benchmarks ----------------------------------- *)
-
-let perf () =
-  print_endline line;
-  print_endline "Micro-benchmarks (Bechamel; monotonic clock per run)";
-  print_endline line;
-  let open Bechamel in
-  let scale = Xl_workload.Xmark_gen.tiny_scale in
-  let doc = Xl_workload.Xmark_gen.generate scale in
-  let store = Xl_xml.Store.of_docs [ doc ] in
-  let ctx = Xl_xquery.Eval.make_ctx store in
-  let q1_text =
-    {|for $c in /site/categories/category
-      return <category>{$c/name}{
-        for $i in /site/regions/(europe|africa)/item
-        where $i/incategory/@category = $c/@id
-        return <item>{$i/name}</item>}</category>|}
-  in
-  let q1_ast = Xl_xquery.Parser.parse q1_text in
-  let xml_text = Xl_xml.Serialize.node_to_string (Xl_xml.Doc.root doc) in
-  let lstar_target =
-    Xl_automata.Regex.to_dfa ~alphabet_size:20
-      Xl_automata.Regex.(
-        seq [ Sym 0; Sym 1; Alt (Sym 2, Sym 3); Sym 4 ])
-  in
-  let tests =
-    Test.make_grouped ~name:"xlearner"
-      [
-        Test.make ~name:"xmark-generate"
-          (Staged.stage (fun () -> ignore (Xl_workload.Xmark_gen.generate scale)));
-        Test.make ~name:"xml-parse"
-          (Staged.stage (fun () -> ignore (Xl_xml.Xml_parser.parse xml_text)));
-        Test.make ~name:"xquery-eval-q1"
-          (Staged.stage (fun () -> ignore (Xl_xquery.Eval.run ctx q1_ast)));
-        Test.make ~name:"data-graph-build"
-          (Staged.stage (fun () -> ignore (Xl_core.Data_graph.build store)));
-        Test.make ~name:"lstar-learn-path"
-          (Staged.stage (fun () ->
-               let teacher =
-                 {
-                   Xl_automata.Lstar.membership =
-                     (fun w -> Xl_automata.Dfa.accepts lstar_target w);
-                   membership_batch = None;
-                   equivalence =
-                     (fun h ->
-                       match Xl_automata.Dfa.equivalent h lstar_target with
-                       | Ok () -> None
-                       | Error w -> Some w);
-                 }
-               in
-               ignore (Xl_automata.Lstar.learn ~alphabet_size:20 teacher)));
-        Test.make ~name:"dtd-validate"
-          (Staged.stage (fun () ->
-               ignore (Xl_schema.Validate.validate (Xl_workload.Xmark_dtd.get ()) doc)));
-      ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.4) ~kde:None () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  Printf.printf "%-36s %16s\n" "benchmark" "time/run";
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] ->
-        let pretty =
-          if est > 1e9 then Printf.sprintf "%8.2f s " (est /. 1e9)
-          else if est > 1e6 then Printf.sprintf "%8.2f ms" (est /. 1e6)
-          else if est > 1e3 then Printf.sprintf "%8.2f us" (est /. 1e3)
-          else Printf.sprintf "%8.2f ns" est
-        in
-        Printf.printf "%-36s %16s\n" name pretty
-      | _ -> Printf.printf "%-36s %16s\n" name "n/a")
-    results;
-  print_newline ()
-
-(* ---------- machine-readable perf baseline ------------------------------ *)
-
-(* [perf-json] writes BENCH_perf.json: wall-clock micro-benchmarks of the
-   evaluation building blocks (including the Q1 join query with the hash
-   join on and off) plus the end-to-end Figure-16 learning suites.  The
-   file is the perf baseline the next optimization PR diffs against. *)
-
-(* ns/run by adaptive repetition: double the iteration count until the
-   measured batch takes at least [min_time] seconds, then report the best
-   of three batches at that count — the minimum discards scheduler and GC
-   noise, which a 25% regression gate cannot tolerate on µs-scale runs. *)
-let time_ns ?(min_time = 0.2) (f : unit -> unit) : float * int =
-  f ();
-  (* warmup: fill evaluator caches, trigger first GC growth *)
-  let batch iters =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let rec calibrate iters =
-    let dt = batch iters in
-    if dt < min_time && iters < 1_000_000 then calibrate (iters * 2)
-    else (dt, iters)
-  in
-  let dt0, iters = calibrate 1 in
-  let dt = min dt0 (min (batch iters) (batch iters)) in
-  (dt *. 1e9 /. float_of_int iters, iters)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-(* The "server": {...} block of BENCH_perf.json is owned by [bench
-   serve], while the rest of the file is owned by [perf-json] — so each
-   writer splices the other's part in unchanged.  The block is
-   machine-written and none of its strings contain braces, so matching
-   the closing brace by nesting depth is exact. *)
-let server_block_span text =
-  let n = String.length text and key = {|"server":|} in
-  let k = String.length key in
-  let rec find i =
-    if i + k > n then None
-    else if String.equal (String.sub text i k) key then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some key_at -> (
-    match String.index_from_opt text key_at '{' with
-    | None -> None
-    | Some brace ->
-      let rec scan i depth =
-        if i >= n then None
-        else
-          match text.[i] with
-          | '{' -> scan (i + 1) (depth + 1)
-          | '}' -> if depth = 1 then Some (i + 1) else scan (i + 1) (depth - 1)
-          | _ -> scan (i + 1) depth
-      in
-      Option.map (fun stop -> (key_at, brace, stop)) (scan brace 0))
-
-(* replace (or add) the "server" block, keeping everything else;
-   [block] is the {...} object text *)
-let splice_server_block text block =
-  let text =
-    match server_block_span text with
-    | None -> text
-    | Some (key_at, _, stop) ->
-      (* also drop the comma and whitespace that introduced the block *)
-      let s = ref key_at in
-      while !s > 0 && (text.[!s - 1] = ' ' || text.[!s - 1] = '\n') do decr s done;
-      let s = if !s > 0 && text.[!s - 1] = ',' then !s - 1 else !s in
-      String.sub text 0 s ^ String.sub text stop (String.length text - stop)
-  in
-  match String.rindex_opt text '}' with
-  | None -> Printf.sprintf "{\n  \"server\": %s\n}\n" block
-  | Some last ->
-    let pre = String.trim (String.sub text 0 last) in
-    Printf.sprintf "%s,\n  \"server\": %s\n}\n" pre block
-
-let existing_server_block path =
-  if not (Sys.file_exists path) then None
-  else
-    let text = read_file path in
-    match server_block_span text with
-    | None -> None
-    | Some (_, brace, stop) -> Some (String.sub text brace (stop - brace))
-
-let perf_json () =
-  (* micro-benchmarks run with telemetry off: the span buffer over
-     thousands of timed iterations would distort the numbers it measures.
-     Telemetry switches on at the fig16 boundary below, so the telemetry
-     block (and any --trace output) attributes the learning suites. *)
-  Obs.set_enabled false;
-  let micro = ref [] in
-  let bench name f =
-    let ns, runs = time_ns f in
-    Printf.printf "%-28s %12.0f ns/run  (%d runs)\n%!" name ns runs;
-    micro := (name, ns, runs) :: !micro;
-    ns
-  in
-  (* data set for the micro-benchmarks: larger than tiny_scale so the
-     join benchmark has enough items for the asymptotics to show *)
-  let scale =
-    {
-      Xl_workload.Xmark_gen.categories = 24;
-      items_per_region = 30;
-      people = 30;
-      open_auctions = 20;
-      closed_auctions = 25;
-    }
-  in
-  let doc = Xl_workload.Xmark_gen.generate scale in
-  let xml_text = Xl_xml.Serialize.node_to_string (Xl_xml.Doc.root doc) in
-  let store = Xl_xml.Store.of_docs [ doc ] in
-  let ctx = Xl_xquery.Eval.make_ctx store in
-  let q1_join =
-    Xl_xquery.Parser.parse
-      {|for $c in /site/categories/category
-        return <category>{$c/name}{
-          for $i in /site/regions/(europe|africa)/item
-          where $i/incategory/@category = $c/@id
-          return <item>{$i/name}</item>}</category>|}
-  in
-  ignore (bench "xmark-generate" (fun () -> ignore (Xl_workload.Xmark_gen.generate scale)));
-  ignore (bench "xml-parse" (fun () -> ignore (Xl_xml.Xml_parser.parse xml_text)));
-  (* document ingestion: the legacy two-walk path (parse to a tree, index
-     it, re-walk to freeze) against the one-pass streaming builder, plus
-     binary snapshot save/load of the streamed result *)
-  let tree_ns =
-    bench "parse-plus-freeze" (fun () ->
-        ignore (Xl_xml.Frozen.freeze (Xl_xml.Xml_parser.parse_doc xml_text)))
-  in
-  let stream_ns =
-    bench "stream-freeze" (fun () -> ignore (Xl_xml.Frozen_builder.parse xml_text))
-  in
-  let _, ingest_fz = Xl_xml.Frozen_builder.parse xml_text in
-  let snap = Xl_xml.Snapshot.to_string ingest_fz in
-  ignore
-    (bench "snapshot-save" (fun () ->
-         ignore (Xl_xml.Snapshot.to_string ingest_fz)));
-  let snap_load_ns =
-    bench "snapshot-load" (fun () -> ignore (Xl_xml.Snapshot.of_string snap))
-  in
-  let xml_bytes = String.length xml_text in
-  let parse_mb_s = float_of_int xml_bytes /. (stream_ns /. 1e9) /. 1e6 in
-  let stream_speedup = tree_ns /. stream_ns in
-  let load_speedup = tree_ns /. snap_load_ns in
-  Printf.printf
-    "=> ingest: stream %.2fx vs parse+freeze, %.1f MB/s; snapshot load %.1fx vs re-parse\n%!"
-    stream_speedup parse_mb_s load_speedup;
-  ignore (bench "store-nodes" (fun () -> ignore (Xl_xml.Store.nodes store)));
-  ignore (bench "data-graph-build" (fun () -> ignore (Xl_core.Data_graph.build store)));
-  (* the deep-path workload (the AST is pre-parsed, like q1's: these
-     time evaluation, not the parser) — the frozen scan memoized per
-     (DFA, base), the steady state of the learning loop *)
-  let deep_ast = Xl_xquery.Parser.parse "/site/regions/europe/item/description" in
-  ignore
-    (bench "path-eval-deep" (fun () -> ignore (Xl_xquery.Eval.run ctx deep_ast)));
-  (* Q1's join: the hash join against the nested-loop reference *)
-  let hash_ns = bench "q1-eval-hash-join" (fun () -> ignore (Xl_xquery.Eval.run ctx q1_join)) in
-  let nested_ns =
-    bench "q1-eval-nested-loop" (fun () -> ignore (Xl_fuzz.Ref_eval.run ctx q1_join))
-  in
-  let speedup = nested_ns /. hash_ns in
-  Printf.printf "=> Q1 join: hash %.0f ns vs nested %.0f ns (%.1fx)\n%!" hash_ns
-    nested_ns speedup;
-  (* end-to-end Figure-16 suites: one Learn.run per scenario, default
-     strategy (no adversarial rerun), recording stats + wall time.  Each
-     suite runs twice — on one worker and on the configured pool — both
-     to measure the realized speedup and to prove (make bench-check) that
-     the per-scenario rows do not depend on the worker count. *)
-  let run_suite ?(config = Xl_core.Learn.default_config) ~on scenarios =
-    let t0 = Unix.gettimeofday () in
-    let rows =
-      Pool.map on
-        (fun (name, sc) ->
-          match Xl_core.Learn.run ~config sc with
-          | r ->
-            Printf.sprintf "{\"name\":\"%s\",\"verified\":%b,\"stats\":%s}"
-              (json_escape name) r.Xl_core.Learn.verified
-              (Xl_core.Stats.to_json r.Xl_core.Learn.stats)
-          | exception e ->
-            Printf.sprintf "{\"name\":\"%s\",\"error\":\"%s\"}" (json_escape name)
-              (json_escape (Printexc.to_string e)))
-        scenarios
-    in
-    (rows, Unix.gettimeofday () -. t0)
-  in
-  (* scaled XMark: one-shot wall clock at 10x the default populations —
-     the document sizes the streaming path exists for.  Single runs, not
-     adaptive batches: at this size the times are far above timer noise. *)
-  let scaled_factor = 10 in
-  let sscale = Xl_workload.Xmark_gen.scale_factor scaled_factor in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let (_, sfz), stream_gen_s =
-    wall (fun () -> Xl_workload.Xmark_gen.generate_frozen sscale)
-  in
-  let tree_doc, tree_gen_s = wall (fun () -> Xl_workload.Xmark_gen.generate sscale) in
-  let _, tree_freeze_s = wall (fun () -> Xl_xml.Frozen.freeze tree_doc) in
-  let snap_scaled, scaled_save_s =
-    wall (fun () -> Xl_xml.Snapshot.to_string sfz)
-  in
-  let scaled_loaded, scaled_load_s =
-    wall (fun () -> Xl_xml.Snapshot.of_string snap_scaled)
-  in
-  let scaled_load_ok = Xl_xml.Frozen.structural_equal sfz scaled_loaded in
-  let scaled_nodes = Xl_xml.Frozen.size sfz in
-  Printf.printf
-    "=> xmark x%d: %d nodes; stream gen %.3f s vs tree gen+freeze %.3f s; snapshot %d bytes, save %.3f s, load %.3f s, round-trip equal: %b\n%!"
-    scaled_factor scaled_nodes stream_gen_s (tree_gen_s +. tree_freeze_s)
-    (String.length snap_scaled) scaled_save_s scaled_load_s scaled_load_ok;
-  let xmark_scenarios = prepare_scenarios (Xl_workload.Xmark_scenarios.all ()) in
-  let xmp_scenarios = prepare_scenarios (Xl_workload.Xmp_scenarios.all ()) in
-  Obs.reset ();
-  Obs.set_enabled true;
-  print_endline "running fig16 suites (sequential)...";
-  let seq = Pool.create ~domains:1 () in
-  (* sequence watermarks bracket each sequential leg: the xmark and xmp
-     scenarios share names (Q1..Q19), so per-scenario latency spans are
-     attributed by the seq window of their own suite *)
-  let w0 = Obs.next_seq () in
-  let xmark_rows, xmark_s = run_suite ~on:seq xmark_scenarios in
-  let w1 = Obs.next_seq () in
-  let xmp_rows, xmp_s = run_suite ~on:seq xmp_scenarios in
-  let w2 = Obs.next_seq () in
-  Printf.printf "fig16-xmark %.2f s, fig16-xmp %.2f s\n%!" xmark_s xmp_s;
-  let par = pool () in
-  Printf.printf "running fig16 suites (parallel, %d jobs)...\n%!" (Pool.domains par);
-  (* the parallel leg also hands the pool to each Learn.run: the
-     intra-scenario fan-outs (oracle batch chunks, schema precompute,
-     the C-Learner relay scan) reuse idle workers when the suite's own
-     scenario fan-out leaves some — and degrade to sequential inside a
-     busy worker (Pool nesting rule), so the rows stay byte-identical *)
-  let par_config = { Xl_core.Learn.default_config with pool = Some par } in
-  let par_xmark_rows, par_xmark_s =
-    run_suite ~config:par_config ~on:par xmark_scenarios
-  in
-  let par_xmark_stats = Pool.stats par in
-  let par_xmp_rows, par_xmp_s =
-    run_suite ~config:par_config ~on:par xmp_scenarios
-  in
-  let par_xmp_stats = Pool.stats par in
-  Printf.printf "fig16-xmark %.2f s, fig16-xmp %.2f s\n%!" par_xmark_s par_xmp_s;
-  let rows_match = xmark_rows = par_xmark_rows && xmp_rows = par_xmp_rows in
-  (* per-scenario latency quantiles from the sequential leg's learn.task
-     spans (detail = "scenario/task"), appended to the row strings only
-     AFTER the sequential/parallel comparison above: the compared rows
-     must stay latency-free, or timing jitter would fail rows_match *)
-  let scenario_latency ~lo ~hi scenarios rows =
-    let spans = Obs.spans () in
-    let durs_for name =
-      let prefix = name ^ "/" in
-      let plen = String.length prefix in
-      List.filter_map
-        (fun (r : Obs.span_rec) ->
-          if
-            r.Obs.sp_seq >= lo && r.Obs.sp_seq < hi
-            && String.equal r.Obs.sp_name "learn.task"
-          then
-            match r.Obs.sp_detail with
-            | Some d
-              when String.length d >= plen && String.equal (String.sub d 0 plen) prefix
-              ->
-              Some r.Obs.sp_dur_ns
-            | _ -> None
-          else None)
-        spans
-    in
-    List.map2
-      (fun (name, _) row ->
-        match durs_for name with
-        | [] -> row
-        | durs ->
-          let p q = Obs.quantile_of durs q in
-          Printf.sprintf
-            "%s,\"latency_ns\":{\"p50\":%d,\"p95\":%d,\"p99\":%d,\"samples\":%d}}"
-            (String.sub row 0 (String.length row - 1))
-            (p 0.5) (p 0.95) (p 0.99) (List.length durs))
-      scenarios rows
-  in
-  let xmark_rows = scenario_latency ~lo:w0 ~hi:w1 xmark_scenarios xmark_rows in
-  let xmp_rows = scenario_latency ~lo:w1 ~hi:w2 xmp_scenarios xmp_rows in
-  let seq_total = xmark_s +. xmp_s and par_total = par_xmark_s +. par_xmp_s in
-  Printf.printf
-    "=> fig16 wall: sequential %.2f s, parallel %.2f s (%.2fx on %d jobs), rows match: %b\n%!"
-    seq_total par_total (seq_total /. par_total) (Pool.domains par) rows_match;
-  let micro_json =
-    String.concat ",\n    "
-      (List.rev_map
-         (fun (name, ns, runs) ->
-           Printf.sprintf "{\"name\":\"%s\",\"ns_per_run\":%.1f,\"runs\":%d}"
-             (json_escape name) ns runs)
-         !micro)
-  in
-  (* telemetry block: per-phase span totals + metric snapshot over the
-     fig16 suites, and the parallel pool's per-worker scheduling stats *)
-  let worker_stats_json stats =
-    String.concat ","
-      (Array.to_list
-         (Array.map
-            (fun (s : Pool.worker_stat) ->
-              Printf.sprintf "{\"tasks\":%d,\"busy_ns\":%d}" s.Pool.tasks
-                s.Pool.busy_ns)
-            stats))
-  in
-  let telemetry_json =
-    Printf.sprintf
-      "{\n    \"obs\": %s,\n    \"pool\": {\"jobs\":%d,\"xmark_workers\":[%s],\"xmp_workers\":[%s]}\n  }"
-      (Obs.telemetry_json ~indent:"    " ())
-      (Pool.domains par)
-      (worker_stats_json par_xmark_stats)
-      (worker_stats_json par_xmp_stats)
-  in
-  let json =
-    Printf.sprintf
-      {|{
-  "schema": "xlearner-perf/1",
-  "micro": [
-    %s
-  ],
-  "q1_join": {
-    "hash_ns_per_run": %.1f,
-    "nested_ns_per_run": %.1f,
-    "speedup": %.2f
-  },
-  "ingest": {
-    "xml_bytes": %d,
-    "parse_throughput_mb_s": %.1f,
-    "stream_vs_tree_speedup": %.2f,
-    "snapshot_load_vs_reparse": %.2f
-  },
-  "xmark_scaled": {
-    "factor": %d,
-    "nodes": %d,
-    "stream_generate_s": %.3f,
-    "tree_generate_freeze_s": %.3f,
-    "snapshot_bytes": %d,
-    "snapshot_save_s": %.3f,
-    "snapshot_load_s": %.3f,
-    "roundtrip_equal": %b
-  },
-  "fig16": {
-    "xmark": { "wall_s": %.3f, "scenarios": [
-      %s
-    ] },
-    "xmp": { "wall_s": %.3f, "scenarios": [
-      %s
-    ] },
-    "total_wall_s": %.3f,
-    "parallel": {
-      "jobs": %d,
-      "sequential_wall_s": %.3f,
-      "parallel_wall_s": %.3f,
-      "speedup": %.2f,
-      "rows_match": %b
-    }
-  },
-  "telemetry": %s
-}
-|}
-      micro_json hash_ns nested_ns speedup xml_bytes parse_mb_s
-      stream_speedup load_speedup scaled_factor scaled_nodes stream_gen_s
-      (tree_gen_s +. tree_freeze_s)
-      (String.length snap_scaled)
-      scaled_save_s scaled_load_s scaled_load_ok xmark_s
-      (String.concat ",\n      " xmark_rows)
-      xmp_s
-      (String.concat ",\n      " xmp_rows)
-      (xmark_s +. xmp_s) (Pool.domains par) seq_total par_total
-      (seq_total /. par_total) rows_match telemetry_json
-  in
-  (* keep the "server" block (owned by `bench serve`) across rewrites *)
-  let json =
-    match existing_server_block "BENCH_perf.json" with
-    | Some block -> splice_server_block json block
-    | None -> json
-  in
-  let oc = open_out "BENCH_perf.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "wrote BENCH_perf.json\n%!";
-  if not rows_match then begin
-    Printf.eprintf
-      "FAIL: fig16 scenario rows differ between sequential and parallel runs\n";
-    exit 1
-  end;
-  if speedup <= 1.0 then begin
-    Printf.eprintf "FAIL: hash join (%.0f ns) not faster than nested loop (%.0f ns)\n"
-      hash_ns nested_ns;
-    exit 1
-  end;
-  if stream_speedup <= 1.0 then begin
-    Printf.eprintf
-      "FAIL: streaming ingest (%.0f ns) not faster than parse+freeze (%.0f ns)\n"
-      stream_ns tree_ns;
-    exit 1
-  end;
-  if load_speedup < 10.0 then begin
-    Printf.eprintf
-      "FAIL: snapshot load (%.0f ns) not >= 10x faster than re-parsing (%.0f ns)\n"
-      snap_load_ns tree_ns;
-    exit 1
-  end;
-  if not scaled_load_ok then begin
-    Printf.eprintf "FAIL: scaled snapshot round-trip is not structurally equal\n";
-    exit 1
-  end
-
-(* ---------- frozen-store scan micro (make bench-frozen) ------------------ *)
+(* ---------- frozen-store scan parity (make bench-frozen) ----------------- *)
 
 (* [frozen] exercises the frozen-snapshot selection engine under domain
    fan-out: one store, frozen once by [Store.prepare], scanned
@@ -825,7 +320,8 @@ let frozen_bench () =
       match engine with
       | `Frozen ->
         fun ast ->
-          (* raw scan speed, not memoized replay *)
+          (* every round a real scan of the shared snapshot, not a
+             memoized replay *)
           Hashtbl.reset ctx.Xl_xquery.Eval.extent_cache;
           Xl_xquery.Eval.run_to_string ctx ast
       | `Pointer_walk -> Xl_fuzz.Ref_eval.run_to_string ctx
@@ -838,64 +334,48 @@ let frozen_bench () =
     done;
     Digest.to_hex (Digest.string (Buffer.contents buf))
   in
-  let time label engine =
-    let t0 = Unix.gettimeofday () in
-    let digests = Pool.map p (task engine) (List.init tasks Fun.id) in
-    let dt = Unix.gettimeofday () -. t0 in
-    let digest =
-      match digests with
-      | d :: rest when List.for_all (String.equal d) rest -> d
-      | _ ->
-        Printf.eprintf "FAIL: %s results differ across domains\n" label;
-        exit 1
-    in
-    Printf.printf "%-24s %3d jobs %10.1f ms  (%d tasks x %d rounds x %d paths)\n%!"
-      label jobs (dt *. 1e3) tasks rounds (List.length paths);
-    (dt, digest)
+  let digest_of label engine =
+    match Pool.map p (task engine) (List.init tasks Fun.id) with
+    | d :: rest when List.for_all (String.equal d) rest ->
+      Printf.printf "%-24s %3d jobs  %s  (%d tasks x %d rounds x %d paths)\n%!"
+        label jobs d tasks rounds (List.length paths);
+      d
+    | _ ->
+      Printf.eprintf "FAIL: %s results differ across domains\n" label;
+      exit 1
   in
-  let fz_s, fz_digest = time "frozen-scan" `Frozen in
-  let pw_s, pw_digest = time "pointer-walk" `Pointer_walk in
+  let fz_digest = digest_of "frozen-scan" `Frozen in
+  let pw_digest = digest_of "pointer-walk" `Pointer_walk in
   if not (String.equal fz_digest pw_digest) then begin
     Printf.eprintf "FAIL: frozen scan and pointer walk disagree\n";
     exit 1
   end;
-  Printf.printf "=> frozen scan %.2fx vs pointer walk at %d jobs, results identical\n\n%!"
-    (pw_s /. fz_s) jobs
+  Printf.printf "=> frozen scan and pointer walk identical at %d jobs\n\n%!" jobs
 
-(* ---------- streaming ingestion bench (make bench-stream) ---------------- *)
+(* ---------- streaming ingestion ladder (make bench-stream) --------------- *)
 
-(* [stream] measures document ingestion at growing XMark scales — the
-   one-pass streaming builder against the tree walk + freeze, XML parse
-   throughput, and binary snapshot save/load — then runs the Figure-16
-   XMark suite over a 10x streamed store to show the learner is
-   oblivious to how its documents entered the store. *)
+(* [stream] checks document ingestion at growing XMark scales — the
+   one-pass streaming builder against the tree walk + freeze, a parse of
+   the serialized document, and the binary snapshot round trip — then
+   runs the Figure-16 XMark suite over a 10x streamed store to show the
+   learner is oblivious to how its documents entered the store.  The
+   costs of these paths are measured by perfbench (BENCHMARK.json), and
+   their allocation ratios pinned by test_xml. *)
 let stream_bench () =
   Obs.set_enabled false;
   print_endline line;
   print_endline "Streaming ingestion vs the tree path (XMark scale ladder)";
   print_endline line;
-  Printf.printf "%6s %9s %9s %9s %6s %9s %8s %8s %7s\n" "factor" "nodes"
-    "tree_s" "stream_s" "gain" "parse" "snap_MB" "load_ms" "vs_rep";
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
+  Printf.printf "%6s %9s %12s %10s\n" "factor" "nodes" "xml_bytes" "snap_bytes";
   List.iter
     (fun factor ->
       let scale = Xl_workload.Xmark_gen.scale_factor factor in
       (* same fragment for both legs: the comparison is pure ingestion *)
       let frag = Xl_workload.Xmark_gen.generate_frag scale in
-      (* untimed warm-up build: grow the heap to the peak working set up
-         front, so whichever timed leg runs while the other leg's result
-         is still live doesn't pay the one-time allocator growth *)
-      ignore (Xl_xml.Frozen_builder.of_frag ~uri:"auction.xml" frag);
-      let tree_fz, tree_s =
-        wall (fun () -> Xl_xml.Frozen.freeze (Xl_xml.Doc.of_frag ~uri:"auction.xml" frag))
+      let tree_fz =
+        Xl_xml.Frozen.freeze (Xl_xml.Doc.of_frag ~uri:"auction.xml" frag)
       in
-      let (_, stream_fz), stream_s =
-        wall (fun () -> Xl_xml.Frozen_builder.of_frag ~uri:"auction.xml" frag)
-      in
+      let _, stream_fz = Xl_xml.Frozen_builder.of_frag ~uri:"auction.xml" frag in
       if not (Xl_xml.Frozen.structural_equal tree_fz stream_fz) then begin
         Printf.eprintf "FAIL: streamed snapshot differs from frozen tree at x%d\n"
           factor;
@@ -905,26 +385,20 @@ let stream_bench () =
         Xl_xml.Serialize.node_to_string
           (Xl_xml.Doc.root (Xl_xml.Frozen.doc tree_fz))
       in
-      let (_, parsed_fz), parse_s =
-        wall (fun () -> Xl_xml.Frozen_builder.parse ~uri:"auction.xml" xml_text)
-      in
-      let mb_s = float_of_int (String.length xml_text) /. parse_s /. 1e6 in
-      let snap, _save_s = wall (fun () -> Xl_xml.Snapshot.to_string stream_fz) in
-      let loaded, load_s = wall (fun () -> Xl_xml.Snapshot.of_string snap) in
-      if not (Xl_xml.Frozen.structural_equal stream_fz loaded) then begin
+      (* the serialized document must parse back through the builder *)
+      ignore (Xl_xml.Frozen_builder.parse ~uri:"auction.xml" xml_text);
+      let snap = Xl_xml.Snapshot.to_string stream_fz in
+      if not (Xl_xml.Frozen.structural_equal stream_fz (Xl_xml.Snapshot.of_string snap))
+      then begin
         Printf.eprintf "FAIL: snapshot round-trip differs at x%d\n" factor;
         exit 1
       end;
-      ignore parsed_fz;
       (* persist the 10x snapshot: CI uploads it as a build artifact so a
          scaled store can be loaded without re-running the generator *)
       if factor = 10 then Xl_xml.Snapshot.save "XMARK_10x.snapshot" stream_fz;
-      Printf.printf "%6d %9d %9.3f %9.3f %5.1fx %7.1fMB/s %7.2f %8.1f %6.1fx\n%!"
-        factor
+      Printf.printf "%6d %9d %12d %10d\n%!" factor
         (Xl_xml.Frozen.size stream_fz)
-        tree_s stream_s (tree_s /. stream_s) mb_s
-        (float_of_int (String.length snap) /. 1e6)
-        (load_s *. 1e3) (parse_s /. load_s))
+        (String.length xml_text) (String.length snap))
     [ 1; 10; 100 ];
   (* the scaled Figure-16 variant: the whole XMark suite over a 10x
      document that entered the store through the streaming builder *)
@@ -937,7 +411,6 @@ let stream_bench () =
          ~scale:(Xl_workload.Xmark_gen.scale_factor 10)
          ~streamed:true ())
   in
-  let t0 = Unix.gettimeofday () in
   let rows =
     Pool.map (pool ())
       (fun (name, sc) ->
@@ -945,115 +418,15 @@ let stream_bench () =
         (name, r.Xl_core.Learn.verified, Xl_core.Stats.to_row r.Xl_core.Learn.stats))
       scenarios
   in
-  let dt = Unix.gettimeofday () -. t0 in
   List.iter
     (fun (name, verified, row) ->
       Printf.printf "%-5s %s %s\n" name (if verified then "ok  " else "FAIL") row)
     rows;
   let bad = List.filter (fun (_, v, _) -> not v) rows in
-  Printf.printf "=> %d/%d scenarios verified on the streamed 10x store in %.2f s\n\n%!"
+  Printf.printf "=> %d/%d scenarios verified on the streamed 10x store\n\n%!"
     (List.length rows - List.length bad)
-    (List.length rows) dt;
+    (List.length rows);
   if bad <> [] then exit 1
-
-(* ---------- batched-oracle micro + end-to-end (make bench-batch) --------- *)
-
-(* [batch] quantifies the batched membership oracle: first a micro
-   comparison — one DFA pass over a fill's shared prefix trie vs one
-   automaton walk per word, on an observation-table-shaped batch, whose
-   answers must agree (exit 1 otherwise) — then the Figure-16 suites
-   end-to-end, reporting how much of L* the batched oracle carries. *)
-let batch_bench () =
-  print_endline line;
-  print_endline "Batched membership oracle vs word-at-a-time (make bench-batch)";
-  print_endline line;
-  Obs.set_enabled false;
-  (* micro: S is every word over {0..3} up to length 4 (prefix-closed,
-     like L*'s row labels), E a small suffix set; the batch is S x E *)
-  let dfa =
-    Xl_automata.Regex.to_dfa ~alphabet_size:8
-      Xl_automata.Regex.(
-        seq [ Sym 0; Star (alt [ Sym 1; Sym 2; Sym 3 ]); Sym 4 ])
-  in
-  let s_rows =
-    let rec grow acc frontier k =
-      if k = 0 then acc
-      else
-        let next =
-          List.concat_map (fun w -> List.init 4 (fun s -> s :: w)) frontier
-        in
-        grow (acc @ next) next (k - 1)
-    in
-    List.map List.rev (grow [ [] ] [ [] ] 4)
-  in
-  let e_cols = [ []; [ 4 ]; [ 2; 4 ]; [ 5 ] ] in
-  let words =
-    List.concat_map (fun s -> List.map (fun e -> s @ e) e_cols) s_rows
-  in
-  if
-    List.map (Xl_automata.Dfa.accepts dfa) words
-    <> Xl_automata.Dfa.accepts_batch dfa words
-  then begin
-    Printf.eprintf "FAIL: batched answers differ from per-word answers\n";
-    exit 1
-  end;
-  let per_word_ns, _ =
-    time_ns (fun () -> ignore (List.map (Xl_automata.Dfa.accepts dfa) words))
-  in
-  let batched_ns, _ =
-    time_ns (fun () -> ignore (Xl_automata.Dfa.accepts_batch dfa words))
-  in
-  (* the structural win is prefix sharing: count the symbol steps a
-     per-word sweep walks vs the trie's distinct nodes.  On a raw
-     in-memory DFA the per-word walk is nearly free, so the trie pass
-     only pays off once a query carries real per-call overhead (memo
-     probes, decoding, trace accounting) — report that breakeven *)
-  let n_words = List.length words in
-  let n_steps = List.fold_left (fun acc w -> acc + List.length w) 0 words in
-  let n_shared =
-    let trie = Xl_automata.Trie.create () in
-    List.iter (fun w -> ignore (Xl_automata.Trie.add_word trie w)) words;
-    Xl_automata.Trie.size trie - 1
-  in
-  Printf.printf
-    "oracle micro: %d-word fill, %d symbol steps per-word vs %d shared (%.1fx fewer)\n\
-    \              raw DFA walk %.0f ns, trie pass %.0f ns -> batching pays once a query costs > %.0f ns of overhead\n%!"
-    n_words n_steps n_shared
-    (float_of_int n_steps /. float_of_int n_shared)
-    per_word_ns batched_ns
-    ((batched_ns -. per_word_ns) /. float_of_int n_words);
-  (* end-to-end: both fig16 suites *)
-  let scenarios =
-    prepare_scenarios (Xl_workload.Xmark_scenarios.all ())
-    @ prepare_scenarios (Xl_workload.Xmp_scenarios.all ())
-  in
-  let span_ns name =
-    match
-      List.find_opt
-        (fun (t : Obs.span_total) -> String.equal t.Obs.st_name name)
-        (Obs.span_totals ())
-    with
-    | Some t -> t.Obs.st_total_ns
-    | None -> 0
-  in
-  Obs.reset ();
-  Obs.set_enabled true;
-  let t0 = Unix.gettimeofday () in
-  List.iter (fun (_, sc) -> ignore (Xl_core.Learn.run sc)) scenarios;
-  let wall = Unix.gettimeofday () -. t0 in
-  let lstar_ns = span_ns "lstar.learn" and oracle_batch_ns = span_ns "oracle.batch" in
-  let mq_batched =
-    match Obs.Counter.find "mq_batched" with
-    | Some c -> Obs.Counter.value c
-    | None -> 0
-  in
-  Obs.set_enabled false;
-  Printf.printf
-    "fig16 end-to-end: wall %.2f s, lstar.learn %.1f ms, oracle.batch %.1f ms, %d membership queries batch-answered\n\n%!"
-    wall
-    (float_of_int lstar_ns /. 1e6)
-    (float_of_int oracle_batch_ns /. 1e6)
-    mq_batched
 
 (* ---------- resumable machine smoke (bench machine) ---------------------- *)
 
@@ -1151,12 +524,11 @@ let machine_bench () =
     "=> %d scenarios, %d machine steps: every row byte-identical to the synchronous driver\n\n%!"
     (List.length scenarios) !total_steps
 
-(* ---------- learning-as-a-service load harness (bench serve) ------------- *)
+(* ---------- learning-as-a-service parity under load (bench serve) -------- *)
 
 let serve_sessions = ref 1024
-let serve_no_block = ref false
 
-(* [serve] measures lib/server end-to-end over a real Unix socket: an
+(* [serve] checks lib/server end-to-end over a real Unix socket: an
    in-process server, client threads speaking actual HTTP/1.1 + JSON.
    Three legs:
 
@@ -1167,15 +539,13 @@ let serve_no_block = ref false
      numbers byte-for-byte;
    - load: [--sessions N] (default 1024) sessions created first — all
      live at once — then driven to completion by interleaved auto-steps
-     from several client threads, measuring sessions/sec and
-     per-request latency quantiles at the client;
-   - suspend/resume: round-trip micros for snapshot-to-spool and back
-     on a live session, which must still finish verified afterwards.
+     from several client threads, every request answering 2xx;
+   - suspend/resume: repeated round trips through the spool on a live
+     session, which must still finish verified afterwards.
 
-   The results land in the "server" block of BENCH_perf.json (gated by
-   perf-gate); --no-block skips that write (CI smoke mode).  Exits
-   non-zero on any parity mismatch, request error or failed
-   verification. *)
+   Served latency and throughput are measured by perfbench's
+   serve-churn workload (BENCHMARK.json).  Exits non-zero on any parity
+   mismatch, request error or failed verification. *)
 let serve_bench () =
   let module Server = Xl_server.Server in
   let module Client = Xl_server.Client in
@@ -1287,20 +657,19 @@ let serve_bench () =
   let n_threads = min 8 (max 2 ((n_sessions + 63) / 64)) in
   let scen_names = Array.of_list (List.map fst catalog) in
   let ids = Array.make n_sessions "" in
-  let lat = Array.make n_threads [] in
+  let requests = Atomic.make 0 in
   let errors = Atomic.make 0 in
   let spawn_each f =
     let ts = List.init n_threads (fun ti -> Thread.create f ti) in
     List.iter Thread.join ts
   in
-  let t0 = Unix.gettimeofday () in
   (* phase 1: create every session — all of them live at once *)
   spawn_each (fun ti ->
       let c = Client.connect socket in
       let i = ref ti in
       while !i < n_sessions do
         let scen = scen_names.(!i mod Array.length scen_names) in
-        let q0 = Unix.gettimeofday () in
+        Atomic.incr requests;
         (match
            Client.request c ~meth:"POST" ~path:"/sessions"
              ~body:(Json.Obj [ ("scenario", Json.Str scen) ])
@@ -1309,8 +678,6 @@ let serve_bench () =
         | 201, j -> ids.(!i) <- Option.value ~default:"" (Json.mem_str "id" j)
         | _, _ -> Atomic.incr errors
         | exception _ -> Atomic.incr errors);
-        lat.(ti) <-
-          int_of_float ((Unix.gettimeofday () -. q0) *. 1e6) :: lat.(ti);
         i := !i + n_threads
       done;
       Client.close c);
@@ -1337,29 +704,23 @@ let serve_bench () =
         slice :=
           List.filter
             (fun id ->
-              let q0 = Unix.gettimeofday () in
-              let keep =
-                match
-                  Client.request c ~meth:"POST"
-                    ~path:("/sessions/" ^ id ^ "/answer")
-                    ~body:(auto 5) ()
-                with
-                | 200, j -> Option.is_none (Json.member "done" j)
-                | _, _ ->
-                  Atomic.incr errors;
-                  false
-                | exception _ ->
-                  Atomic.incr errors;
-                  false
-              in
-              lat.(ti) <-
-                int_of_float ((Unix.gettimeofday () -. q0) *. 1e6) :: lat.(ti);
-              keep)
+              Atomic.incr requests;
+              match
+                Client.request c ~meth:"POST"
+                  ~path:("/sessions/" ^ id ^ "/answer")
+                  ~body:(auto 5) ()
+              with
+              | 200, j -> Option.is_none (Json.member "done" j)
+              | _, _ ->
+                Atomic.incr errors;
+                false
+              | exception _ ->
+                Atomic.incr errors;
+                false)
             !slice
       done;
       Client.close c);
-  let wall_s = Unix.gettimeofday () -. t0 in
-  (* phase 3 (untimed): tear the finished sessions down *)
+  (* phase 3: tear the finished sessions down *)
   spawn_each (fun ti ->
       let c = Client.connect socket in
       let i = ref ti in
@@ -1372,14 +733,8 @@ let serve_bench () =
         i := !i + n_threads
       done;
       Client.close c);
-  let micros = List.concat (Array.to_list lat) in
-  let p q = Obs.quantile_of micros q in
-  let requests = List.length micros in
-  let sessions_per_sec = float_of_int n_sessions /. wall_s in
-  Printf.printf
-    "load: %d sessions in %.2f s = %.1f sessions/s; %d requests, p50 %d us, p95 %d us, p99 %d us, %d errors\n%!"
-    n_sessions wall_s sessions_per_sec requests (p 0.5) (p 0.95) (p 0.99)
-    (Atomic.get errors);
+  Printf.printf "load: %d sessions driven to completion; %d requests, %d errors\n%!"
+    n_sessions (Atomic.get requests) (Atomic.get errors);
   if Atomic.get errors > 0 then incr failures;
   (* -- suspend/resume round trip --------------------------------------- *)
   let c = Client.connect socket in
@@ -1389,15 +744,11 @@ let serve_bench () =
   let id = Option.get (Json.mem_str "id" j) in
   ignore (req c "POST" ("/sessions/" ^ id ^ "/answer") ~body:(auto 1) ());
   let round_trips = 50 in
-  let rt = ref [] in
   for _ = 1 to round_trips do
-    let q0 = Unix.gettimeofday () in
     ignore (req c "POST" ("/sessions/" ^ id ^ "/suspend") ());
     ignore
-      (req c "POST" "/sessions/resume" ~body:(Json.Obj [ ("id", Json.Str id) ]) ());
-    rt := int_of_float ((Unix.gettimeofday () -. q0) *. 1e6) :: !rt
+      (req c "POST" "/sessions/resume" ~body:(Json.Obj [ ("id", Json.Str id) ]) ())
   done;
-  let rq q = Obs.quantile_of !rt q in
   (* the much-suspended session must still learn the right query *)
   let d =
     drive c id (req c "POST" ("/sessions/" ^ id ^ "/answer") ~body:(auto 1) ())
@@ -1405,179 +756,17 @@ let serve_bench () =
   let verified_after = Json.mem_bool "verified" d = Some true in
   ignore (req c "DELETE" ("/sessions/" ^ id) ());
   Client.close c;
-  Printf.printf
-    "suspend/resume: %d round trips, p50 %d us, p95 %d us; session verified after: %b\n%!"
-    round_trips (rq 0.5) (rq 0.95) verified_after;
+  Printf.printf "suspend/resume: %d round trips; session verified after: %b\n%!"
+    round_trips verified_after;
   if not verified_after then incr failures;
-  (* -- teardown + BENCH_perf.json server block -------------------------- *)
   Server.shutdown server;
   Thread.join server_thread;
   (try Unix.rmdir spool with Unix.Unix_error _ -> ());
-  let block =
-    Printf.sprintf
-      "{\n\
-      \    \"workers\": %d,\n\
-      \    \"parity\": { \"scenarios\": %d, \"mismatches\": %d },\n\
-      \    \"load\": {\n\
-      \      \"sessions\": %d,\n\
-      \      \"concurrent_peak\": %d,\n\
-      \      \"client_threads\": %d,\n\
-      \      \"requests\": %d,\n\
-      \      \"errors\": %d,\n\
-      \      \"wall_s\": %.3f,\n\
-      \      \"sessions_per_sec\": %.1f,\n\
-      \      \"request_p50_us\": %d,\n\
-      \      \"request_p95_us\": %d,\n\
-      \      \"request_p99_us\": %d\n\
-      \    },\n\
-      \    \"suspend_resume\": {\n\
-      \      \"round_trips\": %d,\n\
-      \      \"suspend_resume_p50_us\": %d,\n\
-      \      \"suspend_resume_p95_us\": %d,\n\
-      \      \"verified_after\": %b\n\
-      \    }\n\
-      \  }"
-      workers (List.length catalog) !parity_bad n_sessions concurrent_peak
-      n_threads requests (Atomic.get errors) wall_s sessions_per_sec (p 0.5)
-      (p 0.95) (p 0.99) round_trips (rq 0.5) (rq 0.95) verified_after
-  in
-  if not !serve_no_block then begin
-    let text =
-      if Sys.file_exists "BENCH_perf.json" then read_file "BENCH_perf.json"
-      else "{\n  \"schema\": \"xlearner-perf/1\"\n}\n"
-    in
-    let oc = open_out "BENCH_perf.json" in
-    output_string oc (splice_server_block text block);
-    close_out oc;
-    Printf.printf "updated the \"server\" block of BENCH_perf.json\n%!"
-  end;
   if !failures > 0 then begin
     Printf.eprintf "FAIL: bench serve — parity, request or verification failure\n";
     exit 1
   end;
   print_newline ()
-
-(* ---------- perf regression gate (make bench-gate) ----------------------- *)
-
-(* pull the float following [key] out of a perf JSON by substring scan —
-   both files are machine-written by [perf_json] above, so the shapes
-   are stable and a JSON-parser dependency is not warranted *)
-let scan_float text key =
-  let n = String.length text and k = String.length key in
-  let rec find i =
-    if i + k > n then None
-    else if String.equal (String.sub text i k) key then Some (i + k)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some i ->
-    let j = ref i in
-    while !j < n && text.[!j] = ' ' do incr j done;
-    let s = !j in
-    while
-      !j < n
-      && match text.[!j] with '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true | _ -> false
-    do
-      incr j
-    done;
-    float_of_string_opt (String.sub text s (!j - s))
-
-(* [perf-gate] compares the fresh BENCH_perf.json against
-   BENCH_baseline.json (the committed baseline, staged by `make
-   bench-gate`) and fails if any gated metric regressed by more than
-   25% — wide enough for shared-runner noise, narrow enough to catch a
-   lost fast path. *)
-let perf_gate () =
-  let baseline_path = "BENCH_baseline.json" in
-  let fresh_path = "BENCH_perf.json" in
-  if not (Sys.file_exists baseline_path) then begin
-    Printf.eprintf
-      "perf-gate: %s not found (run via `make bench-gate`, which stages the committed baseline)\n"
-      baseline_path;
-    exit 2
-  end;
-  let baseline = read_file baseline_path in
-  let fresh = read_file fresh_path in
-  let tolerance = 1.25 in
-  let metrics =
-    [
-      ("path-eval-deep ns/run", {|"name":"path-eval-deep","ns_per_run":|});
-      ("snapshot-load ns/run", {|"name":"snapshot-load","ns_per_run":|});
-      ("q1 hash-join ns/run", {|"hash_ns_per_run": |});
-      ("fig16 total wall s", {|"total_wall_s": |});
-      ("server request p50 us", {|"request_p50_us": |});
-      ("suspend/resume p50 us", {|"suspend_resume_p50_us": |});
-    ]
-  in
-  print_endline line;
-  Printf.printf "Perf gate — fresh run vs committed baseline (tolerance %.0f%%)\n"
-    ((tolerance -. 1.) *. 100.);
-  print_endline line;
-  Printf.printf "%-24s %14s %14s %8s\n" "metric" "baseline" "fresh" "ratio";
-  let failed = ref false in
-  List.iter
-    (fun (label, key) ->
-      match scan_float baseline key, scan_float fresh key with
-      | Some b, Some f when b > 0. ->
-        let ratio = f /. b in
-        let ok = ratio <= tolerance in
-        if not ok then failed := true;
-        Printf.printf "%-24s %14.1f %14.1f %7.2fx  %s\n" label b f ratio
-          (if ok then "ok" else "REGRESSED")
-      | _ ->
-        failed := true;
-        Printf.printf "%-24s metric missing from %s\n" label
-          (if scan_float baseline key = None then baseline_path else fresh_path))
-    metrics;
-  (* higher-is-better: the fig16 parallel speedup must not fall below the
-     baseline's by more than the tolerance.  Relative, not absolute — the
-     attainable ratio is a property of the runner's core count, so the
-     gate compares like with like instead of pinning a magic number. *)
-  (let speedup_of text =
-     match
-       ( scan_float text {|"sequential_wall_s": |},
-         scan_float text {|"parallel_wall_s": |} )
-     with
-     | Some s, Some p when p > 0. -> Some (s /. p)
-     | _ -> None
-   in
-   match speedup_of baseline, speedup_of fresh with
-   | Some b, Some f when b > 0. ->
-     let ratio = f /. b in
-     let ok = ratio >= 1. /. tolerance in
-     if not ok then failed := true;
-     Printf.printf "%-24s %14.2f %14.2f %7.2fx  %s\n" "fig16 parallel speedup" b
-       f ratio
-       (if ok then "ok" else "REGRESSED")
-   | _ ->
-     failed := true;
-     Printf.printf "%-24s wall metrics missing\n" "fig16 parallel speedup");
-  (* higher-is-better: streaming parse throughput (MB/s) and the
-     session server's sessions/sec must not fall below the baseline's
-     by more than the tolerance *)
-  List.iter
-    (fun (label, key) ->
-      match scan_float baseline key, scan_float fresh key with
-      | Some b, Some f when b > 0. ->
-        let ratio = f /. b in
-        let ok = ratio >= 1. /. tolerance in
-        if not ok then failed := true;
-        Printf.printf "%-24s %14.1f %14.1f %7.2fx  %s\n" label b f ratio
-          (if ok then "ok" else "REGRESSED")
-      | _ ->
-        failed := true;
-        Printf.printf "%-24s metric missing\n" label)
-    [
-      ("parse throughput MB/s", {|"parse_throughput_mb_s": |});
-      ("server sessions/sec", {|"sessions_per_sec": |});
-    ];
-  if !failed then begin
-    Printf.eprintf "FAIL: perf gate — a gated metric regressed beyond %.0f%%\n"
-      ((tolerance -. 1.) *. 100.);
-    exit 1
-  end;
-  Printf.printf "=> all gated metrics within tolerance\n\n"
 
 (* ---------- offline trace analysis (make obs-report) --------------------- *)
 
@@ -1785,9 +974,6 @@ let () =
       | _ ->
         Printf.eprintf "bad --sessions %S (expected a positive integer)\n" n;
         exit 2)
-    | "--no-block" :: rest ->
-      serve_no_block := true;
-      parse_jobs acc rest
     | arg :: rest -> parse_jobs (arg :: acc) rest
   in
   let args = parse_jobs [] args in
@@ -1805,12 +991,8 @@ let () =
     | "ablation" -> ablation ()
     | "reuse" -> reuse ()
     | "sgml" -> sgml ()
-    | "perf" -> perf ()
-    | "perf-json" -> perf_json ()
-    | "perf-gate" -> perf_gate ()
     | "frozen" -> frozen_bench ()
     | "stream" -> stream_bench ()
-    | "batch" -> batch_bench ()
     | "machine" -> machine_bench ()
     | "serve" -> serve_bench ()
     | "fuzz" -> fuzz ()
@@ -1820,11 +1002,10 @@ let () =
       fig16_xmp ();
       sgml ();
       ablation ();
-      reuse ();
-      perf ()
+      reuse ()
     | other ->
       Printf.eprintf
-        "unknown benchmark %S (expected fig15 | fig16-xmark | fig16-xmp | ablation | reuse | perf | perf-json | perf-gate | frozen | stream | batch | machine | serve | fuzz | obs-report TRACE | all)\n"
+        "unknown benchmark %S (expected fig15 | fig16-xmark | fig16-xmp | ablation | reuse | sgml | frozen | stream | machine | serve | fuzz | obs-report TRACE | all)\n"
         other;
       exit 2
   in

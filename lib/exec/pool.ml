@@ -7,7 +7,7 @@ module Obs = Xl_obs.Obs
 
 type worker_stat = { tasks : int; busy_ns : int }
 
-type t = { size : int; mutable last_stats : worker_stat array }
+type t = { size : int }
 
 (* scheduling metrics: how evenly a map spread its work (observed once
    per worker at join, so the pool itself adds no hot-path telemetry) *)
@@ -27,10 +27,9 @@ let default_jobs () =
 
 let create ?domains () =
   let size = match domains with Some n -> max 1 n | None -> default_jobs () in
-  { size; last_stats = [||] }
+  { size }
 
 let domains t = t.size
-let stats t = t.last_stats
 
 (* set while a domain is executing pool tasks: a nested [map] from inside
    a task must not spawn another layer of domains *)
@@ -219,21 +218,18 @@ let map ?(chunk = 1) t f xs =
       let t0 = Obs.now_ns () in
       let out = sequential_map f arr in
       let wall = Obs.now_ns () - t0 in
-      (* a nested map shares [t] with the outer parallel call: only the
-         outermost map may write the pool's stats slot *)
-      if not (Domain.DLS.get inside_worker) then begin
-        let stats = [| { tasks = Array.length arr; busy_ns = wall } |] in
-        t.last_stats <- stats;
-        record_stats stats ~wall_ns:wall
-      end;
+      (* a nested map runs inside an outer parallel call's task: only
+         the outermost map records scheduling metrics *)
+      if not (Domain.DLS.get inside_worker) then
+        record_stats
+          [| { tasks = Array.length arr; busy_ns = wall } |]
+          ~wall_ns:wall;
       out
     end
     else begin
       let t0 = Obs.now_ns () in
       parallel_map ~workers ~chunk
-        ~record:(fun stats ->
-          t.last_stats <- stats;
-          record_stats stats ~wall_ns:(Obs.now_ns () - t0))
+        ~record:(fun stats -> record_stats stats ~wall_ns:(Obs.now_ns () - t0))
         f arr
     end
   in

@@ -20,11 +20,6 @@
 
 type t
 
-type worker_stat = {
-  tasks : int;  (** items this worker executed in the last [map]/[iter] *)
-  busy_ns : int;  (** wall-clock ns the worker spent running tasks *)
-}
-
 val default_jobs : unit -> int
 (** Worker count used by {!create} when [~domains] is not given: the
     [XLEARNER_JOBS] environment variable if set to a positive integer,
@@ -40,14 +35,6 @@ val create : ?domains:int -> unit -> t
 val domains : t -> int
 (** The pool's worker count. *)
 
-val stats : t -> worker_stat array
-(** Per-worker scheduling statistics of the pool's most recent outermost
-    [map]/[iter] call ([[||]] before the first call): how many items each
-    worker claimed and how long it was busy, the information a join used
-    to discard.  A sequential run (one worker, or a nested map) reports a
-    single slot.  The same numbers feed the [pool_tasks_per_worker] and
-    [pool_worker_idle_us] histograms of {!Xl_obs.Obs} when telemetry is
-    enabled. *)
 
 val map : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] is [List.map f xs] computed on the pool's domains.

@@ -1,7 +1,7 @@
 (** The one JSON codec of the repo.  See the interface; the parser is
     the trace-analysis reader promoted out of [lib/obs], the serializer
     is new with the session server (server responses, telemetry export
-    and [BENCH_perf.json] all render through it). *)
+    and the benchmark's report all render through it). *)
 
 type t =
   | Null

@@ -3,11 +3,11 @@
 
     Grown out of the trace-analysis reader in [lib/obs]: the session
     server speaks JSON over HTTP, the telemetry exporters emit JSONL,
-    and [BENCH_perf.json] is machine-written — all three now share this
-    parser and this serializer instead of ad-hoc [Printf].  The parser
-    accepts arbitrary well-formed JSON (nesting, escapes, floats,
-    unicode escapes); [Error]s carry a byte offset, which the server
-    surfaces in its structured 400 responses. *)
+    and the benchmark (perfbench) prints a JSON report — all three
+    share this parser and this serializer instead of ad-hoc [Printf].
+    The parser accepts arbitrary well-formed JSON (nesting, escapes,
+    floats, unicode escapes); [Error]s carry a byte offset, which the
+    server surfaces in its structured 400 responses. *)
 
 type t =
   | Null

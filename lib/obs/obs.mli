@@ -19,7 +19,8 @@
     - {b Exporters} render everything as JSONL trace events (one JSON
       object per line, ordered by the global sequence counter), a
       human-readable summary table with per-span-name p50/p95/p99, or
-      the [telemetry] JSON block of [BENCH_perf.json].
+      the [telemetry] JSON object (served by the session server's
+      [/metrics]).
 
     The analysis layer builds on these primitives: [Perfetto] renders
     the merged spans as a Chrome trace-event file, [Profiler] samples
@@ -239,7 +240,7 @@ val summary_table : unit -> string
     p50/p95/p99 latency columns), counters, and histograms. *)
 
 val telemetry_json : ?indent:string -> unit -> string
-(** The [telemetry] block for [BENCH_perf.json]: a JSON object with
+(** The [telemetry] JSON object (the session server's [/metrics]): one with
     [spans] (each carrying [p50_ns]/[p95_ns]/[p99_ns]), [counters] and
     [histograms] (each carrying interpolated [p50]/[p95]/[p99]) arrays,
     sorted by name.  [indent] prefixes every line after the first. *)

@@ -14,7 +14,8 @@
     memoized: XMark Q7 asks ~46k schema-reachability questions whose
     steps revisit a few hundred distinct pairs. *)
 
-(* (state, symbol) step memo telemetry, exported in the perf baseline *)
+(* (state, symbol) step memo telemetry; the benchmark reports its hit
+   fraction as core.r1_cache.hit_frac *)
 let c_r1_hit = Xl_obs.Obs.Counter.make "r1_cache_hit"
 let c_r1_miss = Xl_obs.Obs.Counter.make "r1_cache_miss"
 

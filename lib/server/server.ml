@@ -745,8 +745,16 @@ let ok fields = (200, Json.Obj fields)
    server error *)
 let learning_failed e = err 422 ("learning failed: " ^ e)
 
-let fresh_id t =
-  Printf.sprintf "%s-%x" t.id_prefix (Atomic.fetch_and_add t.id_counter 1)
+(* the prefix changes once per second and the counter restarts with the
+   process, so a server restarted on the same spool can draw an id that
+   names a suspended session: skip ids that are live or spooled *)
+let rec fresh_id t =
+  let id =
+    Printf.sprintf "%s-%x" t.id_prefix (Atomic.fetch_and_add t.id_counter 1)
+  in
+  if Option.is_some (find_sess t id) || Sys.file_exists (spool_file t id) then
+    fresh_id t
+  else id
 
 let handle_create t ~t0 body =
   match resolve_scenario t body with
@@ -774,9 +782,14 @@ let handle_create t ~t0 body =
                 s_outcome = Machine.outcome m;
               }))
     in
-    ignore (insert_sess t s);
-    Obs.Counter.incr c_sessions_created;
-    (201, Json.Obj (outcome_fields s))
+    if insert_sess t s then begin
+      Obs.Counter.incr c_sessions_created;
+      (201, Json.Obj (outcome_fields s))
+    end
+    else begin
+      Pool.Service.run t.svc ~key (fun () -> Machine.abort s.s_machine);
+      err 409 (Printf.sprintf "session %S is live" id)
+    end
 
 let with_sess t id f =
   match find_sess t id with

@@ -191,6 +191,39 @@ let prop_product_correct =
       let d2 = Regex.to_dfa ~alphabet_size:k r2 in
       Dfa.accepts (Dfa.intersection d1 d2) w = (Dfa.accepts d1 w && Dfa.accepts d2 w))
 
+(* ---------- Batched membership ------------------------------------------ *)
+
+(* An observation-table-shaped batch: S is every word over {0..3} up to
+   length 4 (prefix-closed, like L*'s row labels), E a small suffix set,
+   the batch S x E.  The one DFA pass over the batch's prefix trie must
+   answer exactly like one automaton walk per word, and the trie must
+   share prefixes: fewer nodes than the per-word symbol steps. *)
+let test_accepts_batch () =
+  let dfa =
+    Regex.to_dfa ~alphabet_size:8
+      Regex.(seq [ Sym 0; Star (alt [ Sym 1; Sym 2; Sym 3 ]); Sym 4 ])
+  in
+  let s_rows =
+    let rec grow acc frontier k =
+      if k = 0 then acc
+      else
+        let next = List.concat_map (fun w -> List.init 4 (fun s -> s :: w)) frontier in
+        grow (acc @ next) next (k - 1)
+    in
+    List.map List.rev (grow [ [] ] [ [] ] 4)
+  in
+  let e_cols = [ []; [ 4 ]; [ 2; 4 ]; [ 5 ] ] in
+  let words = List.concat_map (fun s -> List.map (fun e -> s @ e) e_cols) s_rows in
+  check (Alcotest.list cbool) "batched answers equal per-word answers"
+    (List.map (Dfa.accepts dfa) words)
+    (Dfa.accepts_batch dfa words);
+  let steps = List.fold_left (fun acc w -> acc + List.length w) 0 words in
+  let trie = Trie.create () in
+  List.iter (fun w -> ignore (Trie.add_word trie w)) words;
+  let shared = Trie.size trie - 1 in
+  if not (shared < steps) then
+    Alcotest.failf "prefix trie has %d nodes for %d per-word symbol steps" shared steps
+
 let () =
   Alcotest.run "xl_automata"
     [
@@ -205,6 +238,7 @@ let () =
           Alcotest.test_case "minimize" `Quick test_minimize;
           Alcotest.test_case "with_start/extend" `Quick test_with_start_and_extend;
           Alcotest.test_case "accepted_up_to" `Quick test_accepted_up_to;
+          Alcotest.test_case "batched membership" `Quick test_accepts_batch;
         ] );
       ( "regex",
         [

@@ -303,6 +303,42 @@ let test_semi_join_scaling () =
   let row sc = Xl_core.Stats.to_row (Xl_core.Learn.run sc).Xl_core.Learn.stats in
   Alcotest.(check string) "Q9 row at 4x equals 1x" (row x1) (row x4)
 
+(* XMark Q1's inner FLWOR joins items to their category by an equality
+   [where]: on a 24-category instance it must be planned as a hash join
+   on every one of the 24 outer iterations, never as a nested loop, and
+   answer exactly what the reference's nested loop answers. *)
+let test_q1_hash_join () =
+  let scale =
+    {
+      Xl_workload.Xmark_gen.categories = 24;
+      items_per_region = 30;
+      people = 30;
+      open_auctions = 20;
+      closed_auctions = 25;
+    }
+  in
+  let store = Xml.Store.of_docs [ Xl_workload.Xmark_gen.generate scale ] in
+  Xml.Store.prepare store;
+  let q1 =
+    Parser.parse
+      {|for $c in /site/categories/category
+        return <category>{$c/name}{
+          for $i in /site/regions/(europe|africa)/item
+          where $i/incategory/@category = $c/@id
+          return <item>{$i/name}</item>}</category>|}
+  in
+  let reference = Xl_fuzz.Ref_eval.run_to_string (Eval.make_ctx store) q1 in
+  Xl_obs.Obs.reset ();
+  Xl_obs.Obs.set_enabled true;
+  let got =
+    Fun.protect
+      ~finally:(fun () -> Xl_obs.Obs.set_enabled false)
+      (fun () -> Eval.run_to_string (Eval.make_ctx store) q1)
+  in
+  Alcotest.(check string) "Q1 result, hash join vs nested loop" reference got;
+  Alcotest.(check int) "hash joins" 24 (quant_counter "eval_flwor_hash_join");
+  Alcotest.(check int) "nested loops" 0 (quant_counter "eval_flwor_nested_loop")
+
 (* The extent and join caches over the corpus: evaluating a case's
    target twice on one context — cold, then answered from the caches the
    first run filled — must match the reference both times. *)
@@ -610,57 +646,44 @@ let test_fuzz_pool_parity () =
           rest)
     (List.init 25 Fun.id)
 
-(* The committed perf baseline (BENCH_perf.json, a declared test dep)
-   pins the Figure-16 interaction counts: re-learning any scenario of
-   either suite must reproduce its stats row byte for byte, whatever the
-   engine does under the hood.  This is the learner-behaviour guard. *)
-let baseline_stats ~suite ~name : string =
-  let text =
-    (* dune runtest runs in test/, dune exec in the project root *)
-    let path =
-      List.find_opt Sys.file_exists [ "../BENCH_perf.json"; "BENCH_perf.json" ]
-    in
-    match path with
-    | None -> Alcotest.fail "BENCH_perf.json not found (declared test dep)"
-    | Some path ->
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      s
-  in
-  let find_from start key =
-    let n = String.length text and k = String.length key in
-    let rec go i =
-      if i + k > n then
-        Alcotest.failf "BENCH_perf.json: %S not found (after %d)" key start
-      else if String.equal (String.sub text i k) key then i + k
-      else go (i + 1)
-    in
-    go start
-  in
-  let suite_at = find_from 0 (Printf.sprintf "%S: { \"wall_s\"" suite) in
-  let row_at =
-    find_from suite_at (Printf.sprintf "{\"name\":%S," name)
-  in
-  let stats_at = find_from row_at "\"stats\":" in
-  let rec close i =
-    match text.[i] with '}' -> i | _ -> close (i + 1)
-  in
-  String.sub text stats_at (close stats_at - stats_at + 1)
+(* The Figure-16 interaction counts are pinned by fig16_stats.json (a
+   declared test dep): one [Stats.to_json] object per scenario, keyed
+   "suite/name".  Re-learning any scenario of either suite must
+   reproduce its object field for field, whatever the engine does under
+   the hood.  This is the learner-behaviour guard. *)
+let pinned_fig16_stats () =
+  let module Json = Xl_json.Json in
+  (* dune runtest runs in _build/default/test, dune exec in the root *)
+  match List.find_opt Sys.file_exists [ "fig16_stats.json"; "test/fig16_stats.json" ] with
+  | None -> Alcotest.fail "fig16_stats.json not found (declared test dep)"
+  | Some path -> (
+    match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok (Json.Obj rows) -> rows
+    | Ok _ -> Alcotest.failf "%s: not a JSON object" path
+    | Error e -> Alcotest.failf "%s: %s" path e)
 
 let test_pinned_fig16_counts () =
+  let pinned = pinned_fig16_stats () in
   let rows =
     Xl_exec.Pool.map pool
       (fun (suite, name, sc) ->
-        (suite, name, Xl_core.Stats.to_json (Xl_core.Learn.run sc).Xl_core.Learn.stats))
+        ( suite ^ "/" ^ name,
+          Xl_core.Stats.to_json (Xl_core.Learn.run sc).Xl_core.Learn.stats ))
       (fig16_scenarios ())
   in
-  Alcotest.(check int) "every fig16 scenario" 30 (List.length rows);
+  Alcotest.(check (list string)) "one pinned row per fig16 scenario"
+    (List.map fst rows) (List.map fst pinned);
   List.iter
-    (fun (suite, name, got) ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s %s stats row matches committed baseline" suite name)
-        (baseline_stats ~suite ~name) got)
+    (fun (key, got) ->
+      let got =
+        match Xl_json.Json.parse got with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "%s: Stats.to_json unparseable: %s" key e
+      in
+      let want = List.assoc key pinned in
+      if want <> got then
+        Alcotest.failf "%s stats row: pinned %s, got %s" key
+          (Xl_json.Json.to_string want) (Xl_json.Json.to_string got))
     rows
 
 let () =
@@ -677,6 +700,8 @@ let () =
             test_fuzz_corpus_engines;
           Alcotest.test_case "fig16 stores, select-engine parity" `Quick
             test_select_engine_parity;
+          Alcotest.test_case "xmark Q1 takes the hash join" `Quick
+            test_q1_hash_join;
         ] );
       ( "semi-join",
         [
@@ -702,7 +727,7 @@ let () =
             test_learner_pool_parity;
           Alcotest.test_case "fuzz corpus, one vs four domains" `Slow
             test_fuzz_pool_parity;
-          Alcotest.test_case "interaction counts pinned to BENCH_perf.json"
+          Alcotest.test_case "interaction counts pinned to fig16_stats.json"
             `Slow test_pinned_fig16_counts;
         ] );
     ]

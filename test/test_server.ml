@@ -17,6 +17,7 @@
    - suspend/resume: a session survives the spool round trip and still
      verifies; uploaded-corpus sessions refuse to suspend (409); a
      spooled snapshot of the retired machine version 1 resumes as 400;
+     a freshly created session never takes the id of a spooled one;
    - uploads: a serialized copy of a catalog document uploaded as a
      fresh corpus learns its target and verifies; a document on which
      the target has no drag-and-drop example answers 422;
@@ -435,6 +436,60 @@ let test_resume_v1_snapshot () =
     | None -> false);
   Client.close c
 
+(* Session ids are "<prefix>-<hex counter>", the counter restarting with
+   the process: a restarted server can draw the id of a session an
+   earlier process suspended.  A spool file crafted for the server's next
+   id (a real xmp/Q1 spool file re-encoded under that id, digest
+   recomputed) must survive a create + suspend byte-unchanged and still
+   resume as its own scenario. *)
+let test_fresh_id_skips_spooled () =
+  let c = connect () in
+  let j =
+    req c "POST" "/sessions" ~body:(Json.Obj [ ("scenario", Json.Str "xmp/Q1") ]) ()
+  in
+  let donor = get_str "id" j in
+  ignore (req c "POST" ("/sessions/" ^ donor ^ "/suspend") ());
+  let data =
+    In_channel.with_open_bin (Filename.concat spool (donor ^ ".sess"))
+      In_channel.input_all
+  in
+  let dash = String.rindex donor '-' in
+  let next =
+    Printf.sprintf "%s-%x" (String.sub donor 0 dash)
+      (int_of_string ("0x" ^ String.sub donor (dash + 1) (String.length donor - dash - 1))
+      + 1)
+  in
+  (* spool framing: magic, u32 version, then id / scenario / snapshot
+     blobs (u32 length + bytes), then the MD5 of everything before *)
+  let id_len = Int32.to_int (String.get_int32_le data 12) in
+  let rest_at = 16 + id_len in
+  let len32 n =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_le b 0 (Int32.of_int n);
+    Bytes.to_string b
+  in
+  let body =
+    String.sub data 0 12 ^ len32 (String.length next) ^ next
+    ^ String.sub data rest_at (String.length data - 16 - rest_at)
+  in
+  let crafted = body ^ Digest.string body in
+  let crafted_path = Filename.concat spool (next ^ ".sess") in
+  Out_channel.with_open_bin crafted_path (fun oc -> output_string oc crafted);
+  let j =
+    req c "POST" "/sessions" ~body:(Json.Obj [ ("scenario", Json.Str "xmark/Q1") ]) ()
+  in
+  let fresh = get_str "id" j in
+  ignore (req c "POST" ("/sessions/" ^ fresh ^ "/suspend") ());
+  Alcotest.(check string) "crafted spool file unchanged" crafted
+    (In_channel.with_open_bin crafted_path In_channel.input_all);
+  let r =
+    req c "POST" "/sessions/resume" ~body:(Json.Obj [ ("id", Json.Str next) ]) ()
+  in
+  Alcotest.(check (option string)) "spooled session resumes as itself"
+    (Some "xmp/Q1") (Json.mem_str "scenario" r);
+  ignore (req c "DELETE" ("/sessions/" ^ next) ());
+  Client.close c
+
 (* ---------- uploaded corpus ----------------------------------------------- *)
 
 let test_upload () =
@@ -618,6 +673,8 @@ let () =
             test_suspend_resume;
           Alcotest.test_case "version-1 spooled snapshot answers 400" `Quick
             test_resume_v1_snapshot;
+          Alcotest.test_case "fresh ids skip spooled sessions" `Quick
+            test_fresh_id_skips_spooled;
           Alcotest.test_case "uploaded corpus learns its target" `Quick
             test_upload;
           Alcotest.test_case "unlearnable upload answers 422" `Quick

@@ -455,6 +455,54 @@ let test_snapshot_store_reuse () =
        (List.filter (fun n -> String.equal (Node.symbol n) "item") (Store.nodes store))
      = 1)
 
+(* ---------- Ingestion cost ----------------------------------------------- *)
+
+(* The ingestion paths compared by what they allocate on one XMark
+   instance (24 categories) — counts that do not depend on the host,
+   unlike wall time.  Each path runs once unmeasured first, so one-time
+   interning of tag names is not charged to the measured run, and the
+   measurement starts from a collected heap: the byte count subtracts
+   promoted words, which otherwise vary with where the minor heap
+   happens to stand. *)
+let xmark_text =
+  lazy
+    (let scale =
+       {
+         Xl_workload.Xmark_gen.categories = 24;
+         items_per_region = 30;
+         people = 30;
+         open_auctions = 20;
+         closed_auctions = 25;
+       }
+     in
+     Serialize.node_to_string (Doc.root (Xl_workload.Xmark_gen.generate scale)))
+
+let allocated_by f =
+  ignore (Sys.opaque_identity (f ()));
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.allocated_bytes () -. before
+
+let parse_plus_freeze text = Frozen.freeze (Xml_parser.parse_doc text)
+
+let test_stream_allocates_less () =
+  let text = Lazy.force xmark_text in
+  let tree = allocated_by (fun () -> parse_plus_freeze text) in
+  let stream = allocated_by (fun () -> Frozen_builder.parse text) in
+  if not (stream < tree) then
+    Alcotest.failf "streamed build allocates %.0f bytes, parse + freeze %.0f" stream
+      tree
+
+let test_snapshot_load_allocates_less () =
+  let text = Lazy.force xmark_text in
+  let snap = Snapshot.to_string (snd (Frozen_builder.parse text)) in
+  let tree = allocated_by (fun () -> parse_plus_freeze text) in
+  let load = allocated_by (fun () -> Snapshot.of_string snap) in
+  if not (10. *. load <= tree) then
+    Alcotest.failf "snapshot load allocates %.0f bytes, parse + freeze %.0f (%.1fx, want >= 10x)"
+      load tree (tree /. load)
+
 (* ---------- Properties ------------------------------------------------------ *)
 
 let gen_frag =
@@ -567,6 +615,13 @@ let () =
           Alcotest.test_case "lazy tree" `Quick test_snapshot_lazy_tree;
           Alcotest.test_case "rejects corruption" `Quick test_snapshot_rejects_corruption;
           Alcotest.test_case "store reuse" `Quick test_snapshot_store_reuse;
+        ] );
+      ( "ingestion cost",
+        [
+          Alcotest.test_case "streamed build allocates less than parse + freeze"
+            `Quick test_stream_allocates_less;
+          Alcotest.test_case "snapshot load allocates 10x less than parse + freeze"
+            `Quick test_snapshot_load_allocates_less;
         ] );
       ( "serializer",
         [
