@@ -616,7 +616,7 @@ let () =
           Alcotest.test_case "rejects corruption" `Quick test_snapshot_rejects_corruption;
           Alcotest.test_case "store reuse" `Quick test_snapshot_store_reuse;
         ] );
-      ( "ingestion cost",
+      ( "ingestion",
         [
           Alcotest.test_case "streamed build allocates less than parse + freeze"
             `Quick test_stream_allocates_less;
