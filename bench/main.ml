@@ -659,6 +659,7 @@ let serve_bench () =
   let ids = Array.make n_sessions "" in
   let requests = Atomic.make 0 in
   let errors = Atomic.make 0 in
+  let created = Atomic.make 0 in
   let spawn_each f =
     let ts = List.init n_threads (fun ti -> Thread.create f ti) in
     List.iter Thread.join ts
@@ -675,7 +676,9 @@ let serve_bench () =
              ~body:(Json.Obj [ ("scenario", Json.Str scen) ])
              ()
          with
-        | 201, j -> ids.(!i) <- Option.value ~default:"" (Json.mem_str "id" j)
+        | 201, j ->
+          Atomic.incr created;
+          ids.(!i) <- Option.value ~default:"" (Json.mem_str "id" j)
         | _, _ -> Atomic.incr errors
         | exception _ -> Atomic.incr errors);
         i := !i + n_threads
@@ -687,8 +690,9 @@ let serve_bench () =
     Client.close c;
     Option.value ~default:0 (Json.mem_int "sessions" h)
   in
-  Printf.printf "load: %d sessions live after create phase (%d threads)\n%!"
-    concurrent_peak n_threads;
+  Printf.printf "load: %d sessions live after create phase (%d threads), %d created\n%!"
+    concurrent_peak n_threads (Atomic.get created);
+  if concurrent_peak <> Atomic.get created then incr failures;
   (* phase 2: drive them to completion, interleaved — each thread
      round-robins small auto-steps over its slice, so one worker serves
      many part-way dialogues at every moment, like real users would *)

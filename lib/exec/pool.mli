@@ -84,7 +84,8 @@ module Service : sig
   (** Execute [f] on the key's worker and block the calling thread until
       it finishes; [f]'s exception (with backtrace) re-raises here.
       Callers are sys-threads (the server's connection threads), so
-      blocking parks the thread without occupying a domain. *)
+      blocking parks the thread without occupying a domain.
+      [run ~key:i] for [0 <= i < workers t] reaches worker [i]. *)
 
   val stop : t -> unit
   (** Drain: workers finish queued tasks, then join.  Every worker

@@ -3,13 +3,21 @@
     - {b threads vs domains}: connection handlers are sys-threads on the
       main domain (cheap, blocking-friendly); learner work runs on the
       persistent worker domains of [Pool.Service].  A session is pinned
-      to [hash id mod workers], because the machine's suspended effect
-      continuation must resume on the domain that captured it and the
-      ambient telemetry session tag is domain-local state.
+      to the worker [Service.run ~key:(hash id)] reaches, because the
+      machine's suspended effect continuation must resume on the domain
+      that captured it and the ambient telemetry session tag is
+      domain-local state.
+    - {b ownership}: that worker owns the session outright.  Its table
+      is domain-local, and every request that reads or changes a
+      session (create, answer, status, question, query, suspend, resume,
+      delete) is one task on it, so no session state is locked.
+      Connection threads frame HTTP, parse JSON and uploads and render
+      replies; [/health] reads one atomic count.
     - {b sharing}: catalog stores are prepared once at startup and read
       shared by every session of the same corpus; uploaded documents
-      are deduplicated by content digest, so a thousand sessions over
-      one corpus hold one store.
+      are deduplicated by content digest (the one lock left: that
+      cache is shared by every worker), so a thousand sessions over one
+      corpus hold one store.
     - {b fault containment}: HTTP or JSON defects answer a structured
       400 on the connection thread; engine exceptions are caught per
       request ([Service.run] ferries them back) — nothing a client
@@ -58,36 +66,27 @@ let observe_latency endpoint t0 =
 
 (* ---------- sessions ----------------------------------------------------- *)
 
+(* a session's fields are read and written only by tasks on its owner
+   worker, so they need no lock *)
 type sess = {
   s_id : string;
-  s_key : int;
   s_ref : string;  (* catalog name, or "upload:…" for uploaded corpora *)
   s_scenario : Scenario.t;
-  s_mutex : Mutex.t;
-      (* guards s_machine/s_outcome: written on the pinned worker, read
-         by any connection thread — reads must see a consistent pair *)
   mutable s_machine : Machine.t;
   mutable s_outcome : Machine.outcome;
 }
 
-(* a consistent (machine, outcome) pair for connection-thread readers *)
-let sess_view s = Mutex.protect s.s_mutex (fun () -> (s.s_machine, s.s_outcome))
-
-let sess_set s o m =
-  Mutex.protect s.s_mutex (fun () ->
-      s.s_machine <- m;
-      s.s_outcome <- o)
-
-type shard = { sh_mutex : Mutex.t; sh_tbl : (string, sess) Hashtbl.t }
-
-let nshards = 16
+(* the sessions a worker owns: each worker domain has its own table, and
+   only tasks on that domain read or write it *)
+let owned : (string, sess) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
 type t = {
   socket : string;
   spool : string;
   listen_fd : Unix.file_descr;
   svc : Pool.Service.t;
-  shards : shard array;
+  live : int Atomic.t;  (* sessions in all owner tables, for [/health] *)
   catalog : (string * Scenario.t) list;
   uploads_mutex : Mutex.t;
   uploads : (string, Store.t) Hashtbl.t;
@@ -97,53 +96,50 @@ type t = {
 }
 
 let socket_path t = t.socket
-let shard_of t id = t.shards.(Hashtbl.hash id land (nshards - 1))
 
-let find_sess t id =
-  let sh = shard_of t id in
-  Mutex.protect sh.sh_mutex (fun () -> Hashtbl.find_opt sh.sh_tbl id)
-
-(* false if the id is already live *)
-let insert_sess t s =
-  let sh = shard_of t s.s_id in
-  Mutex.protect sh.sh_mutex (fun () ->
-      if Hashtbl.mem sh.sh_tbl s.s_id then false
-      else begin
-        Hashtbl.replace sh.sh_tbl s.s_id s;
-        Obs.Counter.incr c_active;
-        true
-      end)
-
-let remove_sess t id =
-  let sh = shard_of t id in
-  Mutex.protect sh.sh_mutex (fun () ->
-      match Hashtbl.find_opt sh.sh_tbl id with
-      | None -> None
-      | Some s ->
-        Hashtbl.remove sh.sh_tbl id;
-        Obs.Counter.add c_active (-1);
-        Some s)
-
-let live_sessions t =
-  Array.fold_left
-    (fun acc sh ->
-      Mutex.protect sh.sh_mutex (fun () ->
-          Hashtbl.fold (fun id _ l -> id :: l) sh.sh_tbl acc))
-    [] t.shards
-
-(* every machine touch runs on the session's pinned worker, bracketed by
-   the ambient telemetry tag; the request span is recorded there too, so
-   per-session filtering sees the server work and the machine.step spans
-   it caused under one id *)
-let on_worker t (s : sess) ~endpoint ~t0 f =
-  Pool.Service.run t.svc ~key:s.s_key (fun () ->
-      Obs.set_session (Some s.s_id);
+(* Run [f] with the owner worker's table as one task on the worker that
+   owns [id], bracketed by the ambient telemetry tag; the request span is
+   recorded there too, so per-session filtering sees the server work and
+   the machine.step spans it caused under one id. *)
+let on_worker t id ~endpoint ~t0 f =
+  Pool.Service.run t.svc ~key:(Hashtbl.hash id) (fun () ->
+      Obs.set_session (Some id);
       Fun.protect
         ~finally:(fun () ->
           Obs.record_completed ~name:"server.request" ~detail:endpoint
             ~t0_ns:t0 ();
           Obs.set_session None)
-        f)
+        (fun () -> f (Domain.DLS.get owned)))
+
+(* table edits, on the owner worker only *)
+let add_sess t tbl ~id ~sref sc m =
+  let s =
+    {
+      s_id = id;
+      s_ref = sref;
+      s_scenario = sc;
+      s_machine = m;
+      s_outcome = Machine.outcome m;
+    }
+  in
+  Hashtbl.replace tbl id s;
+  Atomic.incr t.live;
+  Obs.Counter.incr c_active;
+  s
+
+let drop_sess t tbl s =
+  Hashtbl.remove tbl s.s_id;
+  Atomic.decr t.live;
+  Obs.Counter.add c_active (-1);
+  Machine.abort s.s_machine
+
+(* every worker's ids: [run ~key:i] for [i < workers] reaches worker [i] *)
+let live_sessions t =
+  List.concat_map
+    (fun i ->
+      Pool.Service.run t.svc ~key:i (fun () ->
+          Hashtbl.fold (fun id _ l -> id :: l) (Domain.DLS.get owned) []))
+    (List.init (Pool.Service.workers t.svc) Fun.id)
 
 (* ---------- wire codec --------------------------------------------------- *)
 
@@ -535,19 +531,18 @@ let phase_string (p : Machine.phase) =
 let stats_json (st : Stats.t) =
   match Json.parse (Stats.to_json st) with Ok j -> j | Error _ -> Json.Null
 
-(* [machine]/[outcome] must be a consistent pair — either a
-   {!sess_view} snapshot or the fields read on the pinned worker *)
-let outcome_fields_of (s : sess) machine outcome =
+(* read on the owner worker, like every session field *)
+let outcome_fields (s : sess) =
   let store = s.s_scenario.Scenario.store in
   let base =
     [
       ("id", Json.str s.s_id);
       ("scenario", Json.str s.s_ref);
-      ("phase", Json.str (phase_string (Machine.phase machine)));
-      ("steps", Json.int (Machine.steps machine));
+      ("phase", Json.str (phase_string (Machine.phase s.s_machine)));
+      ("steps", Json.int (Machine.steps s.s_machine));
     ]
   in
-  match outcome with
+  match s.s_outcome with
   | `Ask q -> base @ [ ("question", question_json store q) ]
   | `Done (r : Xl_core.Learn_types.result) ->
     base
@@ -562,31 +557,23 @@ let outcome_fields_of (s : sess) machine outcome =
             ] );
       ]
 
-let outcome_fields (s : sess) =
-  let machine, outcome = sess_view s in
-  outcome_fields_of s machine outcome
+(* ---------- session operations (run on the owner worker) ----------------- *)
 
-(* ---------- session operations (run on the pinned worker) ---------------- *)
+let do_answer (s : sess) a =
+  let o, m = Machine.step s.s_machine a in
+  s.s_machine <- m;
+  s.s_outcome <- o
 
-(* only the pinned worker mutates, so its own unlocked reads of
-   s_machine/s_outcome are race-free; writes go through {!sess_set} for
-   the connection-thread readers *)
 let do_auto (s : sess) count =
   let rec go n =
     match s.s_outcome with
     | `Done _ -> ()
     | `Ask _ when n <= 0 -> ()
     | `Ask q ->
-      let a = Machine.answer_with (Machine.oracle_teacher s.s_machine) q in
-      let o, m = Machine.step s.s_machine a in
-      sess_set s o m;
+      do_answer s (Machine.answer_with (Machine.oracle_teacher s.s_machine) q);
       go (n - 1)
   in
   go count
-
-let do_answer (s : sess) a =
-  let o, m = Machine.step s.s_machine a in
-  sess_set s o m
 
 (* ---------- spool framing ------------------------------------------------ *)
 
@@ -747,57 +734,41 @@ let learning_failed e = err 422 ("learning failed: " ^ e)
 
 (* the prefix changes once per second and the counter restarts with the
    process, so a server restarted on the same spool can draw an id that
-   names a suspended session: skip ids that are live or spooled *)
-let rec fresh_id t =
+   names a suspended session, or one resumed and live again: skip both,
+   the spooled on this thread and the live in the create task *)
+let rec create_session t ~t0 ((sref, sc) as scenario) =
   let id =
     Printf.sprintf "%s-%x" t.id_prefix (Atomic.fetch_and_add t.id_counter 1)
   in
-  if Option.is_some (find_sess t id) || Sys.file_exists (spool_file t id) then
-    fresh_id t
-  else id
+  if Sys.file_exists (spool_file t id) then create_session t ~t0 scenario
+  else
+    match
+      on_worker t id ~endpoint:"create" ~t0 (fun tbl ->
+          if Hashtbl.mem tbl id then None
+          else
+            Some (outcome_fields (add_sess t tbl ~id ~sref sc (Machine.start sc))))
+    with
+    | None -> create_session t ~t0 scenario
+    | Some fields ->
+      Obs.Counter.incr c_sessions_created;
+      (201, Json.Obj fields)
 
 let handle_create t ~t0 body =
   match resolve_scenario t body with
   | Error e -> err 400 e
-  | Ok (sref, sc) ->
-    let id = fresh_id t in
-    let key = Hashtbl.hash id in
-    let s =
-      Pool.Service.run t.svc ~key (fun () ->
-          Obs.set_session (Some id);
-          Fun.protect
-            ~finally:(fun () ->
-              Obs.record_completed ~name:"server.request" ~detail:"create"
-                ~t0_ns:t0 ();
-              Obs.set_session None)
-            (fun () ->
-              let m = Machine.start sc in
-              {
-                s_id = id;
-                s_key = key;
-                s_ref = sref;
-                s_scenario = sc;
-                s_mutex = Mutex.create ();
-                s_machine = m;
-                s_outcome = Machine.outcome m;
-              }))
-    in
-    if insert_sess t s then begin
-      Obs.Counter.incr c_sessions_created;
-      (201, Json.Obj (outcome_fields s))
-    end
-    else begin
-      Pool.Service.run t.svc ~key (fun () -> Machine.abort s.s_machine);
-      err 409 (Printf.sprintf "session %S is live" id)
-    end
+  | Ok scenario -> create_session t ~t0 scenario
 
-let with_sess t id f =
-  match find_sess t id with
-  | None -> err 404 (Printf.sprintf "no session %S" id)
-  | Some s -> f s
+(* one task on the owner worker: the lookup, then [f] *)
+let with_sess t id ~endpoint ~t0 f =
+  on_worker t id ~endpoint ~t0 (fun tbl ->
+      match Hashtbl.find_opt tbl id with
+      | None -> err 404 (Printf.sprintf "no session %S" id)
+      | Some s -> f tbl s)
 
+(* the finished-guard and the step run in one task, so two racing
+   answers to one session cannot both pass the guard and double-step *)
 let handle_answer t ~t0 id body =
-  with_sess t id (fun s ->
+  with_sess t id ~endpoint:"answer" ~t0 (fun _ s ->
       let apply =
         match Json.member "auto" body with
         | Some (Json.Bool true) -> Ok (fun () -> do_auto s 1)
@@ -811,28 +782,18 @@ let handle_answer t ~t0 id body =
             (fun a () -> do_answer s a)
             (answer_of_json s.s_scenario.Scenario.store body)
       in
-      match apply with
-      | Error e -> err 400 e
-      | Ok go -> (
-        (* the finished-guard, the step and the response-field read run
-           as one task on the pinned worker: two racing answers to one
-           session cannot both pass the guard and double-step *)
-        match
-          on_worker t s ~endpoint:"answer" ~t0 (fun () ->
-              match s.s_outcome with
-              | `Done _ -> None
-              | `Ask _ ->
-                go ();
-                Some (outcome_fields_of s s.s_machine s.s_outcome))
-        with
-        | None -> err 409 "session already finished"
-        | Some fields -> ok fields
+      match (apply, s.s_outcome) with
+      | Error e, _ -> err 400 e
+      | Ok _, `Done _ -> err 409 "session already finished"
+      | Ok go, `Ask _ -> (
+        match go () with
+        | () -> ok (outcome_fields s)
         | exception Invalid_argument e -> err 400 e
         | exception Xl_core.Learn_types.Learning_failed e -> learning_failed e))
 
-let handle_question t id =
-  with_sess t id (fun s ->
-      match snd (sess_view s) with
+let handle_question t ~t0 id =
+  with_sess t id ~endpoint:"question" ~t0 (fun _ s ->
+      match s.s_outcome with
       | `Done _ -> err 409 "session already finished"
       | `Ask q ->
         ok
@@ -844,17 +805,16 @@ let handle_question t id =
 (* the hypothesis: a finished session answers its learned query; a
    session suspended at an equivalence question answers the extent the
    learner currently believes in *)
-let handle_query t id =
-  with_sess t id (fun s ->
+let handle_query t ~t0 id =
+  with_sess t id ~endpoint:"query" ~t0 (fun _ s ->
       let store = s.s_scenario.Scenario.store in
-      let machine, outcome = sess_view s in
       let base =
         [
           ("id", Json.str s.s_id);
-          ("phase", Json.str (phase_string (Machine.phase machine)));
+          ("phase", Json.str (phase_string (Machine.phase s.s_machine)));
         ]
       in
-      match outcome with
+      match s.s_outcome with
       | `Done r ->
         ok
           (base
@@ -877,23 +837,21 @@ let mkdir_exist_ok dir =
   | () -> ()
   | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
+(* The snapshot, the durable write (temp file + rename) and the removal
+   are one task: an answer queued behind the suspend finds the session
+   gone (404) instead of being acknowledged and then dropped, and a
+   failed write answers 500 with the session intact. *)
 let handle_suspend t ~t0 id =
-  with_sess t id (fun s ->
-      if String.length s.s_ref >= 7 && String.sub s.s_ref 0 7 = "upload:" then
+  with_sess t id ~endpoint:"suspend" ~t0 (fun tbl s ->
+      if String.starts_with ~prefix:"upload:" s.s_ref then
         err 409 "uploaded-corpus sessions cannot be suspended (no stable scenario reference)"
       else begin
-        (* snapshot first, write durably (temp file + rename), and only
-           then drop the live session: a failed spool write answers 500
-           with the session intact instead of silently losing it *)
-        let snap =
-          on_worker t s ~endpoint:"suspend" ~t0 (fun () ->
-              Machine.snapshot s.s_machine)
+        let data =
+          spool_encode ~id ~scenario_ref:s.s_ref
+            ~snapshot:(Machine.snapshot s.s_machine)
         in
-        let data = spool_encode ~id ~scenario_ref:s.s_ref ~snapshot:snap in
         let final = spool_file t id in
-        let tmp =
-          Printf.sprintf "%s.tmp.%d" final (Thread.id (Thread.self ()))
-        in
+        let tmp = final ^ ".tmp" in
         match
           mkdir_exist_ok t.spool;
           Out_channel.with_open_bin tmp (fun oc ->
@@ -904,11 +862,7 @@ let handle_suspend t ~t0 id =
           (try Sys.remove tmp with Sys_error _ -> ());
           err 500 ("spool write failed: " ^ Printexc.to_string e)
         | () ->
-          (match remove_sess t id with
-          | Some s ->
-            Pool.Service.run t.svc ~key:s.s_key (fun () ->
-                Machine.abort s.s_machine)
-          | None -> ());
+          drop_sess t tbl s;
           ok
             [
               ("id", Json.str id);
@@ -917,74 +871,53 @@ let handle_suspend t ~t0 id =
             ]
       end)
 
+(* The live check, the spool read, the replay, the insert and the spool
+   removal are one task on the worker that also writes the file on
+   suspend: a racing resume finds the session live (409) before it
+   replays anything, and no resume reads a snapshot that a later
+   suspend has replaced. *)
 let handle_resume t ~t0 body =
   match Json.mem_str "id" body with
   | None -> err 400 "resume needs an \"id\""
   | Some id when not (id_ok id) -> err 400 "bad session id"
-  | Some id -> (
-    if Option.is_some (find_sess t id) then
-      err 409 (Printf.sprintf "session %S is live" id)
-    else begin
-      let path = spool_file t id in
-      match In_channel.with_open_bin path In_channel.input_all with
-      | exception Sys_error _ -> err 404 (Printf.sprintf "no suspended session %S" id)
-      | data -> (
-        match spool_decode data with
-        | Error e -> err 400 ("corrupt spool file: " ^ e)
-        | Ok (spool_id, sref, snapshot) -> (
-          if not (String.equal spool_id id) then
-            err 400 "spool file names a different session"
-          else
-            match List.assoc_opt sref t.catalog with
-            | None -> err 400 (Printf.sprintf "scenario %S not in this catalog" sref)
-            | Some sc -> (
-              let key = Hashtbl.hash id in
-              match
-                Pool.Service.run t.svc ~key (fun () ->
-                    Obs.set_session (Some id);
-                    Fun.protect
-                      ~finally:(fun () ->
-                        Obs.record_completed ~name:"server.request"
-                          ~detail:"resume" ~t0_ns:t0 ();
-                        Obs.set_session None)
-                      (fun () -> Machine.restore ~scenario:sc snapshot))
-              with
-              | exception Machine.Corrupt e -> err 400 ("corrupt snapshot: " ^ e)
-              | m ->
-                let s =
-                  {
-                    s_id = id;
-                    s_key = key;
-                    s_ref = sref;
-                    s_scenario = sc;
-                    s_mutex = Mutex.create ();
-                    s_machine = m;
-                    s_outcome = Machine.outcome m;
-                  }
-                in
-                if insert_sess t s then begin
+  | Some id ->
+    on_worker t id ~endpoint:"resume" ~t0 (fun tbl ->
+        let path = spool_file t id in
+        if Hashtbl.mem tbl id then err 409 (Printf.sprintf "session %S is live" id)
+        else
+          match In_channel.with_open_bin path In_channel.input_all with
+          | exception Sys_error _ ->
+            err 404 (Printf.sprintf "no suspended session %S" id)
+          | data -> (
+            match spool_decode data with
+            | Error e -> err 400 ("corrupt spool file: " ^ e)
+            | Ok (spool_id, _, _) when not (String.equal spool_id id) ->
+              err 400 "spool file names a different session"
+            | Ok (_, sref, snapshot) -> (
+              match List.assoc_opt sref t.catalog with
+              | None -> err 400 (Printf.sprintf "scenario %S not in this catalog" sref)
+              | Some sc -> (
+                match Machine.restore ~scenario:sc snapshot with
+                | exception Machine.Corrupt e -> err 400 ("corrupt snapshot: " ^ e)
+                | m ->
+                  let s = add_sess t tbl ~id ~sref sc m in
                   Sys.remove path;
-                  ok (outcome_fields s)
-                end
-                else err 409 (Printf.sprintf "session %S is live" id))))
-    end)
+                  ok (outcome_fields s)))))
 
 let handle_delete t ~t0 id =
-  match remove_sess t id with
-  | None -> err 404 (Printf.sprintf "no session %S" id)
-  | Some s ->
-    on_worker t s ~endpoint:"delete" ~t0 (fun () -> Machine.abort s.s_machine);
-    ok [ ("id", Json.str id); ("deleted", Json.Bool true) ]
+  with_sess t id ~endpoint:"delete" ~t0 (fun tbl s ->
+      drop_sess t tbl s;
+      ok [ ("id", Json.str id); ("deleted", Json.Bool true) ])
 
-let handle_status t id =
-  with_sess t id (fun s -> ok (outcome_fields s))
+let handle_status t ~t0 id =
+  with_sess t id ~endpoint:"status" ~t0 (fun _ s -> ok (outcome_fields s))
 
 let handle_health t =
   ok
     [
       ("ok", Json.Bool true);
       ("workers", Json.int (Pool.Service.workers t.svc));
-      ("sessions", Json.int (List.length (live_sessions t)));
+      ("sessions", Json.int (Atomic.get t.live));
     ]
 
 let handle_metrics () =
@@ -1044,9 +977,10 @@ let route t ~t0 (req : Http.request) =
     ("create", with_body req (fun b -> handle_create t ~t0 b))
   | "POST", [ "sessions"; "resume" ] ->
     ("resume", with_body req (fun b -> handle_resume t ~t0 b))
-  | "GET", [ "sessions"; id ] -> ("status", handle_status t id)
-  | "GET", [ "sessions"; id; "question" ] -> ("question", handle_question t id)
-  | "GET", [ "sessions"; id; "query" ] -> ("query", handle_query t id)
+  | "GET", [ "sessions"; id ] -> ("status", handle_status t ~t0 id)
+  | "GET", [ "sessions"; id; "question" ] ->
+    ("question", handle_question t ~t0 id)
+  | "GET", [ "sessions"; id; "query" ] -> ("query", handle_query t ~t0 id)
   | "POST", [ "sessions"; id; "answer" ] ->
     ("answer", with_body req (fun b -> handle_answer t ~t0 id b))
   | "POST", [ "sessions"; id; "suspend" ] -> ("suspend", handle_suspend t ~t0 id)
@@ -1129,9 +1063,7 @@ let create ?workers ?spool ~socket () =
     spool = (match spool with Some s -> s | None -> socket ^ ".spool");
     listen_fd;
     svc = Pool.Service.start ?workers ();
-    shards =
-      Array.init nshards (fun _ ->
-          { sh_mutex = Mutex.create (); sh_tbl = Hashtbl.create 64 });
+    live = Atomic.make 0;
     catalog;
     uploads_mutex = Mutex.create ();
     uploads = Hashtbl.create 8;

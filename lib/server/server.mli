@@ -25,16 +25,18 @@
     - [DELETE /sessions/ID], [POST /shutdown]
 
     Concurrency: the accept loop hands each connection to a sys-thread;
-    every touch of a session's machine is executed by
-    [Xl_exec.Pool.Service.run], keyed by the session id's hash, so one
-    session's effect continuations and telemetry tag stay on one worker
-    domain while different sessions run in parallel.  The
-    finished-guard, the step and the response-field read of an answer
-    run as one worker task (racing answers cannot double-step), and
-    status reads snapshot the machine/outcome pair under a per-session
-    mutex.  Sessions live in a mutex-striped table; catalog stores are
-    prepared once and shared read-only by every session of the same
-    corpus, and uploaded documents are deduplicated by content digest.
+    a session belongs to the [Xl_exec.Pool.Service] worker its id's
+    hash keys to, which keeps it in a domain-local table, so its effect
+    continuations and telemetry tag stay on one domain while different
+    sessions run in parallel.  Every request that reads or changes a
+    session runs as one task on that worker — lookup, finished-guard,
+    step and response fields together — so racing answers cannot
+    double-step, status reads are consistent, and a suspend (snapshot,
+    spool write, removal) cannot drop an answer it has acknowledged.
+    [GET /health] counts live sessions from one atomic and never waits
+    on a worker.  Catalog stores are prepared once and shared read-only
+    by every session of the same corpus, and uploaded documents are
+    deduplicated by content digest.
     Malformed requests (HTTP framing or JSON bodies) answer 400 with
     [{"error":…,"offset":…}] and never kill the accept loop or a
     worker; a learning failure on the session's data (no consistent

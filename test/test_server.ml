@@ -2,7 +2,8 @@
    instance shared by every case, exercised through Xl_server.Client
    (actual HTTP/1.1 + JSON on the wire):
 
-   - health/scenarios: the catalog is served;
+   - health/scenarios: the catalog is served; [GET /sessions] lists
+     the live ids of every worker and [/health] counts them;
    - auto parity: sessions driven by [{"auto":n}] report the same
      interaction row, stats JSON and verified flag as a synchronous
      Learn.run on an independently built scenario;
@@ -18,6 +19,9 @@
      verifies; uploaded-corpus sessions refuse to suspend (409); a
      spooled snapshot of the retired machine version 1 resumes as 400;
      a freshly created session never takes the id of a spooled one;
+   - races: an answer racing a suspend is either in the resumed
+     session or answered 404, never acknowledged and lost; two racing
+     answers step twice; two racing resumes give one 200 and one 409;
    - uploads: a serialized copy of a catalog document uploaded as a
      fresh corpus learns its target and verifies; a document on which
      the target has no drag-and-drop example answers 422;
@@ -115,6 +119,25 @@ let test_health () =
   in
   Alcotest.(check bool) "catalog has xmark/Q1" true (List.mem "xmark/Q1" names);
   Alcotest.(check bool) "catalog has xmp/Q1" true (List.mem "xmp/Q1" names);
+  (* the list gathers the ids of every worker, and the health count
+     agrees with it *)
+  let ids =
+    List.init 4 (fun _ ->
+        get_str "id"
+          (req c "POST" "/sessions" ~body:(Json.Obj [ ("scenario", Json.Str "xmp/Q1") ]) ()))
+  in
+  let listed =
+    match Json.mem_list "sessions" (req c "GET" "/sessions" ()) with
+    | Some l -> List.filter_map Json.to_string_opt l
+    | None -> []
+  in
+  Alcotest.(check (list string)) "every live session listed"
+    (List.sort compare ids) (List.sort compare listed);
+  Alcotest.(check (option int)) "health counts the live sessions" (Some 4)
+    (Json.mem_int "sessions" (req c "GET" "/health" ()));
+  List.iter (fun id -> ignore (req c "DELETE" ("/sessions/" ^ id) ())) ids;
+  Alcotest.(check (option int)) "deleted sessions uncounted" (Some 0)
+    (Json.mem_int "sessions" (req c "GET" "/health" ()));
   Client.close c
 
 (* ---------- auto-driven parity ------------------------------------------- *)
@@ -490,6 +513,107 @@ let test_fresh_id_skips_spooled () =
   ignore (req c "DELETE" ("/sessions/" ^ next) ());
   Client.close c
 
+(* ---------- races on one session ------------------------------------------ *)
+
+(* Send the requests at once, each on its own connection, and return the
+   (status, body) replies in request order. *)
+let at_once reqs =
+  let go = Atomic.make false in
+  let replies = Array.make (List.length reqs) (0, Json.Null) in
+  let threads =
+    List.mapi
+      (fun i (meth, path, body) ->
+        let c = connect () in
+        Thread.create
+          (fun () ->
+            while not (Atomic.get go) do
+              Thread.yield ()
+            done;
+            replies.(i) <- Client.request c ~meth ~path ?body ();
+            Client.close c)
+          ())
+      reqs
+  in
+  Atomic.set go true;
+  List.iter Thread.join threads;
+  Array.to_list replies
+
+let steps_of j = Option.value ~default:(-1) (Json.mem_int "steps" j)
+
+(* An answer acknowledged with 200 is in the session's state: an answer
+   racing a suspend either lands before the snapshot (and the resumed
+   session has its step) or finds the session gone (404).  Two answers
+   racing each other both step, one after the other. *)
+let test_answer_races_suspend () =
+  let c = connect () in
+  let trials = 30 in
+  let lost = ref 0 in
+  for _ = 1 to trials do
+    let j =
+      req c "POST" "/sessions" ~body:(Json.Obj [ ("scenario", Json.Str "xmark/Q8") ]) ()
+    in
+    let id = get_str "id" j in
+    let answer, suspend =
+      match
+        at_once
+          [
+            ("POST", "/sessions/" ^ id ^ "/answer", Some (auto 1));
+            ("POST", "/sessions/" ^ id ^ "/suspend", None);
+          ]
+      with
+      | [ a; s ] -> (a, s)
+      | _ -> assert false
+    in
+    Alcotest.(check int) "suspend answers 200" 200 (fst suspend);
+    Alcotest.(check bool)
+      (Printf.sprintf "answer is 200 or 404, got %d" (fst answer))
+      true
+      (List.mem (fst answer) [ 200; 404 ]);
+    let r =
+      req c "POST" "/sessions/resume" ~body:(Json.Obj [ ("id", Json.Str id) ]) ()
+    in
+    if fst answer = 200 && steps_of r < steps_of (snd answer) then incr lost;
+    ignore (req c "DELETE" ("/sessions/" ^ id) ())
+  done;
+  Alcotest.(check int)
+    (Printf.sprintf "trials (of %d) that lost an acknowledged answer" trials)
+    0 !lost;
+  let j =
+    req c "POST" "/sessions" ~body:(Json.Obj [ ("scenario", Json.Str "xmark/Q8") ]) ()
+  in
+  let id = get_str "id" j in
+  let answer = ("POST", "/sessions/" ^ id ^ "/answer", Some (auto 1)) in
+  List.iter
+    (fun (status, _) -> Alcotest.(check int) "racing answer" 200 status)
+    (at_once [ answer; answer ]);
+  Alcotest.(check int) "two racing answers step twice" (steps_of j + 2)
+    (steps_of (req c "GET" ("/sessions/" ^ id) ()));
+  ignore (req c "DELETE" ("/sessions/" ^ id) ());
+  Client.close c
+
+(* Two resumes of one spooled session: one restores it, the other finds
+   it live.  The spool file is consumed and nothing was replayed twice. *)
+let test_resume_races_resume () =
+  let c = connect () in
+  let j =
+    req c "POST" "/sessions" ~body:(Json.Obj [ ("scenario", Json.Str "xmark/Q8") ]) ()
+  in
+  let id = get_str "id" j in
+  let before = req c "POST" ("/sessions/" ^ id ^ "/answer") ~body:(auto 2) () in
+  ignore (req c "POST" ("/sessions/" ^ id ^ "/suspend") ());
+  let resume =
+    ("POST", "/sessions/resume", Some (Json.Obj [ ("id", Json.Str id) ]))
+  in
+  let statuses = List.sort compare (List.map fst (at_once [ resume; resume ])) in
+  Alcotest.(check (list int)) "one resume wins, one finds it live" [ 200; 409 ]
+    statuses;
+  Alcotest.(check bool) "spool file consumed" false
+    (Sys.file_exists (Filename.concat spool (id ^ ".sess")));
+  Alcotest.(check int) "live steps equal the snapshot's" (steps_of before)
+    (steps_of (req c "GET" ("/sessions/" ^ id) ()));
+  ignore (req c "DELETE" ("/sessions/" ^ id) ());
+  Client.close c
+
 (* ---------- uploaded corpus ----------------------------------------------- *)
 
 let test_upload () =
@@ -679,6 +803,13 @@ let () =
             test_upload;
           Alcotest.test_case "unlearnable upload answers 422" `Quick
             test_upload_unlearnable;
+        ] );
+      ( "races",
+        [
+          Alcotest.test_case "answer racing suspend is never lost" `Quick
+            test_answer_races_suspend;
+          Alcotest.test_case "racing resumes: one 200, one 409" `Quick
+            test_resume_races_resume;
         ] );
       ( "faults",
         [
