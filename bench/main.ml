@@ -242,7 +242,7 @@ let sgml () =
     (Xl_workload.Sgml_scenarios.all ());
   print_newline ()
 
-(* ---------- Session reuse (Section 11 future work) ---------------------- *)
+(* ---------- Answer reuse (Section 11 future work) ----------------------- *)
 
 let reuse () =
   print_endline line;
@@ -255,22 +255,25 @@ let reuse () =
       (Xl_workload.Xmark_scenarios.all ())
     @ List.filter (fun (n, _) -> String.equal n "Q9") (Xl_workload.Xmp_scenarios.all ())
   in
+  let module M = Xl_core.Machine in
+  let run ?prior sc =
+    let m = M.start ?prior sc in
+    M.drive ~teacher:(M.oracle_teacher m) m
+  in
   List.iter
     (fun (name, sc) ->
-      let session = Xl_core.Session.create () in
-      let before = Xl_core.Session.hits session in
-      let r1 = Xl_core.Learn.run ~session sc in
-      let r2 = Xl_core.Learn.run ~session sc in
+      let r1, m1 = run sc in
+      let r2, _ = run ~prior:m1 sc in
       let fmt (r : Xl_core.Learn.result) =
         Printf.sprintf "%d %d %d" r.Xl_core.Learn.stats.Xl_core.Stats.mq
           r.Xl_core.Learn.stats.Xl_core.Stats.ce r.Xl_core.Learn.stats.Xl_core.Stats.cb
       in
       Printf.printf "%-10s %28s %28s %8d\n%!" name (fmt r1) (fmt r2)
-        (Xl_core.Session.hits session - before))
+        r2.Xl_core.Learn.stats.Xl_core.Stats.auto_known)
     subjects;
   print_endline
-    "\n=> a re-learned drop box replays the stored answers: zero membership";
-  print_endline "   queries the second time around\n"
+    "\n=> a re-learned drop box replays the first run's genuine answers: zero";
+  print_endline "   membership queries the second time around\n"
 
 (* ---------- frozen-store scan parity (make bench-frozen) ----------------- *)
 
@@ -498,7 +501,7 @@ let machine_bench () =
           let snap = M.snapshot m_mid in
           M.abort m_mid;
           let m = M.restore ~scenario:sc snap in
-          let r = M.drive ~teacher:(M.oracle_teacher m) m in
+          let r, _ = M.drive ~teacher:(M.oracle_teacher m) m in
           (Xl_core.Stats.to_row r.Xl_core.Learn.stats, r.Xl_core.Learn.query_text)
         in
         let ok =

@@ -6,6 +6,7 @@
     scenario — the CLI cannot type arbitrary predicates).  This is the
     closest console equivalent of the GUI interaction of paper Figure 5. *)
 
+let describe_node = Xl_core.Dialog.describe_node
 let read_line_opt () = try Some (read_line ()) with End_of_file -> None
 
 let ask_yes_no prompt =
@@ -19,14 +20,6 @@ let ask_yes_no prompt =
       go ()
   in
   go ()
-
-let describe_node (n : Xl_xml.Node.t) =
-  let path = String.concat "/" (Xl_xml.Node.tag_path n) in
-  let value = Xl_xml.Node.string_value n in
-  let value =
-    if String.length value > 40 then String.sub value 0 37 ^ "..." else value
-  in
-  Printf.sprintf "/%s  %S" path value
 
 (** Wrap [oracle_teacher]: membership and equivalence queries go to the
     console; the oracle's answer is used when the user just presses

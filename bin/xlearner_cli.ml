@@ -140,15 +140,10 @@ let learn_cmd =
       if trace_file <> None || perfetto_file <> None || profile_file <> None then
         Xl_obs.Obs.set_enabled true;
       if profile_file <> None then Xl_obs.Profiler.start ();
-      let tr = Xl_core.Trace.create () in
-      let wrap_teacher t =
-        let t = if interactive then Interactive.teacher t else t in
-        if transcript || trace_file <> None then Xl_core.Trace.wrap tr t else t
-      in
       (* the learning session as an explicit loop over the resumable
          machine: start (or restore) it, answer each question with the
-         simulated oracle — decorated for interactive/transcript mode —
-         and feed the answer back through Machine.step *)
+         simulated oracle — or the console, in interactive mode — and
+         feed the answer back through Machine.step *)
       let m0 =
         match resume_file with
         | None -> Xl_core.Machine.start ~config sc
@@ -174,16 +169,28 @@ let learn_cmd =
         Printf.printf "resumed     : %s at step %d\n" path
           (Xl_core.Machine.steps m0)
       | None -> ());
-      let teacher = wrap_teacher (Xl_core.Machine.oracle_teacher m0) in
+      let teacher =
+        let oracle = Xl_core.Machine.oracle_teacher m0 in
+        if interactive then Interactive.teacher oracle else oracle
+      in
       let rec loop m =
         match Xl_core.Machine.outcome m with
-        | `Done r -> `Done r
-        | `Ask _ when suspend_at = Some (Xl_core.Machine.steps m) -> `Suspended m
+        | `Done r -> (m, Some r)
+        | `Ask _ when suspend_at = Some (Xl_core.Machine.steps m) -> (m, None)
         | `Ask q ->
           loop (snd (Xl_core.Machine.step m (Xl_core.Machine.answer_with teacher q)))
       in
-      (match loop m0 with
-      | `Suspended m ->
+      let m, result = loop m0 in
+      (* the dialog is a view over the final machine's transcript, which
+         holds the answers a --resume replayed as well as the new ones *)
+      let dialog = Xl_core.Machine.transcript m in
+      if transcript then begin
+        print_endline "interaction transcript:";
+        print_endline (Xl_core.Dialog.to_string dialog);
+        print_newline ()
+      end;
+      (match result with
+      | None ->
         let path = Option.get snapshot_file in
         let data = Xl_core.Machine.snapshot m in
         let oc = open_out_bin path in
@@ -197,12 +204,7 @@ let learn_cmd =
           (Xl_core.Machine.steps m) (String.length data) path;
         Printf.printf "resume with : xlearner learn %s %s --resume %s\n" suite
           query path
-      | `Done r ->
-        if transcript then begin
-          print_endline "interaction transcript:";
-          print_endline (Xl_core.Trace.to_string tr);
-          print_newline ()
-        end;
+      | Some r ->
         Printf.printf "scenario    : %s %s — %s\n" suite query
           sc.Xl_core.Scenario.description;
         Printf.printf "interactions: %s\n" (Xl_core.Stats.to_row r.Xl_core.Learn.stats);
@@ -222,9 +224,10 @@ let learn_cmd =
       | Some path ->
         (* teacher-dialog records interleave with the spans by the shared
            sequence counter *)
-        Xl_obs.Obs.write_jsonl ~extra:(Xl_core.Trace.to_jsonl_events tr) path;
+        let events = Xl_core.Dialog.to_jsonl_events dialog in
+        Xl_obs.Obs.write_jsonl ~extra:events path;
         Printf.printf "\nwrote trace %s (%d dialog events)\n" path
-          (Xl_core.Trace.length tr);
+          (List.length events);
         print_string (Xl_obs.Obs.summary_table ()));
       (match perfetto_file with
       | None -> ()

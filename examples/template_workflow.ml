@@ -62,11 +62,11 @@ let () =
       ~description:"person directory, learned without any source schema"
       "directory"
   in
-  let trace = Xl_core.Trace.create () in
-  let r = Xl_core.Learn.run ~wrap_teacher:(Xl_core.Trace.wrap trace) scenario in
+  let m = Xl_core.Machine.start scenario in
+  let r, m = Xl_core.Machine.drive ~teacher:(Xl_core.Machine.oracle_teacher m) m in
 
   print_endline "\n=== Interaction transcript (cf. paper Figure 5) ===";
-  print_endline (Xl_core.Trace.to_string trace);
+  print_endline (Xl_core.Dialog.to_string (Xl_core.Machine.transcript m));
   print_endline "\n=== Learned mapping ===";
   print_endline r.Xl_core.Learn.query_text;
   Printf.printf "\nInteractions: %s\nverified=%b (source schema: none — DataGuide fallback)\n"

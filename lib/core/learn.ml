@@ -38,15 +38,9 @@ type result = Learn_types.result = {
 
 exception Learning_failed = Learn_types.Learning_failed
 
-let run ?(config = default_config) ?teacher ?(wrap_teacher = Fun.id) ?session
-    ?on_auto (scenario : Scenario.t) : result =
-  let m = Machine.start ~config ?session ?on_auto scenario in
+let run ?(config = default_config) ?on_auto (scenario : Scenario.t) : result =
+  let m = Machine.start ~config ?on_auto scenario in
   (* answering with the machine's own simulated oracle keeps the single
      shared evaluation context (and its extent memoization) of the old
-     synchronous path; an explicit [teacher] replaces it, [wrap_teacher]
-     decorates either *)
-  let teacher =
-    wrap_teacher
-      (match teacher with Some t -> t | None -> Machine.oracle_teacher m)
-  in
-  Machine.drive ~teacher m
+     synchronous path *)
+  fst (Machine.drive ~teacher:(Machine.oracle_teacher m) m)

@@ -58,15 +58,14 @@ exception Learning_failed of string
 (** The same exception the machine raises ({!Learn_types.Learning_failed}). *)
 
 val run :
-  ?config:config -> ?teacher:Teacher.t ->
-  ?wrap_teacher:(Teacher.t -> Teacher.t) -> ?session:Session.t ->
+  ?config:config ->
   ?on_auto:
     (label:string -> rule:[ `R1 | `R2 ] -> path:string list -> answer:bool ->
      unit) ->
   Scenario.t -> result
-(** Learn the scenario's query.  [teacher] replaces the simulated
-    oracle; [wrap_teacher] decorates it (the CLI's interactive mode);
-    [session] enables answer reuse across runs (Section 11).  [on_auto]
+(** Learn the scenario's query, answering with the simulated oracle.
+    Drivers that want another teacher, the dialog, answer reuse across
+    runs (Section 11) or suspension drive a {!Machine} instead.  [on_auto]
     observes every R1/R2 auto-answered membership query, tagged with the
     learning-task label — the fuzz harness uses it to check reduction
     soundness against the target path language. *)

@@ -169,7 +169,7 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
     ~(ctx : Xl_xquery.Eval.ctx) ~(dg : Data_graph.t)
     ~(schemas : Xl_schema.Schema_source.t list)
     ~(schema_dfas : Xl_automata.Dfa.t list) ~(tree : Xqtree.t)
-    ~(session : (Session.t * string) option) ~on_auto
+    ~(known : (string * (string list * bool)) list) ~on_auto
     ~(bindings : (string * (string * Node.t)) list) (task : Task.t) : node_result
     =
   let label = Task.label task in
@@ -204,15 +204,13 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
         (fun f ss -> f ~label ~context ~rel_paths:ss)
         teacher.Teacher.path_membership_batch
     in
-    let shared, on_reuse =
-      match session with
-      | Some (sess, scenario_name) ->
-        ( Some (Session.table sess ~scenario:scenario_name ~label),
-          fun () -> Session.record_hit sess )
-      | None -> (None, Fun.id)
+    let known =
+      List.filter_map
+        (fun (l, answer) -> if String.equal l label then Some answer else None)
+        known
     in
     let pl =
-      Plearner.create ~config:config.rules ?shared ~on_reuse
+      Plearner.create ~config:config.rules ~known
         ?on_auto:
           (Option.map
              (fun f ~rule ~path ~answer -> f ~label ~rule ~path ~answer)
@@ -675,7 +673,7 @@ and reply =
   | I_done of Learn_types.result
 
 let run_engine ~(config : config) ~(rt : runtime) ~(teacher : Teacher.t)
-    ~(session : Session.t option) ~on_auto (scenario : Scenario.t) :
+    ~known ~on_auto (scenario : Scenario.t) :
     Learn_types.result =
   let on_phase p = rt.cur_phase <- p in
   Xl_obs.Obs.span ~name:"learn.scenario" ~detail:scenario.Scenario.name
@@ -725,9 +723,7 @@ let run_engine ~(config : config) ~(rt : runtime) ~(teacher : Teacher.t)
         Xl_obs.Obs.span ~name:"learn.task"
           ~detail:(scenario.Scenario.name ^ "/" ^ Task.label task) (fun () ->
             learn_task ~config ~stats ~teacher ~ctx ~dg ~schemas ~schema_dfas
-              ~tree
-              ~session:(Option.map (fun s -> (s, scenario.Scenario.name)) session)
-              ~on_auto ~bindings task))
+              ~tree ~known ~on_auto ~bindings task))
       (Task.tasks_of tree)
   in
   let learned = rebuild tree results in
@@ -846,14 +842,16 @@ let handle (f : unit -> Learn_types.result) : reply =
 
 type on_auto_cb = label:string -> rule:[ `R1 | `R2 ] -> path:string list -> answer:bool -> unit
 
-type entry = { qhash : int; question : question; answer : answer }
+type exchange = { question : question; answer : answer; seq : int; ts_ns : int }
 
 type t = {
   t_scenario : Scenario.t;
   t_config : config;
-  t_session : Session.t option;
+  t_known : (string * (string list * bool)) list;
+      (* Section 11 reuse: the genuine membership answers of the prior
+         runs, (task label, (relative path, answer)), oldest first *)
   t_on_auto : on_auto_cb option;
-  t_past : entry list;  (* newest first *)
+  t_past : (int * exchange) list;  (* (question digest, exchange), newest first *)
   t_steps : int;
   t_phase : phase;
   t_outcome : outcome;
@@ -865,7 +863,7 @@ let config m = m.t_config
 let outcome m = m.t_outcome
 let phase m = m.t_phase
 let steps m = m.t_steps
-let transcript m = List.rev_map (fun e -> (e.question, e.answer)) m.t_past
+let transcript m = List.rev_map snd m.t_past
 
 let oracle_teacher m =
   match m.t_rt.oracle with
@@ -930,20 +928,29 @@ let question_hash (store : Store.t) (q : question) : int =
 
 (* -------- launching and replaying the engine ---------------------------- *)
 
-let launch ~(config : config) ~session ~on_auto (scenario : Scenario.t) :
+let launch ~(config : config) ~known ~on_auto (scenario : Scenario.t) :
     runtime * reply =
   let rt = { oracle = None; cur_phase = Dropping; pending = None; live_gen = -1 } in
   let reply =
     handle (fun () ->
-        run_engine ~config ~rt ~teacher:effect_teacher ~session ~on_auto scenario)
+        run_engine ~config ~rt ~teacher:effect_teacher ~known ~on_auto scenario)
   in
   (rt, reply)
+
+(* the exchange of one answer, stamped for the dialog view: a batched
+   question reserves one sequence number per word, so its dialog lines
+   interleave with spans like single questions do *)
+let exchange ~ts_ns (q : question) (a : answer) : exchange =
+  let lines =
+    match q with Membership_batch { rel_paths; _ } -> List.length rel_paths | _ -> 1
+  in
+  { question = q; answer = a; seq = Xl_obs.Obs.next_seqs (max 1 lines); ts_ns }
 
 (* re-feed recorded answers to a freshly launched engine, checking each
    question against its recorded digest; returns the engine's frontier
    and the transcript rebuilt with live question values *)
 let replay ~(store : Store.t) (reply : reply) (pairs : (int * answer) list) :
-    reply * entry list =
+    reply * (int * exchange) list =
   let step_no = ref 0 in
   let rec feed reply past = function
     | [] -> (reply, past)
@@ -963,12 +970,13 @@ let replay ~(store : Store.t) (reply : reply) (pairs : (int * answer) list) :
             | Condition_box _ -> "a condition box"
             | Order_box _ -> "an order box");
         check_shape q a;
-        feed (Effect.Deep.continue k a) ({ qhash = qh; question = q; answer = a } :: past) rest)
+        let ex = exchange ~ts_ns:(Xl_obs.Obs.now_ns ()) q a in
+        feed (Effect.Deep.continue k a) ((qh, ex) :: past) rest)
   in
   try feed reply [] pairs
   with Learning_failed msg -> corrupt "replay: learning failed mid-transcript (%s)" msg
 
-let make_t ~scenario ~config ~session ~on_auto ~(rt : runtime) ~past ~steps
+let make_t ~scenario ~config ~known ~on_auto ~(rt : runtime) ~past ~steps
     (reply : reply) : t =
   let phase, outcome =
     match reply with
@@ -985,7 +993,7 @@ let make_t ~scenario ~config ~session ~on_auto ~(rt : runtime) ~past ~steps
   {
     t_scenario = scenario;
     t_config = config;
-    t_session = session;
+    t_known = known;
     t_on_auto = on_auto;
     t_past = past;
     t_steps = steps;
@@ -994,19 +1002,38 @@ let make_t ~scenario ~config ~session ~on_auto ~(rt : runtime) ~past ~steps
     t_rt = rt;
   }
 
-let start ?(config = Learn_types.default_config) ?session ?on_auto scenario =
-  let rt, reply = launch ~config ~session ~on_auto scenario in
-  make_t ~scenario ~config ~session ~on_auto ~rt ~past:[] ~steps:0 reply
+(* Section 11 reuse: every genuine membership answer [prior]'s lineage
+   was given, in ask order — a view over the transcripts, so replaying a
+   machine that reuses them is as deterministic as any other replay *)
+let known_of ~(scenario : Scenario.t) = function
+  | None -> []
+  | Some prior ->
+    if not (String.equal prior.t_scenario.Scenario.name scenario.Scenario.name) then
+      invalid_arg "Machine: the prior run is of another scenario";
+    prior.t_known
+    @ List.concat_map
+        (fun ex ->
+          match ex.question, ex.answer with
+          | Membership { label; rel_path; _ }, Bool b -> [ (label, (rel_path, b)) ]
+          | Membership_batch { label; rel_paths; _ }, Bools bs ->
+            List.map2 (fun p b -> (label, (p, b))) rel_paths bs
+          | _ -> [])
+        (transcript prior)
+
+let start ?(config = Learn_types.default_config) ?prior ?on_auto scenario =
+  let known = known_of ~scenario prior in
+  let rt, reply = launch ~config ~known ~on_auto scenario in
+  make_t ~scenario ~config ~known ~on_auto ~rt ~past:[] ~steps:0 reply
 
 (* rebuild a live continuation for a machine whose own was consumed (an
    old fork) by replaying its transcript on a fresh engine *)
 let relive (m : t) : runtime * reply =
   Xl_obs.Obs.Counter.incr c_replays;
   let rt, reply0 =
-    launch ~config:m.t_config ~session:m.t_session ~on_auto:m.t_on_auto
+    launch ~config:m.t_config ~known:m.t_known ~on_auto:m.t_on_auto
       m.t_scenario
   in
-  let pairs = List.rev_map (fun e -> (e.qhash, e.answer)) m.t_past in
+  let pairs = List.rev_map (fun (qh, ex) -> (qh, ex.answer)) m.t_past in
   let reply, _past = replay ~store:m.t_scenario.Scenario.store reply0 pairs in
   (rt, reply)
 
@@ -1043,11 +1070,11 @@ let step (m : t) (a : answer) : outcome * t =
             corrupt "replay diverged at the suspension point (step %d)" m.t_steps;
           (rt, k))
     in
+    let ex = exchange ~ts_ns:t0 q a in
     let reply = Effect.Deep.continue k a in
-    let entry = { qhash = qh; question = q; answer = a } in
     let m' =
-      make_t ~scenario:m.t_scenario ~config:m.t_config ~session:m.t_session
-        ~on_auto:m.t_on_auto ~rt ~past:(entry :: m.t_past)
+      make_t ~scenario:m.t_scenario ~config:m.t_config ~known:m.t_known
+        ~on_auto:m.t_on_auto ~rt ~past:((qh, ex) :: m.t_past)
         ~steps:(m.t_steps + 1) reply
     in
     Xl_obs.Obs.record_completed ~name:"machine.step" ~detail:(label_of q)
@@ -1089,44 +1116,15 @@ let answer_with (teacher : Teacher.t) (q : question) : answer =
     Cb (teacher.Teacher.condition_box ~label ~context ~negative_example)
   | Order_box { label } -> Order (teacher.Teacher.order_box ~label)
 
-let drive ~teacher (m : t) : Learn_types.result =
+let drive ~teacher (m : t) : Learn_types.result * t =
   let rec go m =
     match m.t_outcome with
-    | `Done r -> r
+    | `Done r -> (r, m)
     | `Ask q ->
       let _, m' = step m (answer_with teacher q) in
       go m'
   in
   go m
-
-(* -------- rendering ------------------------------------------------------ *)
-
-let question_to_string (q : question) : string =
-  let p = String.concat "/" in
-  match q with
-  | Membership { label; rel_path; _ } -> Printf.sprintf "MQ  [%s] %s" label (p rel_path)
-  | Membership_batch { label; rel_paths; _ } ->
-    Printf.sprintf "MQB [%s] %d paths" label (List.length rel_paths)
-  | Equivalence { label; extent; _ } ->
-    Printf.sprintf "EQ  [%s] extent of %d" label (List.length extent)
-  | Condition_box { label; _ } -> Printf.sprintf "CB  [%s]" label
-  | Order_box { label } -> Printf.sprintf "OB  [%s]" label
-
-let answer_to_string (a : answer) : string =
-  match a with
-  | Bool b -> if b then "yes" else "no"
-  | Bools bs ->
-    let s = String.concat "" (List.map (fun b -> if b then "Y" else "N") bs) in
-    if String.length s <= 64 then s else String.sub s 0 61 ^ "..."
-  | Eq Teacher.Equal -> "equal"
-  | Eq (Teacher.Counter { positive; _ }) ->
-    if positive then "counterexample (+)" else "counterexample (-)"
-  | Cb None -> "no condition"
-  | Cb (Some { Teacher.terminals; negative; _ }) ->
-    Printf.sprintf "condition (%d terminals%s)" terminals
-      (if negative then ", negated" else "")
-  | Order [] -> "no ordering"
-  | Order keys -> Printf.sprintf "order by %d keys" (List.length keys)
 
 (* ---------------------------------------------------------------------- *)
 (* Snapshots                                                               *)
@@ -1236,9 +1234,9 @@ let snapshot (m : t) : string =
       add_phase b m.t_phase;
       add_u32 b m.t_steps;
       List.iter
-        (fun e ->
-          add_u32 b e.qhash;
-          add_answer b store e.answer)
+        (fun (qh, ex) ->
+          add_u32 b qh;
+          add_answer b store ex.answer)
         (List.rev m.t_past);
       let body = Buffer.contents b in
       body ^ Digest.string body)
@@ -1369,7 +1367,8 @@ let read_phase c : phase =
   | 4 -> Finished
   | tag -> corrupt "bad phase tag %d" tag
 
-let restore ?pool ?session ?on_auto ~(scenario : Scenario.t) (data : string) : t =
+let restore ?pool ?prior ?on_auto ~(scenario : Scenario.t) (data : string) : t =
+  let known = known_of ~scenario prior in
   Xl_obs.Obs.span ~name:"machine.restore" ~detail:scenario.Scenario.name
     (fun () ->
       let len = String.length data in
@@ -1420,10 +1419,10 @@ let restore ?pool ?session ?on_auto ~(scenario : Scenario.t) (data : string) : t
       in
       if c.pos <> c.limit then
         corrupt "%d trailing bytes after the transcript" (c.limit - c.pos);
-      let rt, reply0 = launch ~config ~session ~on_auto scenario in
+      let rt, reply0 = launch ~config ~known ~on_auto scenario in
       let reply, past = replay ~store reply0 pairs in
       let m =
-        make_t ~scenario ~config ~session ~on_auto ~rt ~past ~steps:nentries
+        make_t ~scenario ~config ~known ~on_auto ~rt ~past ~steps:nentries
           reply
       in
       if m.t_phase <> stored_phase then

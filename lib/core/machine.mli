@@ -91,14 +91,23 @@ exception Corrupt of string
     silently wrong query. *)
 
 val start :
-  ?config:Learn_types.config -> ?session:Session.t ->
+  ?config:Learn_types.config -> ?prior:t ->
   ?on_auto:
     (label:string -> rule:[ `R1 | `R2 ] -> path:string list -> answer:bool ->
      unit) ->
   Scenario.t -> t
 (** Run the engine up to its first question (or to completion, for a
     scenario needing no genuine teacher answer).  Raises
-    {!Learn_types.Learning_failed} like the synchronous driver. *)
+    {!Learn_types.Learning_failed} like the synchronous driver.
+
+    [prior] is an earlier run of the same scenario (Section 11 reuse):
+    every genuine membership answer in its transcript — and in those of
+    its own priors — seeds the P-Learner of the drop box it was asked
+    for, so re-learning the drop boxes asks none of them again (each
+    reused answer counts in [Stats.auto_known]).  Only answers cross; the
+    new machine's own transcript starts empty.  Raises
+    [Invalid_argument] if [prior] is of a different scenario (by
+    name). *)
 
 val outcome : t -> outcome
 val phase : t -> phase
@@ -109,10 +118,19 @@ val steps : t -> int
 val scenario : t -> Scenario.t
 val config : t -> Learn_types.config
 
-val transcript : t -> (question * answer) list
-(** Chronological.  Questions are kept only for the driver's benefit
-    (transcript dumps, replay tests); the serialized state stores a
-    digest of each question plus the full answer. *)
+(** One answered question.  [seq] and [ts_ns] stamp when it was answered
+    ({!Xl_obs.Obs.next_seqs}, {!Xl_obs.Obs.now_ns}): [seq] is the first of
+    one sequence number per word of a [Membership_batch] (one otherwise),
+    so {!Dialog} lines interleave with telemetry spans.  A restored
+    machine's replayed exchanges are stamped at replay time.  Stamps are
+    not serialized. *)
+type exchange = { question : question; answer : answer; seq : int; ts_ns : int }
+
+val transcript : t -> exchange list
+(** Chronological, including the exchanges a {!restore} replayed.
+    Questions are kept only for the driver's benefit ({!Dialog}, replay
+    tests); the serialized state stores a digest of each question plus
+    the full answer. *)
 
 val step : t -> answer -> outcome * t
 (** Feed the answer to the pending question.  Raises [Invalid_argument]
@@ -125,9 +143,7 @@ val step : t -> answer -> outcome * t
     step of the same lineage transparently rebuilds the engine by
     replay (fresh oracle, transcript re-fed) — correct but linear in
     the transcript; drivers on the hot path should step the newest
-    value.  Machines attached to a {!Session.t} must be stepped
-    linearly: replay against a session table mutated by later answers
-    would diverge and raises {!Corrupt}. *)
+    value. *)
 
 val abort : t -> unit
 (** Discard the suspended continuation (if this value holds the live
@@ -148,7 +164,7 @@ val snapshot : t -> string
     not state. *)
 
 val restore :
-  ?pool:Xl_exec.Pool.t -> ?session:Session.t ->
+  ?pool:Xl_exec.Pool.t -> ?prior:t ->
   ?on_auto:
     (label:string -> rule:[ `R1 | `R2 ] -> path:string list -> answer:bool ->
      unit) ->
@@ -159,7 +175,9 @@ val restore :
     the per-question digests).  The restored machine is suspended at
     exactly the step the snapshot was taken at; finishing it yields the
     same query and the same interaction counts as the uninterrupted
-    run.  Raises {!Corrupt} on any validation failure. *)
+    run.  A machine started with [~prior] is restored with the same
+    [~prior] (the snapshot does not carry it).  Raises {!Corrupt} on any
+    validation failure. *)
 
 val node_ref : Store.t -> Node.t -> string * int list
 (** The process-stable identity a node has in a snapshot: its document's
@@ -188,10 +206,7 @@ val answer_with : Teacher.t -> question -> answer
     e.g. the interactive console) falls back to asking word at a time,
     in order — same answers, same question stream. *)
 
-val drive : teacher:Teacher.t -> t -> Learn_types.result
+val drive : teacher:Teacher.t -> t -> Learn_types.result * t
 (** Loop [step]/[answer_with] to completion — the synchronous driver as
-    a three-line client of the machine.  {!Learn.run} is this. *)
-
-val question_to_string : question -> string
-val answer_to_string : answer -> string
-(** One-line renderings for transcript dumps and failure artifacts. *)
+    a three-line client of the machine.  {!Learn.run} is this.  Returns
+    the finished machine too, whose transcript is the whole dialog. *)

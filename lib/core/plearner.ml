@@ -71,20 +71,11 @@ type t = {
       (** the real teacher's batched form, when it has one; the genuine
           questions of a batch are deferred and asked through this in
           first-ask order *)
-  answers : bool Path_tbl.t;
-      (** the path-keyed answer store a shared session reads back
-          (Section 11 reuse).  Resolution never reads it — [answers_w]
-          is the authoritative memo — and the rule-memoized bulk is
-          only written through here when a session is actually attached
-          ([session_attached]), keeping string hashing off the hot path *)
   answers_w : bool Word_tbl.t;
-      (** every answer, keyed by encoded word; kept across restarts.
-          Contents = [answers] minus paths outside the alphabet, which
-          no query can ever spell *)
-  session_attached : bool;
+      (** every answer, keyed by encoded word; kept across restarts *)
   preloaded_w : unit Word_tbl.t;
-      (** answers inherited from an earlier session, for reuse counting *)
-  on_reuse : unit -> unit;
+      (** answers inherited from an earlier run ([known]) and not yet
+          reused, for reuse counting *)
   counted : unit Word_tbl.t;  (** reduction-counted words *)
   canonical : bool Path_tbl.t;  (** Any_last: prefix -> answer *)
   mutable known_positive : string list list;
@@ -101,21 +92,20 @@ let last = function [] -> None | l -> Some (List.nth l (List.length l - 1))
 let prefix l = match l with [] -> [] | _ -> List.filteri (fun i _ -> i < List.length l - 1) l
 let rec last_sym = function [] -> -1 | [ a ] -> a | _ :: rest -> last_sym rest
 
-let create ?(config = default_config) ?shared ?(on_reuse = Fun.id) ?on_auto
-    ?ask_batch ~stats ~schemas ~alphabet ~abs_prefix ~dropped_path ~ask () =
-  let answers = match shared with Some tbl -> tbl | None -> Path_tbl.create 256 in
-  let answers_w = Word_tbl.create (max 256 (2 * Path_tbl.length answers)) in
-  let preloaded_w = Word_tbl.create (max 16 (2 * Path_tbl.length answers)) in
-  (* import the session's answers under word keys; paths outside the
+let create ?(config = default_config) ?(known = []) ?on_auto ?ask_batch ~stats
+    ~schemas ~alphabet ~abs_prefix ~dropped_path ~ask () =
+  let answers_w = Word_tbl.create 256 in
+  let preloaded_w = Word_tbl.create 16 in
+  (* import the earlier run's answers under word keys; paths outside the
      alphabet can never be queried, so dropping them loses nothing *)
-  Path_tbl.iter
-    (fun k v ->
+  List.iter
+    (fun (k, v) ->
       match Xl_automata.Alphabet.encode_opt alphabet k with
       | Some w ->
         Word_tbl.replace answers_w w v;
         Word_tbl.replace preloaded_w w ()
       | None -> ())
-    answers;
+    known;
   let known_positive_set = Path_tbl.create 16 in
   Path_tbl.replace known_positive_set dropped_path ();
   let cursors =
@@ -167,11 +157,8 @@ let create ?(config = default_config) ?shared ?(on_reuse = Fun.id) ?on_auto
       abs_prefix;
       ask;
       ask_batch;
-      answers;
       answers_w;
-      session_attached = shared <> None;
       preloaded_w;
-      on_reuse;
       counted = Word_tbl.create 256;
       canonical = Path_tbl.create 64;
       known_positive = [ dropped_path ];
@@ -189,7 +176,6 @@ let create ?(config = default_config) ?shared ?(on_reuse = Fun.id) ?on_auto
         | None -> -2);
     }
   in
-  Path_tbl.replace t.answers dropped_path true;
   (match Xl_automata.Alphabet.encode_opt alphabet dropped_path with
   | Some w -> Word_tbl.replace t.answers_w w true
   | None -> ());
@@ -230,7 +216,7 @@ let r2_applicable t ~(word : int list) ~(s : string list option) =
    Everything on the hit path is keyed by the encoded word — int-list
    hashes; [s] (the decoded path, when the caller has it anyway) is only
    consulted on the rare steps that need strings: the Any_last canonical
-   lookup, the [on_auto] observer and the session write-through. *)
+   lookup and the [on_auto] observer. *)
 let resolve_auto (t : t) ~(word : int list) ~(s : string list option)
     ~(r1a : bool) : bool option =
   let path () =
@@ -242,11 +228,10 @@ let resolve_auto (t : t) ~(word : int list) ~(s : string list option)
       Word_tbl.length t.preloaded_w > 0 (* don't hash against an empty table *)
       && Word_tbl.mem t.preloaded_w word
     then begin
-      (* an answer from an earlier session replaces an interaction *)
+      (* an answer from an earlier run replaces an interaction *)
       Word_tbl.remove t.preloaded_w word;
       t.stats.Stats.auto_known <- t.stats.Stats.auto_known + 1;
-      Xl_obs.Obs.Counter.incr c_mq_reused;
-      t.on_reuse ()
+      Xl_obs.Obs.Counter.incr c_mq_reused
     end;
     Some ans
   | None ->
@@ -278,11 +263,7 @@ let resolve_auto (t : t) ~(word : int list) ~(s : string list option)
       Xl_obs.Obs.Counter.incr c_mq_auto;
       (* R1 answers are schema-sound and may be memoized; R2 answers
          are assumptions and must stay revisable *)
-      if r1 then begin
-        Word_tbl.replace t.answers_w word ans;
-        (* a shared session keeps collecting the memoized bulk too *)
-        if t.session_attached then Path_tbl.replace t.answers (path ()) ans
-      end;
+      if r1 then Word_tbl.replace t.answers_w word ans;
       Some ans
     end
     else None
@@ -290,7 +271,6 @@ let resolve_auto (t : t) ~(word : int list) ~(s : string list option)
 (* bookkeeping of a genuine teacher answer (after the ask) *)
 let record_genuine (t : t) ~(word : int list) (s : string list) (ans : bool) :
     unit =
-  Path_tbl.replace t.answers s ans;
   Word_tbl.replace t.answers_w word ans;
   if ans then begin
     t.known_positive <- s :: t.known_positive;
@@ -413,14 +393,11 @@ let membership_batch (t : t) (words : int list list) : bool list =
 (** Record a positive counterexample path.  Raises {!Restart} when it
     invalidates the current R2 assumption (backtracking). *)
 let note_positive (t : t) (s : string list) : unit =
-  let word = Xl_automata.Alphabet.encode_opt t.alphabet s in
-  let conflict =
-    match word with
-    | Some w -> Word_tbl.find_opt t.answers_w w = Some false
-    | None -> Path_tbl.find_opt t.answers s = Some false
-  in
-  Path_tbl.replace t.answers s true;
-  (match word with Some w -> Word_tbl.replace t.answers_w w true | None -> ());
+  (* counterexample paths always encode: the evaluation context interns
+     every symbol of the store before learning starts *)
+  let word = Xl_automata.Alphabet.encode t.alphabet s in
+  let conflict = Word_tbl.find_opt t.answers_w word = Some false in
+  Word_tbl.replace t.answers_w word true;
   if not (Path_tbl.mem t.known_positive_set s) then begin
     t.known_positive <- s :: t.known_positive;
     Path_tbl.replace t.known_positive_set s ()
@@ -451,10 +428,7 @@ let note_positive (t : t) (s : string list) : unit =
     contradicts an Any_last auto-answer (R2 is then switched off). *)
 let note_negative (t : t) (s : string list) : unit =
   let record () =
-    Path_tbl.replace t.answers s false;
-    match Xl_automata.Alphabet.encode_opt t.alphabet s with
-    | Some w -> Word_tbl.replace t.answers_w w false
-    | None -> ()
+    Word_tbl.replace t.answers_w (Xl_automata.Alphabet.encode t.alphabet s) false
   in
   (match t.r2_state with
   | Any_last when Path_tbl.find_opt t.canonical (prefix s) = Some true ->

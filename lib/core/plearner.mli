@@ -31,8 +31,7 @@ exception Restart
 type t
 
 val create :
-  ?config:config -> ?shared:bool Path_tbl.t ->
-  ?on_reuse:(unit -> unit) ->
+  ?config:config -> ?known:(string list * bool) list ->
   ?on_auto:(rule:[ `R1 | `R2 ] -> path:string list -> answer:bool -> unit) ->
   ?ask_batch:(string list list -> bool list) ->
   stats:Stats.t ->
@@ -44,14 +43,15 @@ val create :
     teacher and is counted as a user membership query.  [ask_batch], when
     the teacher has one, answers the deferred genuine questions of a
     batched fill in one call (same answers, same counts as per-word
-    [ask]).  [shared] plugs in a {!Session} answer table: answers persist
-    across runs and inherited ones replace interactions ([on_reuse] fires
-    per reused answer).  [on_auto] observes every rule-auto-answered
-    membership query with the rule that fired and the {e absolute} path
-    ([abs_prefix] plus the queried word — the path R1 actually judged) —
-    R1 answers are claims about the schema's path language and must match
-    the ground truth, which is exactly what the fuzz harness checks; R2
-    answers are revisable assumptions. *)
+    [ask]).  [known] seeds the memo with the genuine answers an earlier
+    run of the same drop box was given (Section 11 reuse, see
+    {!Machine.start}): each one asked again replaces an interaction and
+    counts in [Stats.auto_known].  [on_auto] observes every
+    rule-auto-answered membership query with the rule that fired and
+    the {e absolute} path ([abs_prefix] plus the queried word — the
+    path R1 actually judged) — R1 answers are claims about the schema's
+    path language and must match the ground truth, which is exactly what
+    the fuzz harness checks; R2 answers are revisable assumptions. *)
 
 val membership : t -> int list -> bool
 (** The membership oracle handed to L*. *)

@@ -19,7 +19,8 @@ type t = {
   mutable reduced_r2 : int;
   mutable reduced_both : int;
   mutable auto_known : int;
-      (** auto-answers derived from earlier answers (incl. session reuse) *)
+      (** membership queries answered by a prior run's genuine answer
+          (Section 11 reuse, [Machine.start ~prior]), each counted once *)
   mutable restarts : int;  (** P-Learner backtracks *)
 }
 

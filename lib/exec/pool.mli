@@ -15,8 +15,7 @@
     state it creates (evaluation contexts, alphabets, oracles, data
     graphs), but shared inputs must be read-only for the duration of the
     call.  In this codebase that means forcing {!Xl_xml.Store.prepare} on
-    any store shared by several tasks before fanning out, and never
-    passing one {!Xl_core.Session.t} to two concurrent runs. *)
+    any store shared by several tasks before fanning out. *)
 
 type t
 

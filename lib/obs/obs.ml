@@ -34,6 +34,7 @@ let now_ns = if monotonic then monotonic_clock_ns else gettimeofday_ns
 
 let seq_counter = Atomic.make 0
 let next_seq () = Atomic.fetch_and_add seq_counter 1
+let next_seqs n = Atomic.fetch_and_add seq_counter n
 
 (* ---------- quantiles over raw samples ---------------------------------- *)
 

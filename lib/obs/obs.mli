@@ -51,10 +51,12 @@ val monotonic : bool
 (** Whether {!now_ns} is backed by the monotonic C stub (otherwise the
     pure-OCaml gettimeofday fallback is in effect). *)
 
-val next_seq : unit -> int
-(** The global event sequence number (atomic).  Shared with
-    [Xl_core.Trace] so teacher-dialog events interleave correctly with
-    spans in a merged JSONL trace. *)
+val next_seqs : int -> int
+(** [next_seqs n] reserves [n] consecutive numbers of the global event
+    sequence in one atomic step and returns the first.  Spans take one
+    each; [Xl_core.Machine.step] stamps every answer, one number per
+    line of a batched question's dialog, so teacher-dialog events
+    interleave correctly with spans in a merged JSONL trace. *)
 
 val quantile_of : int list -> float -> int
 (** [quantile_of samples q] is the exact [q]-quantile of [samples]
@@ -220,7 +222,7 @@ val event_json :
 (** One trace event as a single-line JSON object:
     [{"seq":…,"ts_ns":…,"kind":…,"name":…,"detail":…,…fields}].
     [fields] values are pre-rendered JSON.  This is the one encoding
-    shared by span export and [Trace.to_jsonl]. *)
+    shared by span export and [Xl_core.Dialog]. *)
 
 val span_events : unit -> (int * string) list
 (** Every merged span as [(seq, json line)], ascending sequence order. *)
@@ -232,7 +234,7 @@ val snapshot_events : unit -> string list
 
 val write_jsonl : ?extra:(int * string) list -> string -> unit
 (** Write the JSONL trace to a file: merged spans and [extra] events
-    (e.g. [Trace.to_jsonl_events]) interleaved by sequence number,
+    (e.g. [Xl_core.Dialog.to_jsonl_events]) interleaved by sequence number,
     followed by the metrics snapshot. *)
 
 val summary_table : unit -> string

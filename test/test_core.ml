@@ -383,21 +383,43 @@ let prop_learn_random_x0 =
       let r = Learn.run sc in
       r.Learn.verified && r.Learn.stats.Stats.dd = 1 && r.Learn.stats.Stats.cb = 0)
 
-(* ---------- Session reuse (Section 11) --------------------------------------- *)
+(* ---------- Answer reuse (Section 11) ----------------------------------------- *)
 
+(* Drive a machine to completion with its own oracle teacher; the
+   finished machine carries the transcript. *)
+let finish m = Machine.drive ~teacher:(Machine.oracle_teacher m) m
+
+(* A second run started with the first as its prior reuses every genuine
+   answer (once each) and otherwise repeats the first run exactly. *)
 let test_session_reuse () =
-  let session = Session.create () in
-  let sc = q1_scenario () in
-  let r1 = Learn.run ~session sc in
-  let r2 = Learn.run ~session sc in
-  check cbool "first run verified" true r1.Learn.verified;
-  check cbool "second run verified" true r2.Learn.verified;
-  check cint "second run needs no membership queries" 0 r2.Learn.stats.Stats.mq;
-  check cbool "answers were reused" true (Session.hits session > 100);
-  check cbool "cache is per drop box" true
-    (Session.stored session ~scenario:"q1" ~label:"N1.1.1" > 0);
-  Session.invalidate session ~scenario:"q1";
-  check cint "invalidate clears" 0 (Session.stored session ~scenario:"q1" ~label:"N1.1.1")
+  let subjects =
+    (("q1", q1_scenario ())
+    :: List.filter
+         (fun (n, _) -> List.mem n [ "Q13"; "Q14"; "Q19" ])
+         (Xl_workload.Xmark_scenarios.all ()))
+    @ List.filter (fun (n, _) -> String.equal n "Q9") (Xl_workload.Xmp_scenarios.all ())
+  in
+  List.iter
+    (fun (name, sc) ->
+      let r1, m1 = finish (Machine.start sc) in
+      let r2, _ = finish (Machine.start ~prior:m1 sc) in
+      let s1 = r1.Learn.stats and s2 = r2.Learn.stats in
+      check cbool (name ^ ": first run verified") true r1.Learn.verified;
+      check cbool (name ^ ": second run verified") true r2.Learn.verified;
+      check cint (name ^ ": second run needs no membership queries") 0 s2.Stats.mq;
+      List.iter
+        (fun (what, count) -> check cint (name ^ ": same " ^ what) (count s1) (count s2))
+        [
+          ("dd", fun s -> s.Stats.dd);
+          ("eq", fun s -> s.Stats.eq);
+          ("ce", fun s -> s.Stats.ce);
+          ("cb", fun s -> s.Stats.cb);
+          ("reduced r1", fun s -> s.Stats.reduced_r1);
+          ("reduced r2", fun s -> s.Stats.reduced_r2);
+          ("reduced both", fun s -> s.Stats.reduced_both);
+        ];
+      check cint (name ^ ": each first-run answer reused once") s1.Stats.mq s2.Stats.auto_known)
+    subjects
 
 (* ---------- Scenario: explicit-condition splitting -------------------------------- *)
 
@@ -520,23 +542,44 @@ let test_plearner_conflict_restart () =
   | exception Plearner.Restart -> ());
   check cbool "table is consistent afterwards" true (m [ "c"; "b" ])
 
-(* ---------- Trace -------------------------------------------------------------- *)
+(* ---------- Dialog (Figure 5) -------------------------------------------------- *)
 
+(* The dialog view accounts for every counted interaction, on q1 and on
+   all 30 Figure-16 scenarios: a line per genuine MQ word, per EQ (those
+   with a counterexample counted apart) and per Condition Box, and the
+   OrderBy lines' sort keys sum to the OB count. *)
 let test_trace () =
-  let trace = Trace.create () in
-  let r = Learn.run ~wrap_teacher:(Trace.wrap trace) (q1_scenario ()) in
-  check cbool "traced session verified" true r.Learn.verified;
-  let events = Trace.events trace in
-  check cbool "transcript non-empty" true (Trace.length trace > 0);
-  (* the transcript accounts for the counted interactions *)
-  let count p = List.length (List.filter p events) in
-  check cint "MQ lines match the MQ count" r.Learn.stats.Stats.mq
-    (count (function Trace.Membership _ -> true | _ -> false));
-  check cint "one condition box line" 1
-    (count (function Trace.Condition_box _ -> true | _ -> false));
-  let eq_lines = count (function Trace.Equivalence _ -> true | _ -> false) in
-  check cint "EQ lines match the EQ count" r.Learn.stats.Stats.eq eq_lines;
-  check cbool "rendering works" true (String.length (Trace.to_string trace) > 0)
+  let scenarios =
+    (("q1", q1_scenario ())
+    :: List.map (fun (n, sc) -> ("xmark " ^ n, sc)) (Xl_workload.Xmark_scenarios.all ()))
+    @ List.map (fun (n, sc) -> ("xmp " ^ n, sc)) (Xl_workload.Xmp_scenarios.all ())
+  in
+  check cint "q1 plus 30 Figure-16 scenarios" 31 (List.length scenarios);
+  List.iter
+    (fun (name, sc) ->
+      let r, m = finish (Machine.start sc) in
+      let transcript = Machine.transcript m in
+      let events = List.map (fun r -> r.Dialog.event) (Dialog.records transcript) in
+      let sum f = List.fold_left (fun acc e -> acc + f e) 0 events in
+      let count p = sum (fun e -> if p e then 1 else 0) in
+      let s = r.Learn.stats in
+      check cint (name ^ ": MQ lines") s.Stats.mq
+        (count (function Dialog.Membership _ -> true | _ -> false));
+      check cint (name ^ ": EQ lines") s.Stats.eq
+        (count (function Dialog.Equivalence _ -> true | _ -> false));
+      check cint (name ^ ": counterexample EQ lines") s.Stats.ce
+        (count (function
+          | Dialog.Equivalence { outcome = `Positive_ce _ | `Negative_ce _; _ } -> true
+          | _ -> false));
+      check cint (name ^ ": CB lines") s.Stats.cb
+        (count (function Dialog.Condition_box _ -> true | _ -> false));
+      check cint (name ^ ": OB keys") s.Stats.ob
+        (sum (function Dialog.Order_box { keys; _ } -> keys | _ -> 0));
+      check cint (name ^ ": one text line per event") (List.length events)
+        (match Dialog.to_string transcript with
+        | "" -> 0
+        | text -> List.length (String.split_on_char '\n' text)))
+    scenarios
 
 (* ---------- DataGuide fallback for R1 ------------------------------------------- *)
 

@@ -16,7 +16,8 @@
      resumes inside the same sweep (the spare-join fixture, whose
      verification sweep must restore a minimized-away join);
    - stale forks: stepping an old machine value whose continuation was
-     consumed by a newer step transparently rebuilds by replay;
+     consumed by a newer step transparently rebuilds by replay — also
+     for a run that reuses a prior run's answers (Section 11);
    - shape validation: a mis-shaped answer raises Invalid_argument and
      leaves the machine usable.
 
@@ -35,28 +36,37 @@ let seed = 20040301
 
 (* ---------- drivers ----------------------------------------------------- *)
 
-(* Drive a machine to completion with its own oracle teacher, recording
-   the transcript.  Each machine must be driven by its own teacher: the
-   oracle's condition-box queues are per-run state. *)
+(* Drive a machine to completion with its own oracle teacher, returning
+   the finished run's transcript.  Each machine must be driven by its own
+   teacher: the oracle's condition-box queues are per-run state. *)
 let record m =
-  let teacher = M.oracle_teacher m in
-  let rec go acc m =
-    match M.outcome m with
-    | `Done r -> (r, List.rev acc)
-    | `Ask q ->
-      let a = M.answer_with teacher q in
-      go ((q, a) :: acc) (snd (M.step m a))
-  in
-  go [] m
+  let r, m = M.drive ~teacher:(M.oracle_teacher m) m in
+  (r, M.transcript m)
+
+(* A question's kind, label and paths (or extent size).  It names every
+   step, including the ones the dialog leaves silent: a declined
+   condition box and an empty ordering. *)
+let shape : M.question -> string =
+  let p = String.concat "/" in
+  function
+  | M.Membership { label; rel_path; _ } -> Printf.sprintf "MQ  [%s] %s" label (p rel_path)
+  | M.Membership_batch { label; rel_paths; _ } ->
+    Printf.sprintf "MQB [%s] %s" label (String.concat " " (List.map p rel_paths))
+  | M.Equivalence { label; extent; _ } ->
+    Printf.sprintf "EQ  [%s] extent of %d" label (List.length extent)
+  | M.Condition_box { label; _ } -> Printf.sprintf "CB  [%s]" label
+  | M.Order_box { label } -> Printf.sprintf "OB  [%s]" label
 
 let dump_transcript path transcript =
   let oc = open_out path in
   List.iteri
-    (fun i (q, a) ->
-      Printf.fprintf oc "%4d  %s\n      -> %s\n" i (M.question_to_string q)
-        (M.answer_to_string a))
+    (fun i (ex : M.exchange) ->
+      Printf.fprintf oc "%4d  %s\n%s\n" i (shape ex.M.question)
+        (Xl_core.Dialog.to_string [ ex ]))
     transcript;
   close_out oc
+
+let cut s = if String.length s <= 200 then s else String.sub s 0 197 ^ "..."
 
 (* Re-drive a fresh machine from a recorded transcript; on divergence,
    dump the transcript for the CI artifact and fail. *)
@@ -71,21 +81,19 @@ let replay_transcript ?config ~what scenario transcript =
   in
   let rec go m = function
     | [] -> m
-    | (q_rec, a) :: rest -> (
+    | (ex : M.exchange) :: rest -> (
       match M.outcome m with
       | `Done _ -> fail_with "machine finished before the transcript ended"
       | `Ask q ->
-        if not (String.equal (M.question_to_string q) (M.question_to_string q_rec))
-        then
+        let asked = shape q and recorded = shape ex.M.question in
+        if not (String.equal asked recorded) then
           fail_with "question diverged at step %d: asked %S, recorded %S"
-            (M.steps m) (M.question_to_string q) (M.question_to_string q_rec);
-        go (snd (M.step m a)) rest)
+            (M.steps m) (cut asked) (cut recorded);
+        go (snd (M.step m ex.M.answer)) rest)
   in
   match M.outcome (go (M.start ?config scenario) transcript) with
   | `Done r -> r
-  | `Ask q ->
-    fail_with "machine still asking %S after the full transcript"
-      (M.question_to_string q)
+  | `Ask _ -> fail_with "machine still asking after the full transcript"
 
 let check_result ~what (reference : Learn.result) (r : Learn.result) =
   Alcotest.(check string)
@@ -177,7 +185,7 @@ let check_suspend_resume ~what k scenario =
       let what = Printf.sprintf "%s: k=%d, resumed at step %d" what k n in
       let m = M.restore ~scenario snap in
       Alcotest.(check int) (what ^ ": restored step") n (M.steps m);
-      let r = M.drive ~teacher:(M.oracle_teacher m) m in
+      let r, _ = M.drive ~teacher:(M.oracle_teacher m) m in
       check_result ~what reference r)
     snaps
 
@@ -271,7 +279,7 @@ let test_concurrent_snapshot_mid_eq () =
             | `Ask (M.Equivalence _) -> ()
             | _ -> Alcotest.failf "%s did not restore at its equivalence" name);
             Alcotest.(check int) (name ^ ": restored step") steps_at (M.steps m);
-            M.drive ~teacher:(M.oracle_teacher m) m)
+            fst (M.drive ~teacher:(M.oracle_teacher m) m))
       in
       check_result ~what:(name ^ " restored mid-EQ on the service")
         (List.assoc name refs) r)
@@ -376,7 +384,7 @@ let test_resume_mid_repair () =
   (match M.phase m with
   | M.Repairing _ -> ()
   | _ -> Alcotest.fail "restored machine is not mid-repair");
-  let r = M.drive ~teacher:(M.oracle_teacher m) m in
+  let r, _ = M.drive ~teacher:(M.oracle_teacher m) m in
   Alcotest.(check bool) "resumed run verified" true r.Learn.verified;
   check_result ~what:"spare-join resumed mid-repair" reference r
 
@@ -389,13 +397,43 @@ let test_stale_fork () =
   let scenario = fig16_scenario "xmp-Q1" in
   let reference, transcript = record (M.start scenario) in
   let m0 = M.start scenario in
-  let _, m1 = M.step m0 (snd (List.nth transcript 0)) in
+  let answer i = (List.nth transcript i).M.answer in
+  let _, m1 = M.step m0 (answer 0) in
   (* consume m1's continuation on one lineage... *)
-  let _, _m2 = M.step m1 (snd (List.nth transcript 1)) in
+  let _, _m2 = M.step m1 (answer 1) in
   (* ...then fork: step the stale m1 again with the same answer *)
-  let _, m1' = M.step m1 (snd (List.nth transcript 1)) in
-  let r = M.drive ~teacher:(M.oracle_teacher m1') m1' in
+  let _, m1' = M.step m1 (answer 1) in
+  let r, _ = M.drive ~teacher:(M.oracle_teacher m1') m1' in
   check_result ~what:"stale fork" reference r
+
+(* A run started with [~prior] is as persistent as any other: its reused
+   answers are a view over the prior's transcript, not a table later
+   answers mutate.  Step the second run through all k of its answers,
+   then step its k/2 value again, and separately snapshot the k/2 value
+   and restore it with the same prior: fed the straight run's remaining
+   answers, both finish with its row and query. *)
+let test_prior_persistence () =
+  List.iter
+    (fun name ->
+      let scenario = fig16_scenario name in
+      let first = M.start scenario in
+      let _, first = M.drive ~teacher:(M.oracle_teacher first) first in
+      let straight, transcript = record (M.start ~prior:first scenario) in
+      let k = List.length transcript in
+      Alcotest.(check bool) (name ^ ": second run asks at least twice") true (k >= 2);
+      let head, tail = List.partition (fun (i, _) -> i < k / 2) (List.mapi (fun i ex -> (i, ex)) transcript) in
+      let feed m exs = List.fold_left (fun m (_, ex) -> snd (M.step m ex.M.answer)) m exs in
+      let finish m =
+        match M.outcome (feed m tail) with
+        | `Done r -> r
+        | `Ask _ -> Alcotest.failf "%s: still asking after the transcript" name
+      in
+      let half = feed (M.start ~prior:first scenario) head in
+      ignore (finish half) (* all k answers: consumes [half]'s continuation *);
+      check_result ~what:(name ^ ": k/2 value stepped again") straight (finish half);
+      check_result ~what:(name ^ ": k/2 snapshot restored with the prior") straight
+        (finish (M.restore ~prior:first ~scenario (M.snapshot half))))
+    [ "xmark-Q7"; "xmark-Q9"; "xmark-Q13"; "xmark-Q14"; "xmark-Q19" ]
 
 (* ---------- answer-shape validation ------------------------------------- *)
 
@@ -412,7 +450,7 @@ let test_shape_validation () =
     | _ -> Alcotest.fail "mis-shaped answer accepted"
     | exception Invalid_argument _ -> ()));
   (* the rejected answer did not corrupt the machine *)
-  let r = M.drive ~teacher:(M.oracle_teacher m0) m0 in
+  let r, _ = M.drive ~teacher:(M.oracle_teacher m0) m0 in
   Alcotest.(check bool) "machine usable after rejection" true r.Learn.verified
 
 (* ----------------------------------------------------------------------- *)
@@ -445,6 +483,8 @@ let () =
         [
           Alcotest.test_case "stale fork rebuilds by replay" `Quick
             test_stale_fork;
+          Alcotest.test_case "a run with a prior replays like any other" `Quick
+            test_prior_persistence;
           Alcotest.test_case "mis-shaped answers rejected without corruption"
             `Quick test_shape_validation;
         ] );

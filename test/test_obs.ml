@@ -289,34 +289,29 @@ let test_jsonl_roundtrip () =
              find 0)
            lines))
 
+(* The teacher dialog as a view over a machine driven inside a span:
+   every dialog record is stamped when its answer is stepped, so the
+   records' seqs ascend and the merged JSONL interleaves them with the
+   engine's spans. *)
 let test_trace_jsonl () =
   with_obs (fun () ->
-      let teacher =
-        {
-          Xl_core.Teacher.path_membership =
-            (fun ~label:_ ~context:_ ~rel_path:_ ~witness:_ -> true);
-          path_membership_batch = None;
-          equivalence = (fun ~label:_ ~context:_ ~extent:_ -> Xl_core.Teacher.Equal);
-          condition_box = (fun ~label:_ ~context:_ ~negative_example:_ -> None);
-          order_box = (fun ~label:_ -> []);
-        }
+      let module M = Xl_core.Machine in
+      let module Dialog = Xl_core.Dialog in
+      let sc = List.assoc "Q5" (Xl_workload.Xmp_scenarios.all ()) in
+      let r, m =
+        Obs.span ~name:"ask" (fun () ->
+            let m = M.start sc in
+            M.drive ~teacher:(M.oracle_teacher m) m)
       in
-      let tr = Xl_core.Trace.create () in
-      let w = Xl_core.Trace.wrap tr teacher in
-      ignore
-        (Obs.span ~name:"ask" (fun () ->
-             w.Xl_core.Teacher.path_membership ~label:"N1" ~context:[]
-               ~rel_path:[ "a"; "b" ] ~witness:None));
-      ignore (w.Xl_core.Teacher.equivalence ~label:"N1" ~context:[] ~extent:[]);
-      let records = Xl_core.Trace.records tr in
-      Alcotest.(check int) "two dialog records" 2 (List.length records);
+      Alcotest.(check bool) "session verified" true r.Xl_core.Learn.verified;
+      let transcript = M.transcript m in
+      let records = Dialog.records transcript in
+      Alcotest.(check bool) "dialog non-empty" true (records <> []);
+      let seqs = List.map (fun r -> r.Dialog.seq) records in
       Alcotest.(check bool) "records carry ascending seqs" true
-        (match records with
-        | [ a; b ] -> a.Xl_core.Trace.seq < b.Xl_core.Trace.seq
-        | _ -> false);
-      let jsonl = Xl_core.Trace.to_jsonl tr in
-      let lines = String.split_on_char '\n' jsonl in
-      Alcotest.(check int) "one line per record" 2 (List.length lines);
+        (List.sort_uniq compare seqs = seqs);
+      let lines = List.map snd (Dialog.to_jsonl_events transcript) in
+      Alcotest.(check int) "one line per record" (List.length records) (List.length lines);
       let has sub l =
         let rec find i =
           i + String.length sub <= String.length l
@@ -324,22 +319,38 @@ let test_trace_jsonl () =
         in
         find 0
       in
-      Alcotest.(check bool) "mq event encoded" true
-        (has {|"kind":"mq"|} (List.nth lines 0)
-        && has {|"detail":"a/b"|} (List.nth lines 0)
-        && has {|"answer":true|} (List.nth lines 0));
-      Alcotest.(check bool) "eq event encoded" true
-        (has {|"kind":"eq"|} (List.nth lines 1)
-        && has {|"outcome":"accepted"|} (List.nth lines 1));
-      (* merged export: the dialog interleaves with the span by seq *)
+      (* each line states its own record's values *)
+      List.iter2
+        (fun (r : Dialog.record) l ->
+          match r.Dialog.event with
+          | Dialog.Membership { rel_path; answer; _ } ->
+            Alcotest.(check bool) ("mq line: " ^ l) true
+              (has {|"kind":"mq"|} l
+              && has ({|"detail":|} ^ Obs.json_string (String.concat "/" rel_path)) l
+              && has ({|"answer":|} ^ string_of_bool answer) l)
+          | Dialog.Equivalence { outcome; _ } ->
+            let outcome =
+              match outcome with
+              | `Accepted -> "accepted"
+              | `Positive_ce _ -> "positive_ce"
+              | `Negative_ce _ -> "negative_ce"
+            in
+            Alcotest.(check bool) ("eq line: " ^ l) true
+              (has {|"kind":"eq"|} l && has ({|"outcome":"|} ^ outcome ^ {|"|}) l)
+          | _ -> ())
+        records lines;
+      Alcotest.(check bool) "an accepted eq line" true
+        (List.exists (has {|"outcome":"accepted"|}) lines);
+      (* merged export: the dialog interleaves with the spans by seq *)
       let path = Filename.temp_file "xl_obs_trace" ".jsonl" in
       Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-      Obs.write_jsonl ~extra:(Xl_core.Trace.to_jsonl_events tr) path;
+      Obs.write_jsonl ~extra:(Dialog.to_jsonl_events transcript) path;
       let ic = open_in path in
       let all = really_input_string ic (in_channel_length ic) in
       close_in ic;
       Alcotest.(check bool) "merged trace holds spans and dialog" true
-        (has {|"name":"ask"|} all && has {|"kind":"mq"|} all))
+        (has {|"name":"ask"|} all && has {|"name":"machine.step"|} all
+        && has {|"kind":"mq"|} all && has {|"kind":"eq"|} all))
 
 (* ---------- cache counters ----------------------------------------------- *)
 
