@@ -9,13 +9,15 @@
 let describe_node = Xl_core.Dialog.describe_node
 let read_line_opt () = try Some (read_line ()) with End_of_file -> None
 
+(* At end of input the answer is yes, which goes on with the scenario's
+   own answer, as an empty line does for membership questions. *)
 let ask_yes_no prompt =
   let rec go () =
     Printf.printf "%s [y/n] %!" prompt;
     match read_line_opt () with
-    | Some ("y" | "Y" | "yes") -> true
+    | Some ("y" | "Y" | "yes") | None -> true
     | Some ("n" | "N" | "no") -> false
-    | Some _ | None ->
+    | Some _ ->
       print_endline "please answer y or n";
       go ()
   in

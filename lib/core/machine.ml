@@ -167,7 +167,6 @@ exception Reanchor
 
 let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
     ~(ctx : Xl_xquery.Eval.ctx) ~(dg : Data_graph.t)
-    ~(schemas : Xl_schema.Schema_source.t list)
     ~(schema_dfas : Xl_automata.Dfa.t list) ~(tree : Xqtree.t)
     ~(known : (string * (string list * bool)) list) ~on_auto
     ~(bindings : (string * (string * Node.t)) list) (task : Task.t) : node_result
@@ -196,6 +195,21 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
     in
     let alphabet = ctx.Xl_xquery.Eval.alphabet in
     let abs_prefix = Node.tag_path base in
+    (* the schema path languages relativized to the base prefix, once per
+       attempt: R1 and the presentation tightening both judge relative
+       words from here.  A prefix outside the alphabet reaches no schema
+       state. *)
+    let r1_dfas =
+      let k = Xl_automata.Alphabet.size alphabet in
+      let prefix = Xl_automata.Alphabet.encode_opt alphabet abs_prefix in
+      List.map
+        (fun sdfa ->
+          let sdfa = Xl_automata.Dfa.extend_alphabet sdfa ~alphabet_size:k in
+          match prefix with
+          | Some w -> Xl_automata.Dfa.with_start sdfa (Xl_automata.Dfa.run sdfa w)
+          | None -> Xl_automata.Dfa.empty ~alphabet_size:k)
+        schema_dfas
+    in
     let ask s =
       teacher.Teacher.path_membership ~label ~context ~rel_path:s ~witness:None
     in
@@ -215,7 +229,7 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
           (Option.map
              (fun f ~rule ~path ~answer -> f ~label ~rule ~path ~answer)
              on_auto)
-        ?ask_batch ~stats ~schemas ~alphabet ~abs_prefix ~dropped_path ~ask ()
+        ?ask_batch ~stats ~r1_dfas ~alphabet ~abs_prefix ~dropped_path ~ask ()
     in
     let cl =
       Clearner.create ?pool:config.pool dg context
@@ -285,26 +299,18 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
        exhibit; intersecting with the schema's path language (what R1
        already knows) recovers the tight path expression for output *)
     let presentable_dfa =
-      (* tighten with the schema of this task's document: the schema whose
-         path language, started after the base prefix, still intersects
-         the learned language *)
+      (* tighten with the schema of this task's document: the relativized
+         schema language that still intersects the learned language *)
       let k = Xl_automata.Alphabet.size alphabet in
       let dfa' = Xl_automata.Dfa.extend_alphabet dfa ~alphabet_size:k in
-      let tightened sdfa =
-        let sdfa = Xl_automata.Dfa.extend_alphabet sdfa ~alphabet_size:k in
-        match Xl_automata.Alphabet.encode_opt alphabet abs_prefix with
-        | None -> None
-        | Some w ->
-          let q = Xl_automata.Dfa.run sdfa w in
-          if q < 0 then None
-          else
-            let inter =
-              Xl_automata.Dfa.minimize
-                (Xl_automata.Dfa.intersection dfa' (Xl_automata.Dfa.with_start sdfa q))
-            in
-            if Xl_automata.Dfa.is_empty inter then None else Some inter
+      let tightened rel =
+        let rel = Xl_automata.Dfa.extend_alphabet rel ~alphabet_size:k in
+        let inter =
+          Xl_automata.Dfa.minimize (Xl_automata.Dfa.intersection dfa' rel)
+        in
+        if Xl_automata.Dfa.is_empty inter then None else Some inter
       in
-      Option.value ~default:dfa (List.find_map tightened schema_dfas)
+      Option.value ~default:dfa (List.find_map tightened r1_dfas)
     in
     (* greedy condition minimization: drop hypothesis predicates that do
        not change the extent (coincidental candidates that survived every
@@ -693,14 +699,7 @@ let run_engine ~(config : config) ~(rt : runtime) ~(teacher : Teacher.t)
          XQ_I semantics *)
       [ Xl_schema.Schema_source.of_dataguide
           (Xl_schema.Dataguide.of_store scenario.Scenario.store) ]
-    | dtds ->
-      (* each DTD compiles into its own stepper with no shared state, so
-         R1's reachability precomputation fans out over the pool
-         (order-preserving map) *)
-      let compile = Xl_schema.Schema_source.of_dtd in
-      (match config.pool with
-      | Some pool when List.length dtds > 1 -> Xl_exec.Pool.map pool compile dtds
-      | _ -> List.map compile dtds)
+    | dtds -> List.map Xl_schema.Schema_source.of_dtd dtds
   in
   let stats = Stats.create () in
   let tree = scenario.Scenario.target in
@@ -709,9 +708,10 @@ let run_engine ~(config : config) ~(rt : runtime) ~(teacher : Teacher.t)
     Xl_obs.Obs.span ~name:"learn.drops" (fun () -> choose_drops oracle scenario)
   in
   (* the alphabet is stable once the drop phase has interned all target
-     path symbols; the schema path DFA can now be shared by every task *)
+     path symbols; the schema path DFAs, R1's only form of the schemas,
+     can now be shared by every task *)
   let schema_dfas =
-    List.filter_map
+    List.map
       (fun src -> Xl_schema.Schema_source.to_dfa src ctx.Xl_xquery.Eval.alphabet)
       schemas
   in
@@ -722,7 +722,7 @@ let run_engine ~(config : config) ~(rt : runtime) ~(teacher : Teacher.t)
         on_phase (Learning (Task.label task));
         Xl_obs.Obs.span ~name:"learn.task"
           ~detail:(scenario.Scenario.name ^ "/" ^ Task.label task) (fun () ->
-            learn_task ~config ~stats ~teacher ~ctx ~dg ~schemas ~schema_dfas
+            learn_task ~config ~stats ~teacher ~ctx ~dg ~schema_dfas
               ~tree ~known ~on_auto ~bindings task))
       (Task.tasks_of tree)
   in

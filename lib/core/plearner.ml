@@ -52,18 +52,10 @@ type t = {
   on_auto : (rule:[ `R1 | `R2 ] -> path:string list -> answer:bool -> unit) option;
       (** observation hook: fires on every rule-auto-answered query (the
           fuzz harness checks R1 answers against the target language) *)
-  schemas : Xl_schema.Schema_source.t list;
-  cursors : Xl_schema.Schema_source.cursor list;
-      (** [schemas] pre-walked to [abs_prefix]: every R1 test concerns
-          the same absolute prefix followed by a short relative word, so
-          the prefix is paid once here instead of per membership query *)
-  r1_dfas : (Xl_automata.Dfa.t * int) list option;
-      (** the schemas compiled to DFAs over [alphabet], each paired with
-          the state its start reaches on [abs_prefix]: the cursor in
-          int-only form.  Batched R1 answers whole fills by folding the
-          transition arrays — no string hashing, no step memo.  [None]
-          when any source lacks an exact DFA rendering (then the batch
-          falls back to the cursor pass). *)
+  r1_dfas : Xl_automata.Dfa.t list;
+      (** the source schemas' path-language DFAs, each started at the
+          state its [abs_prefix] reaches: R1 judges the relative word
+          alone *)
   alphabet : Xl_automata.Alphabet.t;
   abs_prefix : string list;  (** tag path of the fragment's base node *)
   ask : string list -> bool;  (** the real teacher *)
@@ -93,7 +85,7 @@ let prefix l = match l with [] -> [] | _ -> List.filteri (fun i _ -> i < List.le
 let rec last_sym = function [] -> -1 | [ a ] -> a | _ :: rest -> last_sym rest
 
 let create ?(config = default_config) ?(known = []) ?on_auto ?ask_batch ~stats
-    ~schemas ~alphabet ~abs_prefix ~dropped_path ~ask () =
+    ~r1_dfas ~alphabet ~abs_prefix ~dropped_path ~ask () =
   let answers_w = Word_tbl.create 256 in
   let preloaded_w = Word_tbl.create 16 in
   (* import the earlier run's answers under word keys; paths outside the
@@ -108,50 +100,11 @@ let create ?(config = default_config) ?(known = []) ?on_auto ?ask_batch ~stats
     known;
   let known_positive_set = Path_tbl.create 16 in
   Path_tbl.replace known_positive_set dropped_path ();
-  let cursors =
-    List.map
-      (fun schema -> Xl_schema.Schema_source.cursor schema abs_prefix)
-      schemas
-  in
-  let r1_dfas =
-    (* DTD sources only: [Schema_paths.to_dfa] is state-for-state the
-       stepper itself, so the fold answers exactly like the cursor.  The
-       DataGuide's empty-path-at-root special case lives in its cursor,
-       not its DFA, so it keeps the trie pass. *)
-    let compile schema =
-      match (schema : Xl_schema.Schema_source.t) with
-      | Dtd_paths _ -> (
-        match Xl_schema.Schema_source.to_dfa schema alphabet with
-        | Some dfa ->
-          let q0 =
-            List.fold_left
-              (fun q tag ->
-                if q < 0 then q
-                else
-                  match Xl_automata.Alphabet.find alphabet tag with
-                  | Some a when a < dfa.Xl_automata.Dfa.alphabet_size ->
-                    Xl_automata.Dfa.step dfa q a
-                  | _ -> -1 (* unknown symbol: the stepper's dead sink *))
-              dfa.Xl_automata.Dfa.start abs_prefix
-          in
-          Some (dfa, q0)
-        | None -> None)
-      | Relax_ng _ | Data_guide _ -> None
-    in
-    match schemas with
-    | [] -> None
-    | _ ->
-      let all = List.map compile schemas in
-      if List.for_all Option.is_some all then Some (List.map Option.get all)
-      else None
-  in
   let t =
     {
       config;
       stats;
       on_auto;
-      schemas;
-      cursors;
       r1_dfas;
       alphabet;
       abs_prefix;
@@ -181,14 +134,20 @@ let create ?(config = default_config) ?(known = []) ?on_auto ?ask_batch ~stats
   | None -> ());
   t
 
-let r1_applicable t s =
-  match t.cursors with
-  | [] -> false
-  | cursors ->
-    not
-      (List.exists
-         (fun cursor -> Xl_schema.Schema_source.cursor_admits cursor s)
-         cursors)
+(* Does a relativized schema DFA accept the word?  Symbols interned
+   after the DFA was built cannot be schema symbols (the alphabet is
+   seeded before learning), so they step to the dead sink. *)
+let dfa_admits (dfa : Xl_automata.Dfa.t) (w : int list) : bool =
+  let asize = dfa.Xl_automata.Dfa.alphabet_size in
+  let rec go q = function
+    | [] -> dfa.Xl_automata.Dfa.finals.(q)
+    | a :: rest -> a < asize && go (Xl_automata.Dfa.step dfa q a) rest
+  in
+  go dfa.Xl_automata.Dfa.start w
+
+(* R1 applies when there is a schema and no schema admits the word *)
+let r1_applicable t (word : int list) =
+  t.r1_dfas <> [] && not (List.exists (fun dfa -> dfa_admits dfa word) t.r1_dfas)
 
 (* (applicable, auto answer if used).  [word] is the encoded path; [s],
    when the caller already decoded it, spares the Any_last branch a
@@ -208,17 +167,16 @@ let r2_applicable t ~(word : int list) ~(s : string list option) =
     | Some ans -> (true, ans)
     | None -> (false, false))
 
-(* Resolve one query without the teacher, given the word's (possibly
-   precomputed) R1 applicability: memoized answers, known positives and
-   the rules, with the Reduced(R1,R2,Both) accounting.  [None] means the
-   word needs a genuine teacher question.
+(* Resolve one query without the teacher: memoized answers, known
+   positives and the rules, with the Reduced(R1,R2,Both) accounting.
+   [None] means the word needs a genuine teacher question.
 
    Everything on the hit path is keyed by the encoded word — int-list
    hashes; [s] (the decoded path, when the caller has it anyway) is only
    consulted on the rare steps that need strings: the Any_last canonical
    lookup and the [on_auto] observer. *)
-let resolve_auto (t : t) ~(word : int list) ~(s : string list option)
-    ~(r1a : bool) : bool option =
+let resolve_auto (t : t) ~(word : int list) ~(s : string list option) :
+    bool option =
   let path () =
     match s with Some p -> p | None -> Xl_automata.Alphabet.decode t.alphabet word
   in
@@ -241,6 +199,7 @@ let resolve_auto (t : t) ~(word : int list) ~(s : string list option)
        word that misses [answers_w] cannot be a known positive *)
     (* evaluate each rule's applicability once; both the answer and
        the independent Reduced(R1,R2,Both) accounting reuse it *)
+    let r1a = r1_applicable t word in
     let r2a, r2_ans = r2_applicable t ~word ~s in
     let r1 = t.config.r1 && r1a in
     let r2 = t.config.r2 && r2a in
@@ -281,8 +240,7 @@ let record_genuine (t : t) ~(word : int list) (s : string list) (ans : bool) :
 (** The membership oracle handed to L*. *)
 let membership (t : t) (word : int list) : bool =
   let s = Xl_automata.Alphabet.decode t.alphabet word in
-  let r1a = r1_applicable t s in
-  match resolve_auto t ~word ~s:(Some s) ~r1a with
+  match resolve_auto t ~word ~s:(Some s) with
   | Some ans -> ans
   | None ->
     t.stats.Stats.mq <- t.stats.Stats.mq + 1;
@@ -291,26 +249,12 @@ let membership (t : t) (word : int list) : bool =
     record_genuine t ~word s ans;
     ans
 
-(* Does the compiled schema DFA, pre-walked to state [q0], accept the
-   relative word?  [-1] is the out-of-alphabet dead sink (symbols
-   interned after compilation cannot be schema symbols — the alphabet is
-   seeded before learning — so they step dead, like the stepper). *)
-let dfa_admits (dfa : Xl_automata.Dfa.t) (q0 : int) (w : int list) : bool =
-  let asize = dfa.Xl_automata.Dfa.alphabet_size in
-  let rec go q = function
-    | [] -> q >= 0 && dfa.Xl_automata.Dfa.finals.(q)
-    | a :: rest ->
-      q >= 0 && go (if a >= asize then -1 else Xl_automata.Dfa.step dfa q a) rest
-  in
-  go q0 w
-
 (** The batched membership oracle: one fill's worth of distinct words,
     in the exact order the word-at-a-time sweep would first ask them.
 
-    R1 admissibility for the whole batch is computed by one forward pass
-    per schema cursor over the batch's shared prefix trie; every word is
-    then resolved in order with exactly the sequential bookkeeping, and
-    the genuine questions are deferred into one teacher batch at the end.
+    Every word is resolved in order with exactly the sequential
+    bookkeeping (R1 is the same DFA fold {!membership} uses), and the
+    genuine questions are deferred into one teacher batch at the end.
 
     Deferral is answer-preserving because the words are distinct and,
     outside the Any_last state, no genuine answer can influence another
@@ -323,44 +267,11 @@ let membership_batch (t : t) (words : int list list) : bool list =
   | Any_last -> List.map (membership t) words
   | Last_tag _ | Off ->
     let n = List.length words in
-    (* R1 for the batch: a word is R1-applicable when no schema admits
-       it (same truth table as [r1_applicable]).  With compiled DFAs the
-       answer is a fold over unboxed transition arrays; otherwise one
-       cursor pass per schema over the batch's shared prefix trie.  No
-       word is decoded unless it reaches the teacher. *)
-    let r1a_arr = Array.make (max n 1) false in
-    (match t.cursors, t.r1_dfas with
-    | [], _ -> ()
-    | _, Some dfas ->
-      List.iteri
-        (fun i w ->
-          r1a_arr.(i) <-
-            not (List.exists (fun (dfa, q0) -> dfa_admits dfa q0 w) dfas))
-        words
-    | cursors, None ->
-      let trie = Xl_automata.Trie.create () in
-      let terms = List.map (Xl_automata.Trie.add_word trie) words in
-      let symbols =
-        let arr = Array.make (Xl_automata.Trie.size trie) "" in
-        for i = 1 to Array.length arr - 1 do
-          arr.(i) <-
-            Xl_automata.Alphabet.name t.alphabet (Xl_automata.Trie.symbol trie i)
-        done;
-        arr
-      in
-      Array.fill r1a_arr 0 n true;
-      List.iter
-        (fun cursor ->
-          let admits =
-            Xl_schema.Schema_source.cursor_admits_trie cursor trie ~symbols terms
-          in
-          List.iteri (fun i a -> if a then r1a_arr.(i) <- false) admits)
-        cursors);
     let results = Array.make (max n 1) false in
     let deferred = ref [] in
     List.iteri
       (fun i word ->
-        match resolve_auto t ~word ~s:None ~r1a:r1a_arr.(i) with
+        match resolve_auto t ~word ~s:None with
         | Some ans -> results.(i) <- ans
         | None ->
           t.stats.Stats.mq <- t.stats.Stats.mq + 1;

@@ -3,7 +3,8 @@
     Section 8 answering membership queries automatically:
 
     - R1 rejects paths the source schema cannot produce (any
-      {!Xl_schema.Schema_source}: DTD, Relax NG, or DataGuide);
+      {!Xl_schema.Schema_source}: DTD, Relax NG, or DataGuide, read as
+      its path-language DFA relativized to the fragment's base);
     - R2 rejects paths ending in a tag other than the first positive
       example's, with the backtracking ladder Last-tag → Any-last → Off.
 
@@ -35,12 +36,16 @@ val create :
   ?on_auto:(rule:[ `R1 | `R2 ] -> path:string list -> answer:bool -> unit) ->
   ?ask_batch:(string list list -> bool list) ->
   stats:Stats.t ->
-  schemas:Xl_schema.Schema_source.t list ->
+  r1_dfas:Xl_automata.Dfa.t list ->
   alphabet:Xl_automata.Alphabet.t -> abs_prefix:string list ->
   dropped_path:string list -> ask:(string list -> bool) -> unit -> t
-(** [abs_prefix] is the tag path of the fragment's base node (for R1);
-    [dropped_path] seeds the first positive example; [ask] is the real
-    teacher and is counted as a user membership query.  [ask_batch], when
+(** [r1_dfas] are the source schemas' path-language DFAs
+    ({!Xl_schema.Schema_source.to_dfa}) relativized to [abs_prefix], the
+    tag path of the fragment's base node: each starts at the state the
+    prefix reaches.  A word is R1-applicable when the list is non-empty
+    and no DFA in it accepts the word.  [dropped_path] seeds the first
+    positive example; [ask] is the real teacher and is counted as a user
+    membership query.  [ask_batch], when
     the teacher has one, answers the deferred genuine questions of a
     batched fill in one call (same answers, same counts as per-word
     [ask]).  [known] seeds the memo with the genuine answers an earlier
@@ -58,12 +63,11 @@ val membership : t -> int list -> bool
 
 val membership_batch : t -> int list list -> bool list
 (** Batched {!membership} over the distinct words of one fill, in
-    first-ask order: rule applicability is evaluated in one shared
-    prefix-trie pass per schema cursor, genuine questions are deferred
-    into one teacher batch, and every answer and interaction count is
-    identical to asking the words one at a time (the Any_last R2 state,
-    whose auto-answers depend on ask order within a fill, falls back to
-    the word-at-a-time path). *)
+    first-ask order: R1 is the same DFA fold as for single words,
+    genuine questions are deferred into one teacher batch, and every
+    answer and interaction count is identical to asking the words one
+    at a time (the Any_last R2 state, whose auto-answers depend on ask
+    order within a fill, falls back to the word-at-a-time path). *)
 
 val note_positive : t -> string list -> unit
 (** Record a positive counterexample path.  May raise {!Restart}. *)

@@ -13,6 +13,8 @@
     sub-microsecond precision), rebased to the earliest event so the
     trace starts near zero. *)
 
+module Json = Xl_json.Json
+
 let buf_add_event b ~first ~name ~ph ~ts_us ~pid ~tid ~extra =
   if not !first then Buffer.add_string b ",\n  ";
   first := false;

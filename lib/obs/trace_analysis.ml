@@ -14,6 +14,8 @@
     the input is the file, so traces from finished runs (or other
     machines) analyze the same way. *)
 
+module Json = Xl_json.Json
+
 type span = {
   name : string;
   detail : string option;

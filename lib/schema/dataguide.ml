@@ -45,9 +45,6 @@ let of_store (store : Xl_xml.Store.t) : t =
 let of_doc (doc : Xl_xml.Doc.t) : t =
   of_store (Xl_xml.Store.of_docs [ doc ])
 
-(** The subtrie under one more symbol, for incremental walks. *)
-let step (t : t) (sym : string) : t option = Hashtbl.find_opt t.children sym
-
 (** Does some node of the instance have this tag path?  Every prefix of
     an inserted path is admitted too (it names the ancestor). *)
 let admits (t : t) (path : string list) : bool =
@@ -85,9 +82,9 @@ let paths ?(limit = 10_000) (t : t) : string list list =
   go [] t;
   List.rev !out
 
-(** Convert to the DFA form used by presentation tightening.  States are
-    trie nodes; every non-root state is accepting (every non-empty
-    admitted path names a node). *)
+(** Convert to the DFA form rule R1 and presentation tightening use.
+    States are trie nodes; every non-root state is accepting (every
+    non-empty admitted path names a node). *)
 let to_dfa (t : t) (alphabet : Xl_automata.Alphabet.t) : Xl_automata.Dfa.t =
   (* number trie nodes by preorder, recording per-node transitions *)
   let counter = ref 0 in

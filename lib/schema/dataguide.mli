@@ -13,10 +13,6 @@ val insert : t -> string list -> unit
 val of_store : Xl_xml.Store.t -> t
 val of_doc : Xl_xml.Doc.t -> t
 
-val step : t -> string -> t option
-(** The subtrie under one more symbol, for incremental walks
-    ({!Schema_source.cursor}). *)
-
 val admits : t -> string list -> bool
 (** Does some node of the instance have this tag path?  Prefixes of
     inserted paths are admitted; the empty path is not. *)
@@ -27,4 +23,5 @@ val size : t -> int
 val paths : ?limit:int -> t -> string list list
 
 val to_dfa : t -> Xl_automata.Alphabet.t -> Xl_automata.Dfa.t
-(** The trie as a DFA (used for presentation tightening). *)
+(** The trie as a DFA: for words over the alphabet it accepts exactly
+    what {!admits} admits. *)

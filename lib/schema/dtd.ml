@@ -80,6 +80,14 @@ let children_of t name =
   | None -> []
   | Some el -> Content_model.child_names el.content
 
+(** Element names a path can reach that no declaration defines: an
+    undeclared root and names content models reference without
+    declaring them.  Sorted. *)
+let undeclared_names t =
+  root t :: List.concat_map (children_of t) (element_names t)
+  |> List.filter (fun name -> find t name = None)
+  |> List.sort_uniq String.compare
+
 (** Is [child] guaranteed to occur exactly once in each [parent]?  Drives
     the "1" edge labels of templates (Section 4.1). *)
 let one_to_one t ~parent ~child =

@@ -53,6 +53,11 @@ val path_symbols : t -> string list
 val attributes_of : t -> string -> attribute list
 val children_of : t -> string -> string list
 
+val undeclared_names : t -> string list
+(** Element names a path can reach that no declaration defines: an
+    undeclared root and names content models reference without
+    declaring them.  Sorted. *)
+
 val one_to_one : t -> parent:string -> child:string -> bool
 (** Is [child] guaranteed exactly once in each [parent]?  Drives the "1"
     edge labels of templates (Section 4.1). *)

@@ -14,7 +14,7 @@
     v}
 
     Schemas convert losslessly (for path purposes) from DTDs, and compile
-    to the same {!Schema_paths} interface rule R1 consumes. *)
+    to the same path-language DFA rule R1 consumes ({!to_dfa}). *)
 
 type pattern =
   | Element of string * pattern
@@ -217,6 +217,50 @@ let admits (t : t) (path : string list) : bool =
     let elements, _, _ = surface t 16 t.start in
     List.exists (fun (n, b) -> String.equal n root && walk b rest) elements
 
+(** The path language as a DFA over [alphabet]: an NFA whose states are
+    the initial state, a leaf for attribute and text steps, and one
+    state per element body that {!surface} reaches, determinized by
+    subset construction.  Symbols outside [alphabet] get no transition. *)
+let to_dfa (t : t) (alphabet : Xl_automata.Alphabet.t) : Xl_automata.Dfa.t =
+  let open Xl_automata in
+  let leaf = 1 in
+  let ids = Hashtbl.create 64 in  (* element body -> state, from 2 *)
+  let edges = ref [] in
+  let edge q sym q' =
+    match Alphabet.find alphabet sym with
+    | Some a -> edges := (q, a, q') :: !edges
+    | None -> ()
+  in
+  let rec visit q body ~root =
+    let elements, attributes, text = surface t 16 body in
+    List.iter
+      (fun (n, b) ->
+        let q' =
+          match Hashtbl.find_opt ids b with
+          | Some q' -> q'
+          | None ->
+            let q' = Hashtbl.length ids + 2 in
+            Hashtbl.replace ids b q';
+            visit q' b ~root:false;
+            q'
+        in
+        edge q n q')
+      elements;
+    (* only elements may start a path *)
+    if not root then begin
+      List.iter (fun a -> edge q ("@" ^ a) leaf) attributes;
+      if text then edge q "#text" leaf
+    end
+  in
+  visit 0 t.start ~root:true;
+  let states = Hashtbl.length ids + 2 in
+  let nfa =
+    Nfa.create ~alphabet_size:(Alphabet.size alphabet) ~states ~start:0
+      ~finals:(List.init (states - 1) (fun i -> i + 1))
+  in
+  List.iter (fun (q, a, q') -> Nfa.add_transition nfa q a q') !edges;
+  Nfa.to_dfa nfa
+
 (* ---------------- DTD conversion ----------------------------------------- *)
 
 let rec pattern_of_particle (p : Content_model.particle) : pattern =
@@ -246,11 +290,13 @@ let pattern_of_content (c : Content_model.t) : pattern =
   | Content_model.Children p -> pattern_of_particle p
 
 (** Convert a DTD: one named definition per element type, references for
-    child elements — the path language is preserved exactly. *)
+    child elements — the path language is preserved exactly.  A name a
+    content model references without declaring it, and an undeclared
+    root, become empty elements: the step is admitted, nothing below. *)
 let of_dtd (dtd : Dtd.t) : t =
   let def_of name =
     match Dtd.find dtd name with
-    | None -> (name, Empty)
+    | None -> (name, Element (name, Empty))
     | Some el ->
       let atts =
         List.map (fun a -> Attribute a.Dtd.att_name) el.Dtd.atts
@@ -261,7 +307,7 @@ let of_dtd (dtd : Dtd.t) : t =
   in
   {
     start = Ref (Dtd.root dtd);
-    defs = List.map def_of (Dtd.element_names dtd);
+    defs = List.map def_of (Dtd.element_names dtd @ Dtd.undeclared_names dtd);
   }
 
 (* ---------------- printing ------------------------------------------------ *)

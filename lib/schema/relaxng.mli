@@ -32,6 +32,10 @@ val admits : t -> string list -> bool
 (** Does the schema admit a node with this tag path?  The same contract
     as {!Schema_paths.admits}, so rule R1 accepts either language. *)
 
+val to_dfa : t -> Xl_automata.Alphabet.t -> Xl_automata.Dfa.t
+(** The path language as a DFA over the alphabet: for words over it,
+    [Dfa.accepts (to_dfa t a) w = admits t (decode w)]. *)
+
 val of_dtd : Dtd.t -> t
 (** Convert a DTD; the path language is preserved exactly. *)
 

@@ -7,169 +7,81 @@
     language is the set of walks of the element graph from the root, plus
     declared attribute ["@a"] and ["#text"] leaf steps.
 
-    The language is exposed as an explicit int-state stepper (states:
-    initial, one per element name, leaf, dead) so R1 can hold a cursor at
-    a fragment's base prefix and answer each membership query by stepping
-    only the relative word — and so single (state, symbol) steps can be
-    memoized: XMark Q7 asks ~46k schema-reachability questions whose
-    steps revisit a few hundred distinct pairs. *)
-
-(* (state, symbol) step memo telemetry; the benchmark reports its hit
-   fraction as core.r1_cache.hit_frac *)
-let c_r1_hit = Xl_obs.Obs.Counter.make "r1_cache_hit"
-let c_r1_miss = Xl_obs.Obs.Counter.make "r1_cache_miss"
+    R1 consumes the language as a DFA ({!to_dfa}); {!admits} is the plain
+    walk that the DFA is checked against. *)
 
 type t = {
   dtd : Dtd.t;
-  children : (string, string list) Hashtbl.t;  (** element -> child elements *)
-  atts : (string, string list) Hashtbl.t;  (** element -> "@a" symbols *)
-  mixed : (string, bool) Hashtbl.t;  (** element may contain text *)
-  state_of : (string, int) Hashtbl.t;  (** element name -> state 1..n *)
-  names : string array;  (** state - 1 -> element name *)
-  leaf : int;
-  dead : int;
-  memo : (int * string, int) Hashtbl.t;  (** (state, symbol) -> next state *)
+  names : string list;
+      (** every element name the language can stand at: declared
+          elements in declaration order, then {!Dtd.undeclared_names}
+          (those admit the step but nothing below it) *)
 }
 
 let compile (dtd : Dtd.t) : t =
-  let children = Hashtbl.create 64 in
-  let atts = Hashtbl.create 64 in
-  let mixed = Hashtbl.create 64 in
-  List.iter
-    (fun name ->
-      match Dtd.find dtd name with
-      | None -> ()
-      | Some el ->
-        Hashtbl.replace children name (Content_model.child_names el.Dtd.content);
-        Hashtbl.replace atts name
-          (List.map (fun a -> "@" ^ a.Dtd.att_name) el.Dtd.atts);
-        let m =
-          match el.Dtd.content with
-          | Content_model.Mixed _ | Content_model.Any -> true
-          | Content_model.Empty | Content_model.Children _ -> false
-        in
-        Hashtbl.replace mixed name m)
-    (Dtd.element_names dtd);
-  (* the stepper needs a state for every element name the language can
-     stand at: declared elements, names a content model references even
-     when undeclared (they admit the step but nothing below it), and the
-     root *)
-  let state_of = Hashtbl.create 64 in
-  let names = ref [] in
-  let count = ref 0 in
-  let register name =
-    if not (Hashtbl.mem state_of name) then begin
-      incr count;
-      Hashtbl.replace state_of name !count;
-      names := name :: !names
-    end
-  in
-  register (Dtd.root dtd);
-  List.iter register (Dtd.element_names dtd);
-  Hashtbl.iter (fun _ kids -> List.iter register kids) children;
-  let names = Array.of_list (List.rev !names) in
-  let leaf = !count + 1 and dead = !count + 2 in
-  {
-    dtd;
-    children;
-    atts;
-    mixed;
-    state_of;
-    names;
-    leaf;
-    dead;
-    memo = Hashtbl.create 256;
-  }
+  { dtd; names = Dtd.element_names dtd @ Dtd.undeclared_names dtd }
 
-let lookup tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k)
+let children t name = Dtd.children_of t.dtd name
 
-let start (_ : t) = 0
+let atts t name =
+  List.map (fun a -> "@" ^ a.Dtd.att_name) (Dtd.attributes_of t.dtd name)
 
-let accepting (t : t) (q : int) = q <> 0 && q <> t.dead
-
-let compute_step (t : t) (q : int) (sym : string) : int =
-  if q = t.dead || q = t.leaf then t.dead
-  else if q = 0 then
-    if String.equal sym (Dtd.root t.dtd) then Hashtbl.find t.state_of sym
-    else t.dead
-  else
-    let name = t.names.(q - 1) in
-    if String.length sym > 0 && sym.[0] = '@' then
-      if List.mem sym (lookup t.atts name) then t.leaf else t.dead
-    else if String.equal sym "#text" then
-      if Option.value ~default:false (Hashtbl.find_opt t.mixed name) then t.leaf
-      else t.dead
-    else if List.mem sym (lookup t.children name) then
-      Hashtbl.find t.state_of sym
-    else t.dead
-
-let step (t : t) (q : int) (sym : string) : int =
-  match Hashtbl.find_opt t.memo (q, sym) with
-  | Some q' ->
-    Xl_obs.Obs.Counter.incr c_r1_hit;
-    q'
-  | None ->
-    Xl_obs.Obs.Counter.incr c_r1_miss;
-    let q' = compute_step t q sym in
-    Hashtbl.replace t.memo (q, sym) q';
-    q'
-
-let run (t : t) (q : int) (path : string list) : int =
-  List.fold_left (fun q sym -> step t q sym) q path
+(* may the element contain text? *)
+let is_mixed t name =
+  match Dtd.find t.dtd name with
+  | Some { Dtd.content = Content_model.Mixed _ | Content_model.Any; _ } -> true
+  | Some _ | None -> false
 
 (** Does the schema admit a node with tag path [path]?  [path] starts at
     the root element (e.g. [["site"; "regions"; "africa"; "item"]]).
-    The empty path names no node.  ["@a"]/["#text"] leaf steps cannot be
-    extended: the leaf state steps to dead. *)
+    The empty path names no node; ["@a"]/["#text"] steps end the path. *)
 let admits (t : t) (path : string list) : bool =
-  accepting t (run t (start t) path)
+  let rec walk name = function
+    | [] -> true
+    | sym :: rest ->
+      if String.length sym > 0 && sym.[0] = '@' then
+        rest = [] && List.mem sym (atts t name)
+      else if String.equal sym "#text" then rest = [] && is_mixed t name
+      else List.mem sym (children t name) && walk sym rest
+  in
+  match path with
+  | [] -> false
+  | root :: rest -> String.equal root (Dtd.root t.dtd) && walk root rest
 
-(** The schema path language as a DFA over [alphabet] (which must contain
-    at least the DTD's {!Dtd.path_symbols}).  Accepts exactly the
-    schema-consistent paths; used in tests and to intersect hypothesis
-    languages with the schema. *)
+(** The schema path language as a DFA over [alphabet] (which should
+    contain the DTD's {!Dtd.path_symbols}; symbols outside it cannot
+    occur in a word and get no transition).  Accepts exactly the paths
+    {!admits} admits. *)
 let to_dfa (t : t) (alphabet : Xl_automata.Alphabet.t) : Xl_automata.Dfa.t =
   let open Xl_automata in
-  let names = Dtd.element_names t.dtd in
   let k = Alphabet.size alphabet in
   (* states: 0 = initial, 1..n = "at element i", n+1 = leaf (attr/text),
      n+2 = dead *)
-  let n = List.length names in
+  let n = List.length t.names in
   let index = Hashtbl.create 64 in
-  List.iteri (fun i name -> Hashtbl.replace index name (i + 1)) names;
+  List.iteri (fun i name -> Hashtbl.replace index name (i + 1)) t.names;
   let leaf = n + 1 and dead = n + 2 in
   let states = n + 3 in
   let finals = Array.make states true in
   finals.(0) <- false;
   finals.(dead) <- false;
   let delta = Array.init states (fun _ -> Array.make k dead) in
-  let sym_id s = Alphabet.find alphabet s in
-  (* initial state: only the root element symbol *)
-  (match sym_id (Dtd.root t.dtd), Hashtbl.find_opt index (Dtd.root t.dtd) with
-  | Some a, Some q -> delta.(0).(a) <- q
-  | _ -> ());
+  let edge q sym q' =
+    match Alphabet.find alphabet sym with
+    | Some a -> delta.(q).(a) <- q'
+    | None -> ()
+  in
+  let root = Dtd.root t.dtd in
+  edge 0 root (Hashtbl.find index root);
   List.iter
     (fun name ->
-      match Hashtbl.find_opt index name with
-      | None -> ()
-      | Some q ->
-        List.iter
-          (fun child ->
-            match sym_id child, Hashtbl.find_opt index child with
-            | Some a, Some q' -> delta.(q).(a) <- q'
-            | _ -> ())
-          (lookup t.children name);
-        List.iter
-          (fun att ->
-            match sym_id att with
-            | Some a -> delta.(q).(a) <- leaf
-            | None -> ())
-          (lookup t.atts name);
-        if Option.value ~default:false (Hashtbl.find_opt t.mixed name) then
-          match sym_id "#text" with
-          | Some a -> delta.(q).(a) <- leaf
-          | None -> ())
-    names;
+      let q = Hashtbl.find index name in
+      List.iter
+        (fun child -> edge q child (Hashtbl.find index child))
+        (children t name);
+      List.iter (fun att -> edge q att leaf) (atts t name);
+      if is_mixed t name then edge q "#text" leaf)
+    t.names;
   Dfa.create ~alphabet_size:k ~states ~start:0 ~finals ~delta
 
 (** Maximum depth of the schema (∞ for recursive DTDs is capped at
@@ -183,7 +95,7 @@ let max_depth ?(cap = 32) (t : t) : int =
       match Hashtbl.find_opt memo name with
       | Some v -> v
       | None ->
-        let kids = lookup t.children name in
+        let kids = children t name in
         let v =
           1
           + List.fold_left

@@ -476,6 +476,12 @@ let plearner_fixture ?(r1 = true) ?(r2 = true) ?(target = fun s -> List.length s
          "<!ELEMENT a (b*, c?)><!ELEMENT b (#PCDATA)><!ELEMENT c EMPTY><!ATTLIST b x CDATA #IMPLIED>")
   in
   let alphabet = Xl_automata.Alphabet.of_list [ "a"; "b"; "c"; "@x"; "#text" ] in
+  (* the schema's path language relativized to the base prefix a *)
+  let r1_dfa =
+    let sdfa = Xl_schema.Schema_source.to_dfa schema alphabet in
+    Xl_automata.Dfa.with_start sdfa
+      (Xl_automata.Dfa.run sdfa (Xl_automata.Alphabet.encode alphabet [ "a" ]))
+  in
   let asked = ref [] in
   let ask s =
     asked := s :: !asked;
@@ -484,7 +490,7 @@ let plearner_fixture ?(r1 = true) ?(r2 = true) ?(target = fun s -> List.length s
   let pl =
     Plearner.create
       ~config:{ Plearner.r1; r2 }
-      ~stats ~schemas:[ schema ] ~alphabet ~abs_prefix:[ "a" ]
+      ~stats ~r1_dfas:[ r1_dfa ] ~alphabet ~abs_prefix:[ "a" ]
       ~dropped_path:[ "b" ] ~ask ()
   in
   (pl, stats, asked, alphabet)

@@ -16,7 +16,7 @@
 module Obs = Xl_obs.Obs
 module Profiler = Xl_obs.Profiler
 module Perfetto = Xl_obs.Perfetto
-module Json = Xl_obs.Json
+module Json = Xl_json.Json
 module Tan = Xl_obs.Trace_analysis
 module Pool = Xl_exec.Pool
 
@@ -354,14 +354,12 @@ let test_trace_jsonl () =
 
 (* ---------- cache counters ----------------------------------------------- *)
 
-(* The learning loop's memoization layers report through Obs counters:
-   the extent cache (Oracle + Eval, shared names) and the R1 step memo
-   (Schema_paths).  A default learning run must show traffic on all of
-   them, and zero-valued counters are filtered from the telemetry
-   JSON. *)
+(* The learning loop's extent cache (Oracle + Eval, shared names)
+   reports through Obs counters.  A default learning run must show
+   traffic on both, and zero-valued counters are filtered from the
+   telemetry JSON. *)
 
-let cache_counters =
-  [ "extent_cache_hit"; "extent_cache_miss"; "r1_cache_hit"; "r1_cache_miss" ]
+let cache_counters = [ "extent_cache_hit"; "extent_cache_miss" ]
 
 let counter_value name =
   match Obs.Counter.find name with
@@ -377,10 +375,8 @@ let has_sub sub l =
 
 let has_counter json name = has_sub (Printf.sprintf "{\"name\":\"%s\"" name) json
 
-(* XMark Q10 on the default config: batched fills answer R1 through the
-   compiled schema DFA, which bypasses the step memo, but the R1 cursor
-   pre-walks and single-word questions step it, and on Q10 often enough
-   to hit as well as miss *)
+(* XMark Q10 on the default config hits as well as misses the extent
+   cache *)
 let test_cache_counters_enabled () =
   with_obs (fun () ->
       ignore (Xl_core.Learn.run (List.assoc "Q10" (Xl_workload.Xmark_scenarios.all ())));
@@ -716,7 +712,7 @@ let () =
         ] );
       ( "caches",
         [
-          Alcotest.test_case "extent + R1 counters on a fast-path run" `Quick
+          Alcotest.test_case "extent counters on a fast-path run" `Quick
             test_cache_counters_enabled;
           Alcotest.test_case "zero counters absent from telemetry" `Quick
             test_zero_counters_filtered;

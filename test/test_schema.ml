@@ -153,24 +153,25 @@ let test_admits_attr_not_prefix () =
   check cbool "attr mid-path rejected" false
     (Schema_paths.admits sp [ "site"; "regions"; "europe"; "item"; "@id"; "name" ])
 
-let prop_schema_dfa_agrees =
-  let d = dtd () in
-  let sp = Schema_paths.compile d in
-  let alphabet = Xl_automata.Alphabet.of_list (Dtd.path_symbols d) in
-  let dfa = Schema_paths.to_dfa sp alphabet in
-  let symbols = Array.of_list (Dtd.path_symbols d) in
-  let gen =
-    QCheck2.Gen.(
-      list_size (1 -- 6) (map (fun i -> symbols.(i)) (0 -- (Array.length symbols - 1))))
+(* a content model may name an element no declaration defines, and the
+   root may be undeclared: the path language admits the step and nothing
+   below it *)
+let undeclared_dtd_text = "<!ELEMENT a (b, c)> <!ELEMENT b (#PCDATA)>"
+
+let test_to_dfa_undeclared_names () =
+  let accepts d path =
+    let alphabet = Xl_automata.Alphabet.of_list [ "a"; "b"; "c"; "r"; "#text" ] in
+    Xl_automata.Dfa.accepts
+      (Schema_paths.to_dfa (Schema_paths.compile d) alphabet)
+      (Xl_automata.Alphabet.encode alphabet path)
   in
-  QCheck2.Test.make ~name:"schema DFA agrees with admits" ~count:1000 gen (fun path ->
-      let by_admits = Schema_paths.admits sp path in
-      let by_dfa =
-        match Xl_automata.Alphabet.encode_opt alphabet path with
-        | Some w -> Xl_automata.Dfa.accepts dfa w
-        | None -> false
-      in
-      by_admits = by_dfa)
+  let d = Dtd_parser.parse undeclared_dtd_text in
+  check cbool "a/c accepted" true (accepts d [ "a"; "c" ]);
+  check cbool "a/c/#text rejected" false (accepts d [ "a"; "c"; "#text" ]);
+  check cbool "a/b/#text accepted" true (accepts d [ "a"; "b"; "#text" ]);
+  let rootless = Dtd_parser.parse ~root:"r" "<!ELEMENT b (#PCDATA)>" in
+  check cbool "undeclared root accepted" true (accepts rootless [ "r" ]);
+  check cbool "nothing below it" false (accepts rootless [ "r"; "b" ])
 
 let test_max_depth () =
   let sp = Schema_paths.compile (dtd ()) in
@@ -311,6 +312,63 @@ let test_schema_source_dispatch () =
         (Schema_source.admits src bad))
     sources
 
+(* Every source kind's DFA accepts exactly what its reference walk
+   admits.  A path is spelled by a list of choices: [(true, i)] takes the
+   i-th step the source admits next (when there is one), [(false, i)]
+   the i-th symbol of the whole alphabet — so paths run deep into each
+   language and then step off it, with the empty path, attribute and
+   text steps mid-path, and a symbol no source knows among them. *)
+let prop_schema_dfa_agrees =
+  let d = dtd () in
+  let xmark = Xl_workload.Xmark_dtd.get () in
+  let undeclared = Dtd_parser.parse undeclared_dtd_text in
+  let sources =
+    [
+      Schema_source.of_dtd xmark;
+      Schema_source.of_dtd d;
+      Schema_source.of_dtd undeclared;
+      Schema_source.of_relaxng (Relaxng.parse rnc_text);
+      Schema_source.of_relaxng (Relaxng.of_dtd xmark);
+      Schema_source.of_relaxng (Relaxng.of_dtd undeclared);
+      Schema_source.of_dataguide (Dataguide.of_doc (valid_doc ()));
+    ]
+  in
+  let symbols =
+    List.sort_uniq String.compare
+      (List.concat_map Dtd.path_symbols [ xmark; d; undeclared ]
+      @ [ "c"; "bib"; "book"; "@year"; "title"; "author"; "first"; "last"; "price";
+          "bogus" ])
+    |> Array.of_list
+  in
+  let alphabet = Xl_automata.Alphabet.of_list (Array.to_list symbols) in
+  let dfas = List.map (fun src -> (src, Schema_source.to_dfa src alphabet)) sources in
+  let path_of src choices =
+    List.fold_left
+      (fun path (follow, i) ->
+        let next =
+          if follow then
+            List.filter
+              (fun sym -> Schema_source.admits src (path @ [ sym ]))
+              (Array.to_list symbols)
+          else []
+        in
+        let sym =
+          match next with
+          | [] -> symbols.(i mod Array.length symbols)
+          | _ -> List.nth next (i mod List.length next)
+        in
+        path @ [ sym ])
+      [] choices
+  in
+  let gen = QCheck2.Gen.(list_size (0 -- 8) (pair (frequency [ (4, pure true); (1, pure false) ]) nat)) in
+  QCheck2.Test.make ~name:"schema DFA agrees with admits" ~count:300 gen (fun choices ->
+      List.for_all
+        (fun (src, dfa) ->
+          let path = path_of src choices in
+          Xl_automata.Dfa.accepts dfa (Xl_automata.Alphabet.encode alphabet path)
+          = Schema_source.admits src path)
+        dfas)
+
 let () =
   Alcotest.run "xl_schema"
     [
@@ -333,6 +391,7 @@ let () =
         [
           Alcotest.test_case "admits" `Quick test_admits;
           Alcotest.test_case "attr terminates" `Quick test_admits_attr_not_prefix;
+          Alcotest.test_case "undeclared names" `Quick test_to_dfa_undeclared_names;
           QCheck_alcotest.to_alcotest prop_schema_dfa_agrees;
           Alcotest.test_case "max depth" `Quick test_max_depth;
         ] );
