@@ -65,13 +65,17 @@ machine-test:
 
 # Suspend/resume across processes: learn xmp Q1, snapshot at the fifth
 # answer and exit; then resume the snapshot in a second process and
-# finish the session.  The resumed run prints the same interaction row
-# and verified flag as an uninterrupted one.
+# finish the session.  Fails unless the resumed run prints the same
+# interaction row and verified flag as an uninterrupted one.
 machine-demo:
 	dune build bin/xlearner_cli.exe
+	dune exec bin/xlearner_cli.exe -- learn xmp Q1 | grep -E '^(interactions|verified)' > machine_demo.expected
 	dune exec bin/xlearner_cli.exe -- learn xmp Q1 --suspend-at 5 --snapshot machine_demo.snapshot
-	dune exec bin/xlearner_cli.exe -- learn xmp Q1 --resume machine_demo.snapshot
-	rm -f machine_demo.snapshot
+	dune exec bin/xlearner_cli.exe -- learn xmp Q1 --resume machine_demo.snapshot > machine_demo.resumed
+	cat machine_demo.resumed
+	grep -E '^(interactions|verified)' machine_demo.resumed | diff machine_demo.expected -
+	@echo "resumed run matches the uninterrupted run"
+	rm -f machine_demo.snapshot machine_demo.expected machine_demo.resumed
 
 # Property-based differential fuzzing (DESIGN.md §5f): 500 seeded cases
 # on the domain pool; exits non-zero and writes FUZZ_counterexamples.txt

@@ -1,9 +1,9 @@
 (* LEARN-X1*+E, synchronous driver.
 
-   The engine itself lives in {!Machine} as a resumable state machine;
-   [run] is the thin loop the ISSUE of record asked every driver to be:
-   start the machine, answer each question with a teacher, feed the
-   answer back, until the machine is done.  The types are re-exported
+   The engine lives in {!Engine}, run by {!Machine} as a resumable state
+   machine; [run] is the thin loop every driver is: start the machine,
+   answer each question with a teacher, feed the answer back, until the
+   machine is done.  The types are re-exported
    from {!Learn_types} so existing clients keep reading
    [Learn.config]/[Learn.result]. *)
 

@@ -4,13 +4,14 @@
     per learning task, depth-first, with backtracking so no descendant
     faces an empty extent), then per-task learning — P-Learner for the
     path automaton, C-Learner for the condition conjunction, equivalence
-    queries routed by IHT consistency, Condition/OrderBy/Function boxes
-    merged in — and finally recomposes the learned XQ-Tree and verifies
-    it against the intended query on the instance.
+    queries whose counterexamples are routed to either,
+    Condition/OrderBy/Function boxes merged in — and finally recomposes
+    the learned XQ-Tree and verifies it against the intended query on
+    the instance.
 
-    The engine itself is the resumable state machine of {!Machine}; this
-    module is a thin loop over {!Machine.step} that answers every
-    question with a teacher.  Drivers that need suspension, transcripts
+    The engine is {!Engine}, run as the resumable state machine of
+    {!Machine}; this module is a thin loop over {!Machine.step} that
+    answers every question with a teacher.  Drivers that need suspension, transcripts
     or snapshot/restore use {!Machine} directly. *)
 
 open Xl_xqtree

@@ -1,6 +1,6 @@
-(** Types shared by the learning engine ({!Machine}) and the synchronous
-    driver ({!Learn}).  Both re-export them; see {!Learn} for the field
-    documentation that has always lived there. *)
+(** Types shared by the learning engine ({!Engine}, {!Machine}) and the
+    synchronous driver ({!Learn}).  Both re-export them; see {!Learn}
+    for the field documentation that has always lived there. *)
 
 open Xl_xqtree
 

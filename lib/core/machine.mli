@@ -3,13 +3,15 @@
     The paper's workflow is interactive: the mapping query grows out of a
     GUI session in which the *user* answers every query.  This module
     inverts the synchronous driver of {!Learn} accordingly: the whole
-    LEARN-X1*+E engine (drop phase, P-/C-Learner, IHT routing, explicit
-    boxes, rebuild, verification and the repair sweep) runs as a step
-    function over an answer stream.  {!start} runs the engine up to its
-    first teacher question and suspends; {!step} feeds one {!answer} and
+    LEARN-X1*+E {!Engine} (drop phase, P-/C-Learner, explicit boxes,
+    rebuild, verification and the repair sweep) runs as a step function
+    over an answer stream.  {!start} runs the engine up to its first
+    teacher question and suspends; {!step} feeds one {!answer} and
     returns either the next {!question} or the finished {!Learn.result}.
-    The driver — simulated oracle, stdin teacher, fuzz harness, a future
-    session server — lives entirely outside the machine.
+    The driver — simulated oracle, stdin teacher, fuzz harness, the
+    session server of [lib/server] — lives entirely outside the machine;
+    the snapshot bytes and the (URI, Dewey) node references are
+    {!Machine_codec}'s.
 
     {b State model.}  A machine value [t] is immutable from the driver's
     point of view: stepping returns a new value and never invalidates the
@@ -59,7 +61,7 @@ type question =
     }
   | Order_box of { label : string }
 
-type answer =
+type answer = Machine_codec.answer =
   | Bool of bool  (** answers [Membership] *)
   | Bools of bool list  (** answers [Membership_batch], one per path *)
   | Eq of Teacher.eq_answer  (** answers [Equivalence] *)
@@ -70,7 +72,7 @@ type answer =
     snapshots.  [Repairing pass] is the post-verification repair sweep
     (pass 0, 1 or 2): its progress is part of the machine state, so a
     session suspended mid-repair resumes inside the same sweep. *)
-type phase =
+type phase = Engine.phase =
   | Dropping  (** simulating the drag-and-drop phase *)
   | Learning of string  (** per-task learning, at this task label *)
   | Verifying  (** end-to-end verification of the rebuilt query *)
@@ -178,21 +180,6 @@ val restore :
     run.  A machine started with [~prior] is restored with the same
     [~prior] (the snapshot does not carry it).  Raises {!Corrupt} on any
     validation failure. *)
-
-val node_ref : Store.t -> Node.t -> string * int list
-(** The process-stable identity a node has in a snapshot: its document's
-    URI plus its Dewey code.  Raises [Invalid_argument] on a node from
-    outside the store.  The session server uses the same pairs on its
-    JSON wire, so a node that round-trips the snapshot codec round-trips
-    the wire too. *)
-
-val node_of_ref :
-  Store.t -> uri:string -> dewey:int list -> (Node.t, string) result
-(** Resolve a {!node_ref} pair against a store: find the document by
-    URI, then walk the Dewey code (1-based, attributes before children —
-    the snapshot codec's convention).  [Error] names what failed;
-    unlike the snapshot decoder it never raises, because the inputs come
-    from untrusted clients. *)
 
 val oracle_teacher : t -> Teacher.t
 (** The machine's internal simulated teacher (built by {!Oracle.create}

@@ -19,6 +19,7 @@ type t = {
 let label (t : t) = t.node.Xqtree.label
 let var (t : t) = Option.get t.node.Xqtree.var
 let parent_var (t : t) = Option.map (fun p -> Option.get p.Xqtree.var) t.parent
+let anchor (t : t) = Option.value ~default:t.node t.parent
 
 (** All tasks of a tree, in the depth-first learning order. *)
 let tasks_of (tree : Xqtree.t) : t list =

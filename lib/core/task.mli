@@ -18,6 +18,10 @@ val label : t -> string
 val var : t -> string
 val parent_var : t -> string option
 
+val anchor : t -> Xqtree.node
+(** The node whose ancestors bind the task's context: the collapse
+    parent of a pair, the task's own node otherwise. *)
+
 val tasks_of : Xqtree.t -> t list
 (** Depth-first learning order. *)
 

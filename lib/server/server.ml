@@ -27,6 +27,7 @@ module Json = Xl_json.Json
 module Obs = Xl_obs.Obs
 module Pool = Xl_exec.Pool
 module Machine = Xl_core.Machine
+module Machine_codec = Xl_core.Machine_codec
 module Scenario = Xl_core.Scenario
 module Teacher = Xl_core.Teacher
 module Stats = Xl_core.Stats
@@ -379,7 +380,7 @@ let cond_of_json (j : Json.t) : (Cond.t, string) result =
   go 0 j
 
 let node_json store n =
-  let uri, dewey = Machine.node_ref store n in
+  let uri, dewey = Machine_codec.node_ref store n in
   Json.Obj
     [
       ("uri", Json.str uri);
@@ -400,7 +401,7 @@ let node_of_json store j =
     in
     match dewey with
     | None -> Error "dewey must be an array of integers"
-    | Some rev -> Machine.node_of_ref store ~uri ~dewey:(List.rev rev))
+    | Some rev -> Machine_codec.node_of_ref store ~uri ~dewey:(List.rev rev))
   | _ -> Error "node needs \"uri\" and \"dewey\""
 
 let context_json store (ctx : Teacher.context) =
@@ -520,14 +521,6 @@ let answer_of_json store (j : Json.t) : (Machine.answer, string) result =
          \"order\" (or \"auto\")")
   | _ -> Error "answer must be a JSON object"
 
-let phase_string (p : Machine.phase) =
-  match p with
-  | Machine.Dropping -> "dropping"
-  | Machine.Learning l -> "learning:" ^ l
-  | Machine.Verifying -> "verifying"
-  | Machine.Repairing n -> Printf.sprintf "repairing:%d" n
-  | Machine.Finished -> "finished"
-
 let stats_json (st : Stats.t) =
   match Json.parse (Stats.to_json st) with Ok j -> j | Error _ -> Json.Null
 
@@ -538,7 +531,7 @@ let outcome_fields (s : sess) =
     [
       ("id", Json.str s.s_id);
       ("scenario", Json.str s.s_ref);
-      ("phase", Json.str (phase_string (Machine.phase s.s_machine)));
+      ("phase", Json.str (Machine_codec.phase_name (Machine.phase s.s_machine)));
       ("steps", Json.int (Machine.steps s.s_machine));
     ]
   in
@@ -811,7 +804,7 @@ let handle_query t ~t0 id =
       let base =
         [
           ("id", Json.str s.s_id);
-          ("phase", Json.str (phase_string (Machine.phase s.s_machine)));
+          ("phase", Json.str (Machine_codec.phase_name (Machine.phase s.s_machine)));
         ]
       in
       match s.s_outcome with

@@ -125,23 +125,6 @@ let test_stats () =
   Stats.add ~into:t s;
   check cint "add accumulates" 210 (Stats.reduced_total t - 0)
 
-(* ---------- IHT --------------------------------------------------------------- *)
-
-let test_iht () =
-  let t = Iht.create () in
-  let _ = Iht.add t ~path:[ "a"; "b" ] ~ans:true ~source:Iht.Dropped () in
-  let r2 = Iht.add t ~path:[ "a"; "c" ] ~ans:false ~source:Iht.Membership () in
-  check cbool "yes certifies both" true
-    (match Iht.rows t with r :: _ -> r.Iht.p = Iht.Yes && r.Iht.c = Iht.Yes | [] -> false);
-  check cbool "no blames the path by default" true (r2.Iht.p = Iht.No && r2.Iht.c = Iht.Unknown);
-  check cbool "positive paths" true (Iht.positive_paths t = [ [ "a"; "b" ] ]);
-  check cbool "membership" true (Iht.mem_positive_path t [ "a"; "b" ]);
-  (* a No on a known-positive path is repaired to a condition rejection *)
-  let r3 = Iht.add t ~path:[ "a"; "b" ] ~ans:false ~source:Iht.Counterexample () in
-  let repaired = Iht.repair t in
-  check cint "one row repaired" 1 (List.length repaired);
-  check cbool "reattributed" true (r3.Iht.p = Iht.Yes && r3.Iht.c = Iht.No)
-
 (* ---------- Data graph ---------------------------------------------------------- *)
 
 let test_data_graph () =
@@ -602,7 +585,6 @@ let () =
   Alcotest.run "xl_core"
     [
       ("stats", [ Alcotest.test_case "accounting" `Quick test_stats ]);
-      ("iht", [ Alcotest.test_case "attribution and repair" `Quick test_iht ]);
       ("data-graph", [ Alcotest.test_case "v-equality and paths" `Quick test_data_graph ]);
       ( "cond-enum",
         [ Alcotest.test_case "enumerates the q1 join" `Quick test_cond_enum_finds_join ] );

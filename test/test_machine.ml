@@ -11,7 +11,11 @@
      uninterrupted run;
    - corruption: flipping any single byte of a snapshot (and truncating
      it) raises Machine.Corrupt — never a silently wrong answer; so does
-     a well-formed snapshot of the retired version 1;
+     a well-formed snapshot of the retired version 1, and one whose
+     counterexample node has a Dewey step of 0;
+   - the version-2 bytes: three snapshots pinned by MD5, a committed
+     step-5 fixture that restores and finishes with its Figure-16 row,
+     and the Machine_codec entry records round-tripped on their own;
    - repair-sweep state: a machine suspended while phase = Repairing
      resumes inside the same sweep (the spare-join fixture, whose
      verification sweep must restore a minimized-away join);
@@ -334,6 +338,132 @@ let test_v1_snapshot_rejected () =
       true
       (String.starts_with ~prefix:"unsupported machine snapshot version 1 " msg)
 
+(* ---------- pinned snapshot bytes --------------------------------------- *)
+
+(* The version-2 layout, pinned by the MD5 of whole snapshots: xmp Q1
+   suspended after five answers, and two finished runs, one whose
+   transcript holds a stated Condition Box and one holding a non-empty
+   Order Box answer.  Any change to the writer shows here. *)
+let pinned_snapshots =
+  [
+    ("xmp-Q1", Some 5, "ed8c0d850309c89251f7c721cdaf3a74");
+    ("xmark-Q1", None, "ea71cbf2c0546fcf4f81577c29cc41f1");
+    ("xmark-Q19", None, "2c201521954ce822b10c6c6beba6a52d");
+  ]
+
+(* drive with the machine's own teacher until [steps] answers are given,
+   or to the end *)
+let run_to ?steps scenario =
+  let m0 = M.start scenario in
+  let teacher = M.oracle_teacher m0 in
+  let rec go m =
+    match M.outcome m with
+    | `Ask _ when Some (M.steps m) = steps -> m
+    | `Done _ -> m
+    | `Ask q -> go (snd (M.step m (M.answer_with teacher q)))
+  in
+  go m0
+
+let test_pinned_snapshot_bytes () =
+  let holds name p =
+    let m = run_to (fig16_scenario name) in
+    Alcotest.(check bool)
+      (name ^ ": transcript holds the pinned answer kind")
+      true
+      (List.exists (fun (ex : M.exchange) -> p ex.M.answer) (M.transcript m))
+  in
+  holds "xmark-Q1" (function M.Cb (Some _) -> true | _ -> false);
+  holds "xmark-Q19" (function M.Order (_ :: _) -> true | _ -> false);
+  List.iter
+    (fun (name, steps, md5) ->
+      let snap = M.snapshot (run_to ?steps (fig16_scenario name)) in
+      Alcotest.(check string)
+        (Printf.sprintf "%s snapshot MD5 (%d bytes)" name (String.length snap))
+        md5
+        (Digest.to_hex (Digest.string snap)))
+    pinned_snapshots
+
+(* dune runtest runs in _build/default/test, dune exec in the root *)
+let test_file name =
+  match List.find_opt Sys.file_exists [ name; "test/" ^ name ] with
+  | Some path -> In_channel.with_open_bin path In_channel.input_all
+  | None -> Alcotest.failf "%s not found (declared test dep)" name
+
+(* The read side of the same layout: a committed step-5 snapshot of xmp
+   Q1 restores and finishes with Q1's pinned Figure-16 row. *)
+let test_snapshot_fixture () =
+  let snap = test_file "machine_q1_step5.snapshot" in
+  let _, _, md5 = List.hd pinned_snapshots in
+  Alcotest.(check string) "fixture is the pinned snapshot" md5
+    (Digest.to_hex (Digest.string snap));
+  let scenario = fig16_scenario "xmp-Q1" in
+  let m = M.restore ~scenario snap in
+  Alcotest.(check int) "restored at step 5" 5 (M.steps m);
+  let r, _ = M.drive ~teacher:(M.oracle_teacher m) m in
+  let module Json = Xl_json.Json in
+  let want =
+    match Json.parse (test_file "fig16_stats.json") with
+    | Ok (Json.Obj rows) -> List.assoc "xmp/Q1" rows
+    | _ -> Alcotest.fail "fig16_stats.json: not a JSON object"
+  in
+  Alcotest.(check string) "xmp/Q1 row" (Json.to_string want)
+    (match Json.parse (Stats.to_json r.Learn.stats) with
+    | Ok j -> Json.to_string j
+    | Error e -> Alcotest.failf "Stats.to_json unparseable: %s" e);
+  Alcotest.(check bool) "verified" true r.Learn.verified
+
+(* The record codec on its own: every entry of a finished xmp Q12 run
+   (membership answers, a counterexample, a Condition Box, orderings),
+   written with [add_entry] back to back and read again with
+   [read_entry], re-encodes to the same bytes. *)
+let test_entry_records () =
+  let module Codec = Xl_core.Machine_codec in
+  let scenario = fig16_scenario "xmp-Q12" in
+  let store = scenario.Scenario.store in
+  let _, _, entries = Codec.decode ~scenario (M.snapshot (run_to scenario)) in
+  let write entries =
+    let b = Buffer.create 256 in
+    List.iter (Codec.add_entry b store) entries;
+    Buffer.contents b
+  in
+  let bytes = write entries in
+  let rec read pos acc =
+    if pos = String.length bytes then List.rev acc
+    else
+      let e, pos = Codec.read_entry store bytes ~pos in
+      read pos (e :: acc)
+  in
+  let again = read 0 [] in
+  Alcotest.(check int) "entry count" (List.length entries) (List.length again);
+  Alcotest.(check string) "re-encoded entries" bytes (write again)
+
+(* A counterexample node whose Dewey code ends in 0, in a snapshot with
+   a recomputed digest, is refused as corruption that names the step. *)
+let test_dewey_step_zero () =
+  let module Codec = Xl_core.Machine_codec in
+  let scenario = fig16_scenario "xmark-Q1" in
+  let config, phase, entries =
+    Codec.decode ~scenario (M.snapshot (run_to scenario))
+  in
+  let zeroed = ref 0 in
+  let entries =
+    List.map
+      (fun (qh, (a : M.answer)) ->
+        match a with
+        | M.Eq (Xl_core.Teacher.Counter { node; positive }) ->
+          incr zeroed;
+          let dewey = List.rev (0 :: List.tl (List.rev node.Xl_xml.Node.dewey)) in
+          (qh, M.Eq (Xl_core.Teacher.Counter { node = { node with dewey }; positive }))
+        | _ -> (qh, a))
+      entries
+  in
+  Alcotest.(check bool) "a counterexample node was zeroed" true (!zeroed > 0);
+  match M.restore ~scenario (Codec.encode config scenario phase entries) with
+  | _ -> Alcotest.fail "dewey step 0 accepted"
+  | exception M.Corrupt msg ->
+    Alcotest.(check string) "Corrupt names the step"
+      "snapshot node: dewey step 0 is not positive" msg
+
 (* ---------- resuming mid-repair ----------------------------------------- *)
 
 (* The spare-join fixture: greedy minimization discards a join the drop
@@ -476,6 +606,14 @@ let () =
             `Quick test_corrupt_byte_flips;
           Alcotest.test_case "a version-1 snapshot raises Corrupt" `Quick
             test_v1_snapshot_rejected;
+          Alcotest.test_case "snapshot bytes pinned by MD5" `Quick
+            test_pinned_snapshot_bytes;
+          Alcotest.test_case "committed step-5 snapshot finishes with its row"
+            `Quick test_snapshot_fixture;
+          Alcotest.test_case "entry records round-trip" `Quick
+            test_entry_records;
+          Alcotest.test_case "a Dewey step of 0 raises Corrupt" `Quick
+            test_dewey_step_zero;
           Alcotest.test_case "resuming mid-repair finishes the same sweep"
             `Quick test_resume_mid_repair;
         ] );

@@ -184,7 +184,7 @@ let answer_json store (a : M.answer) : string * Json.t =
     ("bools", Json.Obj [ ("bools", Json.list (fun b -> Json.Bool b) bs) ])
   | M.Eq Teacher.Equal -> ("eq", Json.Obj [ ("eq", Json.Str "equal") ])
   | M.Eq (Teacher.Counter { node; positive }) ->
-    let uri, dewey = M.node_ref store node in
+    let uri, dewey = Xl_core.Machine_codec.node_ref store node in
     ( "eq",
       Json.Obj
         [
@@ -763,6 +763,45 @@ let test_fault_injection () =
   ignore (req c "DELETE" ("/sessions/" ^ id) ());
   Client.close c
 
+(* A counterexample naming Dewey step 0 is a client mistake like any
+   other: a 400 whose message names the step, and the session goes on. *)
+let test_dewey_step_zero () =
+  let c = connect () in
+  let rec to_eq j =
+    match Json.member "question" j with
+    | Some q when Json.mem_str "kind" q = Some "equivalence" -> ()
+    | Some _ -> to_eq (req c "POST" ("/sessions/" ^ get_str "id" j ^ "/answer") ~body:(auto 1) ())
+    | None -> Alcotest.fail "xmp/Q1 finished before an equivalence question"
+  in
+  let j =
+    req c "POST" "/sessions" ~body:(Json.Obj [ ("scenario", Json.Str "xmp/Q1") ]) ()
+  in
+  let id = get_str "id" j in
+  to_eq j;
+  let uri = (Store.default (local_scenario "xmp/Q1").Scenario.store).Xl_xml.Doc.uri in
+  let node = Json.Obj [ ("uri", Json.str uri); ("dewey", Json.list Json.int [ 0 ]) ] in
+  let status, body =
+    Client.request c ~meth:"POST" ~path:("/sessions/" ^ id ^ "/answer")
+      ~body:
+        (Json.Obj
+           [ ("eq", Json.Obj [ ("node", node); ("positive", Json.Bool true) ]) ])
+      ()
+  in
+  Alcotest.(check int) "dewey [0] -> 400" 400 status;
+  let msg = Option.value ~default:"" (Json.mem_str "error" body) in
+  Alcotest.(check bool)
+    (Printf.sprintf "the error names the Dewey step: %s" msg)
+    true
+    (let sub = "dewey step 0" in
+     let n = String.length sub in
+     let rec has i = i + n <= String.length msg && (String.sub msg i n = sub || has (i + 1)) in
+     has 0);
+  let d = drive c id (req c "POST" ("/sessions/" ^ id ^ "/answer") ~body:(auto 1) ()) in
+  Alcotest.(check (option bool)) "session survives" (Some true)
+    (Json.mem_bool "verified" d);
+  ignore (req c "DELETE" ("/sessions/" ^ id) ());
+  Client.close c
+
 (* ---------- teardown ------------------------------------------------------ *)
 
 let test_shutdown () =
@@ -815,6 +854,8 @@ let () =
         [
           Alcotest.test_case "malformed requests answer 400, server survives"
             `Quick test_fault_injection;
+          Alcotest.test_case "dewey step 0 answers 400 naming the step" `Quick
+            test_dewey_step_zero;
         ] );
       ( "teardown",
         [ Alcotest.test_case "shutdown exits the accept loop" `Quick test_shutdown ] );
