@@ -23,32 +23,32 @@ let ask_yes_no prompt =
   in
   go ()
 
+(* One membership question at the console; return keeps [intended]. *)
+let prompt_membership ~label rel_path intended =
+  Printf.printf "\n[%s] Membership query: could a node at .../%s belong?\n" label
+    (String.concat "/" rel_path);
+  Printf.printf "  (return = accept the intended answer %b)\n" intended;
+  Printf.printf "> %!";
+  match read_line_opt () with
+  | Some ("y" | "Y" | "yes") -> true
+  | Some ("n" | "N" | "no") -> false
+  | _ -> intended
+
 (** Wrap [oracle_teacher]: membership and equivalence queries go to the
     console; the oracle's answer is used when the user just presses
-    return (so a lazy session still converges). *)
+    return (so a lazy session still converges).  A batch reaches the
+    user one question at a time, in order. *)
 let teacher (oracle_teacher : Xl_core.Teacher.t) : Xl_core.Teacher.t =
   {
     Xl_core.Teacher.path_membership =
-      (fun ~label ~context ~rel_path ~witness ->
-        let intended =
-          oracle_teacher.Xl_core.Teacher.path_membership ~label ~context ~rel_path
-            ~witness
-        in
-        Printf.printf "\n[%s] Membership query: could a node at .../%s belong?\n"
-          label
-          (String.concat "/" rel_path);
-        (match witness with
-        | Some w -> Printf.printf "  example in the browser: %s\n" (describe_node w)
-        | None -> ());
-        Printf.printf "  (return = accept the intended answer %b)\n" intended;
-        Printf.printf "> %!";
-        (match read_line_opt () with
-        | Some ("y" | "Y" | "yes") -> true
-        | Some ("n" | "N" | "no") -> false
-        | _ -> intended));
-    (* no batching at the console: each question must reach the user one
-       at a time, in the order the learner would ask them *)
-    path_membership_batch = None;
+      (fun ~label ~context ~rel_path ->
+        prompt_membership ~label rel_path
+          (oracle_teacher.Xl_core.Teacher.path_membership ~label ~context ~rel_path));
+    path_membership_batch =
+      (fun ~label ~context ~rel_paths ->
+        List.map2 (prompt_membership ~label) rel_paths
+          (oracle_teacher.Xl_core.Teacher.path_membership_batch ~label ~context
+             ~rel_paths));
     equivalence =
       (fun ~label ~context ~extent ->
         let intended =

@@ -1,142 +1,34 @@
 (** Angluin's L* algorithm (Angluin 1987), the learning core behind
     LEARN-X0 (paper Section 5).
 
-    The teacher answers membership queries on words and equivalence
-    queries on hypothesis DFAs.  Membership answers are memoized, so a
-    teacher is asked about each distinct word at most once — this is what
-    the paper counts as one (potential) interaction.
+    The teacher answers membership queries in batches and equivalence
+    queries on hypothesis DFAs.  Every word the observation table holds
+    — an access word, a one-symbol extension, either of them followed by
+    a suffix of E — is a node of one prefix {!Trie}, and its answer and
+    row live on that node.  So a teacher is asked about each distinct
+    word at most once, which is what the paper counts as one (potential)
+    interaction, and a word that is both in S and an extension has one
+    row.
 
-    A teacher may additionally expose [membership_batch]: before every
-    observation-table sweep the learner collects all still-unanswered
-    words of the fill into one deduplicated batch, in the exact order the
-    word-at-a-time sweep would first ask them.  Batching changes how the
-    answers are computed (one shared pass instead of N independent
-    evaluations), never which distinct words are asked, so the
-    interaction statistics are identical either way. *)
+    Before every observation-table sweep the learner collects the
+    unanswered words of the S rows into one batch and then those of the
+    extension rows into a second, each deduplicated, in sweep order:
+    rows in table order, suffixes in E order within a row. *)
 
 type teacher = {
-  membership : int list -> bool;
-  membership_batch : (int list list -> bool list) option;
+  membership_batch : int list list -> bool list;
       (** Answer many words at once; input words are distinct and must be
-          answered in order.  [None] falls back to word-at-a-time
-          [membership]. *)
+          answered in order. *)
   equivalence : Dfa.t -> int list option;
       (** [None] = hypothesis accepted; [Some w] = counterexample word *)
 }
 
 (* telemetry: rounds and final observation-table size, per learn call;
-   batch counters record how much of the fill traffic the batched path
-   absorbed *)
+   batch counters record the fill traffic the teacher answered *)
 let h_table_rows = Xl_obs.Obs.Histogram.make "lstar_table_rows"
 let h_batch_size = Xl_obs.Obs.Histogram.make "lstar_batch_size"
 let c_rounds = Xl_obs.Obs.Counter.make "lstar_rounds"
 let c_mq_batched = Xl_obs.Obs.Counter.make "mq_batched"
-
-(* The polymorphic [Hashtbl.hash] stops after ~10 list elements, and L*
-   words are prefix-closed access strings times suffixes — long words
-   routinely share their first 10 symbols, so a std table degenerates
-   into a few huge collision chains.  Hash the whole word instead. *)
-module Words = Hashtbl.Make (struct
-  type t = int list
-
-  let equal = Stdlib.( = )
-  let hash (w : int list) = List.fold_left (fun h x -> (h * 31) + x + 1) 17 w
-end)
-
-(* The answers memo, hand-rolled.  Every cell of every fill probes it
-   with the word [s @ e] — but building that concatenation (and hashing
-   it from scratch) per probe dominated the fill once everything else
-   was batched.  An open-addressing table whose stored hashes are the
-   same left fold as [Words] lets a cell probe extend the row's cached
-   hash over the suffix and compare [key = s @ e] by walking the two
-   halves, so the hit path allocates nothing.  No deletions. *)
-module Wtbl = struct
-  type 'a t = {
-    mutable mask : int;  (** capacity - 1; capacity a power of two *)
-    mutable hash : int array;  (** raw (unfinalized) key hashes *)
-    mutable occ : bool array;
-    mutable key : int list array;
-    mutable value : 'a array;
-    mutable count : int;
-    dummy : 'a;
-  }
-
-  let seed = 17
-  let extend h e = List.fold_left (fun h x -> (h * 31) + x + 1) h e
-  let hash_word w = extend seed w
-
-  (* finalize for linear probing: the raw fold leaves neighbouring words
-     in neighbouring slots, which clusters runs *)
-  let slot mask h =
-    let h = h lxor (h lsr 29) in
-    let h = h * 0x9e3779b97f4a7c1 in
-    (h lxor (h lsr 32)) land mask
-
-  let create n dummy =
-    let cap = ref 16 in
-    while !cap < 2 * n do cap := 2 * !cap done;
-    {
-      mask = !cap - 1;
-      hash = Array.make !cap 0;
-      occ = Array.make !cap false;
-      key = Array.make !cap [];
-      value = Array.make !cap dummy;
-      count = 0;
-      dummy;
-    }
-
-  (* [key = s @ e], compared without building the concatenation *)
-  let rec eq_rest key e =
-    match key, e with
-    | [], [] -> true
-    | x :: k, y :: r -> x = y && eq_rest k r
-    | _ -> false
-
-  let rec eq_cat key s e =
-    match s with
-    | [] -> eq_rest key e
-    | x :: s' -> (match key with y :: k -> x = y && eq_cat k s' e | [] -> false)
-
-  (* [find_h t h s e]: look up [s @ e]; [h] must be
-     [extend (hash_word s) e] (= [hash_word (s @ e)]) *)
-  let find_h t h s e =
-    let rec probe i =
-      if not t.occ.(i) then None
-      else if t.hash.(i) = h && eq_cat t.key.(i) s e then Some t.value.(i)
-      else probe ((i + 1) land t.mask)
-    in
-    probe (slot t.mask h)
-
-  let rec add_h t h w v =
-    if 2 * (t.count + 1) > t.mask + 1 then begin
-      let old_hash = t.hash and old_occ = t.occ in
-      let old_key = t.key and old_value = t.value in
-      let cap = 2 * (t.mask + 1) in
-      t.mask <- cap - 1;
-      t.hash <- Array.make cap 0;
-      t.occ <- Array.make cap false;
-      t.key <- Array.make cap [];
-      t.value <- Array.make cap t.dummy;
-      t.count <- 0;
-      Array.iteri
-        (fun i o -> if o then add_h t old_hash.(i) old_key.(i) old_value.(i))
-        old_occ
-    end;
-    let rec probe i =
-      if not t.occ.(i) then begin
-        t.occ.(i) <- true;
-        t.hash.(i) <- h;
-        t.key.(i) <- w;
-        t.value.(i) <- v;
-        t.count <- t.count + 1
-      end
-      else probe ((i + 1) land t.mask)
-    in
-    probe (slot t.mask h)
-
-  let find t w = find_h t (hash_word w) [] w
-  let add t w v = add_h t (hash_word w) w v
-end
 
 module Rows = Hashtbl.Make (struct
   type t = bool array
@@ -155,6 +47,10 @@ module Vec = struct
   let create () = { data = [||]; len = 0 }
   let length v = v.len
   let get v i = v.data.(i)
+
+  let mem v x =
+    let rec go i = i < v.len && (v.data.(i) = x || go (i + 1)) in
+    go 0
 
   let push v x =
     if v.len = Array.length v.data then begin
@@ -177,254 +73,188 @@ type stats = {
 let fresh_stats () =
   { membership_queries = 0; equivalence_queries = 0; counterexamples = 0; hypotheses = 0 }
 
-(* The observation table.  Rows are cached by *index* — [s_rows.(i)] for
-   the i-th access word, [ext_rows.(i)] for the i-th one-symbol
-   extension — instead of by word: the close/consistency sweeps touch
-   every row each iteration, and re-hashing long words to find a
-   word-keyed memo dominated the sweep.  [exts] mirrors [s] blockwise
-   (word i's extensions occupy indices i*A .. i*A+A-1), built
-   incrementally as S grows so the extension list is allocated once, not
-   per sweep.  When E grows, cached rows survive and extend lazily by
-   column — the old columns' answers are memoized facts. *)
+(* The observation table over one trie.  [exts] mirrors [s] blockwise:
+   the i-th access word's a-extension is [exts] index i*A + a, so a walk
+   leaves an S node through that index instead of scanning its
+   alphabet-wide fanout; every other node has at most |E| children.  A
+   row may be shorter than E (it was filled before a suffix was added);
+   the next fill extends it, its old cells are answered facts. *)
 type table = {
   alphabet_size : int;
-  s : int list Vec.t;  (** access words, prefix-closed, ε first *)
-  s_set : unit Words.t;  (** membership companion of [s] *)
+  trie : Trie.t;
+  s : int Vec.t;  (** access words, prefix-closed, ε first *)
+  s_index : (int, int) Hashtbl.t;  (** S node -> its index in [s] *)
   e : int list Vec.t;  (** distinguishing suffixes, ε first *)
-  e_set : unit Words.t;
-  exts : int list Vec.t;  (** s_i @ [a], appended when s_i enters S *)
-  mutable s_rows : bool array option array;
-  mutable ext_rows : bool array option array;
-  answers : bool Wtbl.t;
+  exts : int Vec.t;
+  mutable answer : Bytes.t;  (** node -> [unknown], [queued], [no] or [yes] *)
+  rows : (int, bool array) Hashtbl.t;  (** S or extension node -> its row *)
   teacher : teacher;
   stats : stats;
 }
 
-let member tbl w =
-  match Wtbl.find tbl.answers w with
-  | Some b -> b
+let unknown = '\000'
+let queued = '\001'  (* in the batch being collected *)
+let no = '\002'
+let yes = '\003'
+
+let child tbl node a =
+  let c = Trie.child tbl.trie node a in
+  let cap = Bytes.length tbl.answer in
+  if c >= cap then begin
+    tbl.answer <- Bytes.extend tbl.answer 0 cap;
+    Bytes.fill tbl.answer cap cap unknown
+  end;
+  c
+
+(* the node of [node]'s word followed by [a]; [i] is [node]'s index in
+   S, or -1 *)
+let step tbl node i a =
+  if i >= 0 && a < tbl.alphabet_size then Vec.get tbl.exts ((i * tbl.alphabet_size) + a)
+  else child tbl node a
+
+(* [node] joins S unless it is there; its index in S *)
+let add_s tbl node =
+  match Hashtbl.find_opt tbl.s_index node with
+  | Some i -> i
   | None ->
-    let b = tbl.teacher.membership w in
-    tbl.stats.membership_queries <- tbl.stats.membership_queries + 1;
-    Wtbl.add tbl.answers w b;
-    b
-
-(* a row: the word's answers across the current E, in E order.  A cached
-   row may be shorter than the current E (cached before a suffix was
-   added); it is extended in place of being recomputed — the old columns'
-   answers are memoized facts, only the new columns can ask anything *)
-let compute_row tbl s (old : bool array option) =
-  let n = Vec.length tbl.e in
-  let from = match old with Some r -> Array.length r | None -> 0 in
-  let r = Array.make n false in
-  (match old with Some o -> Array.blit o 0 r 0 from | None -> ());
-  for j = from to n - 1 do
-    r.(j) <- member tbl (s @ Vec.get tbl.e j)
-  done;
-  r
-
-let s_row tbl i =
-  match tbl.s_rows.(i) with
-  | Some r when Array.length r = Vec.length tbl.e -> r
-  | old ->
-    let r = compute_row tbl (Vec.get tbl.s i) old in
-    tbl.s_rows.(i) <- Some r;
-    r
-
-let ext_row tbl i =
-  match tbl.ext_rows.(i) with
-  | Some r when Array.length r = Vec.length tbl.e -> r
-  | old ->
-    let r = compute_row tbl (Vec.get tbl.exts i) old in
-    tbl.ext_rows.(i) <- Some r;
-    r
-
-let ensure_cache arr n =
-  if Array.length arr >= n then arr
-  else begin
-    let b = Array.make (max n (2 * Array.length arr)) None in
-    Array.blit arr 0 b 0 (Array.length arr);
-    b
-  end
-
-(* Fill every uncached row of [cache] over indices [0, n) through one
-   teacher batch, constructing the row arrays directly.  Enumeration is
-   in sweep order (rows outer, suffixes inner) with first-occurrence
-   dedup, so the batch lists exactly the words the word-at-a-time sweep
-   would ask, in its first-ask order — the teacher may rely on that
-   order.  Cells remember either the memoized answer or the word's batch
-   index, so no word is re-hashed to build the rows afterwards. *)
-let prefill tbl ~(word_of : int -> int list) (cache : bool array option array)
-    (n : int) (batch : int list list -> bool list) =
-  let ncols = Vec.length tbl.e in
-  let pending = Wtbl.create 64 0 in
-  let order = ref [] and npend = ref 0 in
-  (* (index, cached prefix length): a row cached before E last grew only
-     needs its new columns; its old cells are memoized facts and would
-     never have entered the batch anyway *)
-  let missing = ref [] in
-  for i = n - 1 downto 0 do
-    match cache.(i) with
-    | Some r when Array.length r = ncols -> ()
-    | Some r -> missing := (i, Array.length r) :: !missing
-    | None -> missing := (i, 0) :: !missing
-  done;
-  let cells_of s from =
-    (* the row's hash is extended per suffix, so probing the memo and the
-       pending set for [s @ e_j] concatenates nothing on the hit path *)
-    let hs = Wtbl.hash_word s in
-    (* -1 = memoized true, -2 = memoized false, >= 0 = batch index *)
-    let cells = Array.make (ncols - from) (-2) in
-    for j = from to ncols - 1 do
-      let e = Vec.get tbl.e j in
-      let h = Wtbl.extend hs e in
-      match Wtbl.find_h tbl.answers h s e with
-      | Some true -> cells.(j - from) <- -1
-      | Some false -> ()
-      | None ->
-        cells.(j - from) <-
-          (match Wtbl.find_h pending h s e with
-          | Some idx -> idx
-          | None ->
-            let idx = !npend and w = s @ e in
-            Wtbl.add_h pending h w idx;
-            order := (w, h) :: !order;
-            incr npend;
-            idx)
-    done;
-    cells
-  in
-  let rows =
-    List.map (fun (i, from) -> (i, from, cells_of (word_of i) from)) !missing
-  in
-  let ans_arr =
-    if !npend = 0 then [||]
-    else begin
-      let words = List.rev !order in
-      let answers = batch (List.map fst words) in
-      if List.length answers <> !npend then
-        invalid_arg "Lstar: membership_batch answered a different word count";
-      let arr = Array.make !npend false in
-      List.iteri
-        (fun idx ((w, h), b) ->
-          tbl.stats.membership_queries <- tbl.stats.membership_queries + 1;
-          Wtbl.add_h tbl.answers h w b;
-          arr.(idx) <- b)
-        (List.combine words answers);
-      Xl_obs.Obs.Counter.add c_mq_batched !npend;
-      Xl_obs.Obs.Histogram.observe h_batch_size !npend;
-      arr
-    end
-  in
-  List.iter
-    (fun (i, from, cells) ->
-      let r = Array.make ncols false in
-      (match cache.(i) with Some old -> Array.blit old 0 r 0 from | None -> ());
-      Array.iteri
-        (fun k c ->
-          r.(from + k) <-
-            (if c = -1 then true else if c = -2 then false else ans_arr.(c)))
-        cells;
-      cache.(i) <- Some r)
-    rows
-
-let add_word tbl w =
-  if not (Words.mem tbl.s_set w) then begin
-    Words.replace tbl.s_set w ();
-    Vec.push tbl.s w;
+    let i = Vec.length tbl.s in
+    Hashtbl.replace tbl.s_index node i;
+    Vec.push tbl.s node;
     for a = 0 to tbl.alphabet_size - 1 do
-      Vec.push tbl.exts (w @ [ a ])
-    done
-  end
+      Vec.push tbl.exts (child tbl node a)
+    done;
+    i
 
 (* extend S with w and all its prefixes (keeps S prefix-closed) *)
 let add_access tbl w =
-  let rec prefixes acc rev_w =
-    match rev_w with
-    | [] -> acc
-    | _ :: rest -> prefixes (List.rev rev_w :: acc) rest
-  in
-  let ps = [] :: prefixes [] (List.rev w) in
-  List.iter (add_word tbl) ps
+  ignore
+    (List.fold_left
+       (fun (node, i) a ->
+         let c = step tbl node i a in
+         (c, add_s tbl c))
+       (Trie.root, 0) w)
 
-let close_and_make_consistent tbl =
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let ns = Vec.length tbl.s and nx = Vec.length tbl.exts in
-    tbl.s_rows <- ensure_cache tbl.s_rows ns;
-    tbl.ext_rows <- ensure_cache tbl.ext_rows nx;
-    (* batched teachers answer the whole fill up front: S rows first,
-       then the extension rows, matching the sweep's first-ask order *)
-    (match tbl.teacher.membership_batch with
-    | None -> ()
-    | Some batch ->
-      prefill tbl ~word_of:(Vec.get tbl.s) tbl.s_rows ns batch;
-      prefill tbl ~word_of:(Vec.get tbl.exts) tbl.ext_rows nx batch);
-    (* closedness: every one-symbol extension's row appears among S rows *)
-    let s_row_set = Rows.create ns in
-    for i = 0 to ns - 1 do
-      Rows.replace s_row_set (s_row tbl i) ()
-    done;
-    let unclosed = ref (-1) in
+(* The rows of [nodes], in order, completed through one teacher batch:
+   the cells a row lacks, in row order and E order, each unanswered node
+   queued at its first occurrence. *)
+let fill tbl (nodes : int Vec.t) : bool array array =
+  let ncols = Vec.length tbl.e in
+  let rows = Array.make (Vec.length nodes) [||] in
+  let short = ref [] and pending = ref [] and npend = ref 0 in
+  for r = 0 to Vec.length nodes - 1 do
+    let node = Vec.get nodes r in
+    rows.(r) <- Option.value ~default:[||] (Hashtbl.find_opt tbl.rows node);
+    let from = Array.length rows.(r) in
+    if from < ncols then begin
+      let i = Option.value ~default:(-1) (Hashtbl.find_opt tbl.s_index node) in
+      let cells =
+        Array.init (ncols - from) (fun j ->
+            match Vec.get tbl.e (from + j) with
+            | [] -> node
+            | a :: e -> List.fold_left (fun n a -> child tbl n a) (step tbl node i a) e)
+      in
+      (* a queued word is spelled as the row's word followed by the
+         suffix, which it shares with E *)
+      let word = lazy (Trie.symbols tbl.trie node) in
+      Array.iteri
+        (fun j c ->
+          if Bytes.get tbl.answer c = unknown then begin
+            Bytes.set tbl.answer c queued;
+            pending := (c, Lazy.force word @ Vec.get tbl.e (from + j)) :: !pending;
+            incr npend
+          end)
+        cells;
+      short := (r, cells) :: !short
+    end
+  done;
+  if !npend > 0 then begin
+    let pending = List.rev !pending in
+    let answers = tbl.teacher.membership_batch (List.map snd pending) in
+    if List.length answers <> !npend then
+      invalid_arg "Lstar: membership_batch answered a different word count";
+    List.iter2
+      (fun (c, _) b -> Bytes.set tbl.answer c (if b then yes else no))
+      pending answers;
+    tbl.stats.membership_queries <- tbl.stats.membership_queries + !npend;
+    Xl_obs.Obs.Counter.add c_mq_batched !npend;
+    Xl_obs.Obs.Histogram.observe h_batch_size !npend
+  end;
+  List.iter
+    (fun (r, cells) ->
+      let from = Array.length rows.(r) in
+      let row = Array.make ncols false in
+      Array.blit rows.(r) 0 row 0 from;
+      Array.iteri (fun j c -> row.(from + j) <- Bytes.get tbl.answer c = yes) cells;
+      Hashtbl.replace tbl.rows (Vec.get nodes r) row;
+      rows.(r) <- row)
+    !short;
+  rows
+
+(* Fill, close and make consistent; the rows of S and of the extensions
+   once the table is both *)
+let rec close_and_make_consistent tbl =
+  (* the teacher answers the whole fill up front: S rows first, then
+     the extension rows *)
+  let s_rows = fill tbl tbl.s in
+  let ext_rows = fill tbl tbl.exts in
+  let ns = Array.length s_rows and nx = Array.length ext_rows in
+  (* closedness: every one-symbol extension's row appears among S rows *)
+  let s_row_set = Rows.create ns in
+  Array.iter (fun r -> Rows.replace s_row_set r ()) s_rows;
+  let unclosed = ref (-1) in
+  (try
+     for i = 0 to nx - 1 do
+       if not (Rows.mem s_row_set ext_rows.(i)) then begin
+         unclosed := i;
+         raise Exit
+       end
+     done
+   with Exit -> ());
+  if !unclosed >= 0 then begin
+    ignore (add_s tbl (Vec.get tbl.exts !unclosed));
+    close_and_make_consistent tbl
+  end
+  else begin
+    (* consistency: equal rows must stay equal under every extension;
+       word i's a-extension row is ext_rows index i*A + a *)
+    let conflict = ref None in
     (try
-       for i = 0 to nx - 1 do
-         if not (Rows.mem s_row_set (ext_row tbl i)) then begin
-           unclosed := i;
-           raise Exit
-         end
+       for i1 = 0 to ns - 1 do
+         for i2 = i1 + 1 to ns - 1 do
+           if s_rows.(i1) = s_rows.(i2) then
+             for a = 0 to tbl.alphabet_size - 1 do
+               let r1 = ext_rows.((i1 * tbl.alphabet_size) + a)
+               and r2 = ext_rows.((i2 * tbl.alphabet_size) + a) in
+               if r1 <> r2 then begin
+                 (* find the separating suffix *)
+                 let rec sep j = if r1.(j) <> r2.(j) then j else sep (j + 1) in
+                 conflict := Some (a :: Vec.get tbl.e (sep 0));
+                 raise Exit
+               end
+             done
+         done
        done
      with Exit -> ());
-    if !unclosed >= 0 then begin
-      add_word tbl (Vec.get tbl.exts !unclosed);
-      changed := true
-    end
-    else begin
-      (* consistency: equal rows must stay equal under every extension;
-         word i's a-extension row is ext_rows index i*A + a *)
-      let conflict = ref None in
-      (try
-         for i1 = 0 to ns - 1 do
-           for i2 = i1 + 1 to ns - 1 do
-             if s_row tbl i1 = s_row tbl i2 then
-               for a = 0 to tbl.alphabet_size - 1 do
-                 let r1 = ext_row tbl ((i1 * tbl.alphabet_size) + a)
-                 and r2 = ext_row tbl ((i2 * tbl.alphabet_size) + a) in
-                 if r1 <> r2 then begin
-                   (* find the separating suffix *)
-                   let rec sep j = if r1.(j) <> r2.(j) then j else sep (j + 1) in
-                   conflict := Some (a :: Vec.get tbl.e (sep 0));
-                   raise Exit
-                 end
-               done
-           done
-         done
-       with Exit -> ());
-      match !conflict with
-      | Some new_e ->
-        if not (Words.mem tbl.e_set new_e) then begin
-          Words.replace tbl.e_set new_e ();
-          Vec.push tbl.e new_e
-          (* cached rows are now short by one column; they extend lazily
-             ([s_row]/[ext_row]/[prefill]) instead of being recomputed *)
-        end;
-        changed := true
-      | None -> ()
-    end
-  done
+    match !conflict with
+    | Some new_e ->
+      if not (Vec.mem tbl.e new_e) then
+        (* rows are now short by one column; the next fill extends them *)
+        Vec.push tbl.e new_e;
+      close_and_make_consistent tbl
+    | None -> (s_rows, ext_rows)
+  end
 
-let conjecture tbl : Dfa.t =
-  let ns = Vec.length tbl.s in
+let conjecture tbl (s_rows, ext_rows) : Dfa.t =
   (* distinct rows, in first-occurrence order, become states *)
   let index = Rows.create 16 in
   let states = ref [] in
-  for i = 0 to ns - 1 do
-    let r = s_row tbl i in
-    if not (Rows.mem index r) then begin
-      Rows.replace index r (Rows.length index);
-      states := (r, i) :: !states
-    end
-  done;
+  Array.iteri
+    (fun i r ->
+      if not (Rows.mem index r) then begin
+        Rows.replace index r (Rows.length index);
+        states := (r, i) :: !states
+      end)
+    s_rows;
   let states = List.rev !states in
   let n = List.length states in
   let index_of r =
@@ -432,14 +262,15 @@ let conjecture tbl : Dfa.t =
     | Some i -> i
     | None -> invalid_arg "Lstar.conjecture: row not found (table not closed)"
   in
-  let start = index_of (s_row tbl 0) in
+  let start = index_of s_rows.(0) in
   let finals = Array.make n false in
   let delta = Array.init n (fun _ -> Array.make tbl.alphabet_size 0) in
   List.iteri
-    (fun q (_, i) ->
-      finals.(q) <- member tbl (Vec.get tbl.s i);
+    (fun q (r, i) ->
+      (* E starts with ε: column 0 is the access word's own answer *)
+      finals.(q) <- r.(0);
       for a = 0 to tbl.alphabet_size - 1 do
-        delta.(q).(a) <- index_of (ext_row tbl ((i * tbl.alphabet_size) + a))
+        delta.(q).(a) <- index_of ext_rows.((i * tbl.alphabet_size) + a)
       done)
     states;
   Dfa.create ~alphabet_size:tbl.alphabet_size ~states:n ~start ~finals ~delta
@@ -454,20 +285,18 @@ let learn ?(init = []) ?(max_rounds = 200) ~alphabet_size (teacher : teacher) :
   let tbl =
     {
       alphabet_size;
+      trie = Trie.create ();
       s = Vec.create ();
-      s_set = Words.create 64;
+      s_index = Hashtbl.create 64;
       e = Vec.create ();
-      e_set = Words.create 16;
       exts = Vec.create ();
-      s_rows = Array.make 64 None;
-      ext_rows = Array.make 256 None;
-      answers = Wtbl.create 256 false;
+      answer = Bytes.make 64 unknown;
+      rows = Hashtbl.create 256;
       teacher;
       stats = fresh_stats ();
     }
   in
-  add_word tbl [];
-  Words.replace tbl.e_set [] ();
+  ignore (add_s tbl Trie.root);
   Vec.push tbl.e [];
   List.iter (add_access tbl) init;
   let rec loop round =
@@ -477,8 +306,7 @@ let learn ?(init = []) ?(max_rounds = 200) ~alphabet_size (teacher : teacher) :
        the span nests the teacher's extent evaluation under it *)
     let outcome =
       Xl_obs.Obs.span ~name:"lstar.round" (fun () ->
-          close_and_make_consistent tbl;
-          let hyp = conjecture tbl in
+          let hyp = conjecture tbl (close_and_make_consistent tbl) in
           tbl.stats.hypotheses <- tbl.stats.hypotheses + 1;
           tbl.stats.equivalence_queries <- tbl.stats.equivalence_queries + 1;
           match teacher.equivalence hyp with

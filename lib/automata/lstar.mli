@@ -1,22 +1,21 @@
 (** Angluin's L* algorithm (Angluin 1987) — the learning core behind
     LEARN-X0 (paper Section 5).
 
-    The teacher answers membership queries on words and equivalence
-    queries on hypothesis DFAs.  Membership answers are memoized, so the
+    The teacher answers membership queries in batches and equivalence
+    queries on hypothesis DFAs.  The observation table keeps every word
+    as a node of one prefix {!Trie}, with its answer on the node, so the
     teacher is asked about each distinct word at most once — which is
     what the paper counts as one (potential) interaction. *)
 
 type teacher = {
-  membership : int list -> bool;
-  membership_batch : (int list list -> bool list) option;
+  membership_batch : int list list -> bool list;
       (** Answer a batch of words at once, one answer per word, in order.
           Before every observation-table sweep the learner hands the
-          still-unanswered words of the fill — deduplicated, in the exact
-          order the word-at-a-time sweep would first ask them — to this
-          function, so a teacher can amortize one shared evaluation pass
-          over the whole fill.  The words asked (and so every interaction
-          count) are identical with and without batching.  [None] falls
-          back to per-word [membership]. *)
+          fill's unanswered words to this function in two batches, the
+          S rows' and then the extension rows', each deduplicated and in
+          sweep order (rows in table order, suffixes in E order), so a
+          teacher can amortize one shared evaluation pass over a whole
+          fill. *)
   equivalence : Dfa.t -> int list option;
       (** [None] = hypothesis accepted; [Some w] = counterexample word *)
 }

@@ -1,43 +1,43 @@
 (** Shared prefix trie over integer-symbol words.  See the interface for
     the numbering invariant (creation order = topological order).
 
-    Edges are first-child/next-sibling int arrays rather than a hash
-    table: an L* fill inserts ~10^5 short words per table sweep, and a
+    Edges are first-child/next-sibling links rather than a hash table:
+    an L* fill inserts ~10^5 short words per table sweep, and a
     per-step (node, symbol) hash lookup (tuple allocation + polymorphic
     hash) costs more than the whole DFA walk it is meant to batch.  A
     node's fanout is bounded by the tag alphabet and is small in
     practice, so a linear sibling scan of unboxed ints wins by a wide
-    margin. *)
+    margin.
 
-type t = {
-  mutable parent : int array;
-  mutable symbol : int array;
-  mutable first_child : int array;
-  mutable next_sibling : int array;
-  mutable len : int;
-}
+    A node is four 32-bit fields — parent, symbol, first child, next
+    sibling, each -1 when absent — packed in one byte buffer: L* keeps
+    every word of its observation table as a node, several times more
+    nodes than distinct words, and int arrays would double that
+    memory. *)
+
+type t = { mutable data : Bytes.t; mutable len : int }
 
 let root = 0
+let node_bytes = 16
 
-let create () =
-  {
-    parent = Array.make 64 (-1);
-    symbol = Array.make 64 (-1);
-    first_child = Array.make 64 (-1);
-    next_sibling = Array.make 64 (-1);
-    len = 1;
-  }
+(* field offsets within a node *)
+let parent_f = 0
+let symbol_f = 4
+let first_child_f = 8
+let next_sibling_f = 12
 
+let get t i f = Int32.to_int (Bytes.get_int32_le t.data ((i * node_bytes) + f))
+let set t i f v = Bytes.set_int32_le t.data ((i * node_bytes) + f) (Int32.of_int v)
+
+(* all-ones bytes read as -1 in every field *)
+let create () = { data = Bytes.make (64 * node_bytes) '\255'; len = 1 }
 let size t = t.len
 
 let grow t =
-  let cap = Array.length t.parent in
-  if t.len = cap then begin
-    let extend a = let b = Array.make (2 * cap) (-1) in Array.blit a 0 b 0 cap; b in
-    t.parent <- extend t.parent;
-    t.symbol <- extend t.symbol;
-    t.first_child <- extend t.first_child;
-    t.next_sibling <- extend t.next_sibling
+  let cap = Bytes.length t.data in
+  if t.len * node_bytes = cap then begin
+    t.data <- Bytes.extend t.data 0 cap;
+    Bytes.fill t.data cap cap '\255'
   end
 
 let child t node sym =
@@ -45,28 +45,28 @@ let child t node sym =
     if c < 0 then begin
       grow t;
       let c = t.len in
-      t.parent.(c) <- node;
-      t.symbol.(c) <- sym;
+      set t c parent_f node;
+      set t c symbol_f sym;
       (* prepend keeps insertion O(fanout) with no tail pointer *)
-      t.next_sibling.(c) <- t.first_child.(node);
-      t.first_child.(node) <- c;
+      set t c next_sibling_f (get t node first_child_f);
+      set t node first_child_f c;
       t.len <- t.len + 1;
       c
     end
-    else if t.symbol.(c) = sym then c
-    else scan t.next_sibling.(c)
+    else if get t c symbol_f = sym then c
+    else scan (get t c next_sibling_f)
   in
-  scan t.first_child.(node)
+  scan (get t node first_child_f)
 
 let add_word t word = List.fold_left (fun node sym -> child t node sym) root word
 
 let parent t i =
-  if i < 0 || i >= t.len then invalid_arg "Trie.parent" else t.parent.(i)
+  if i < 0 || i >= t.len then invalid_arg "Trie.parent" else get t i parent_f
 
 let symbol t i =
-  if i < 0 || i >= t.len then invalid_arg "Trie.symbol" else t.symbol.(i)
+  if i < 0 || i >= t.len then invalid_arg "Trie.symbol" else get t i symbol_f
 
 let symbols t i =
   if i < 0 || i >= t.len then invalid_arg "Trie.symbols";
-  let rec up acc i = if i = root then acc else up (t.symbol.(i) :: acc) t.parent.(i) in
+  let rec up acc i = if i = root then acc else up (get t i symbol_f :: acc) (get t i parent_f) in
   up [] i

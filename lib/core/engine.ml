@@ -128,13 +128,9 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
           | None -> Xl_automata.Dfa.empty ~alphabet_size:k)
         schema_dfas
     in
-    let ask s =
-      teacher.Teacher.path_membership ~label ~context ~rel_path:s ~witness:None
-    in
-    let ask_batch =
-      Option.map
-        (fun f ss -> f ~label ~context ~rel_paths:ss)
-        teacher.Teacher.path_membership_batch
+    let ask s = teacher.Teacher.path_membership ~label ~context ~rel_path:s in
+    let ask_batch ss =
+      teacher.Teacher.path_membership_batch ~label ~context ~rel_paths:ss
     in
     let known =
       List.filter_map
@@ -147,7 +143,7 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
           (Option.map
              (fun f ~rule ~path ~answer -> f ~label ~rule ~path ~answer)
              on_auto)
-        ?ask_batch ~stats ~r1_dfas ~alphabet ~abs_prefix ~dropped_path ~ask ()
+        ~ask_batch ~stats ~r1_dfas ~alphabet ~abs_prefix ~dropped_path ~ask ()
     in
     let cl =
       Clearner.create ?pool:config.pool dg context
@@ -187,7 +183,7 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
               Plearner.note_positive pl s;
               if path_ok then loop () else Some word
             end
-            else if Plearner.known_positive_paths pl |> List.mem s then begin
+            else if Plearner.is_known_positive pl word then begin
               (* no path expression separates it: raise a Condition Box *)
               match
                 teacher.Teacher.condition_box ~label ~context
@@ -235,9 +231,9 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
        positive example are usually implied by the real join) *)
     let final_conds =
       let hyp = Clearner.minimized cl in
+      let candidates = Extent.select_by_dfa ctx dfa base in
       let extent_with conds =
-        Extent.select_by_dfa ctx dfa base
-        |> Extent.filter_conds ctx context ~bind conds
+        Extent.filter_conds ctx context ~bind conds candidates
         |> List.map (fun (n : Node.t) -> n.Node.id)
       in
       let reference = extent_with (hyp @ !fixed) in
@@ -446,25 +442,10 @@ let sweep_once ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
     | None -> r
     | Some _ when r.learned_conds = [] && r.spare_conds = [] -> r
     | Some task ->
-      let anchor = Task.anchor task in
       let source_path =
         match Task.composed_source task with
         | Some (Xqtree.Abs (_, p)) | Some (Xqtree.Rel p) -> Some p
         | None -> None
-      in
-      let base_of (context : Teacher.context) : Node.t option =
-        match anchor.Xqtree.source with
-        | Some (Xqtree.Abs (uri, _)) ->
-          let doc =
-            match uri with
-            | None -> Store.default store
-            | Some u -> Store.find_exn store u
-          in
-          Some doc.Doc.doc_node
-        | _ -> (
-          match Xqtree.base_var learned anchor.Xqtree.label with
-          | Some v -> List.assoc_opt v context
-          | None -> Some (Store.default store).Doc.doc_node)
       in
       let conds = ref r.learned_conds in
       let spares = ref r.spare_conds in
@@ -473,7 +454,7 @@ let sweep_once ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
       | None -> ()
       | Some p ->
         let extent_in context =
-          match base_of context with
+          match Task.base learned store task context with
           | None -> []
           | Some base ->
             Xl_xquery.Eval.eval_path ctx p base

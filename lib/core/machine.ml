@@ -29,7 +29,6 @@ type question =
       label : string;
       context : Teacher.context;
       rel_path : string list;
-      witness : Node.t option;
     }
   | Membership_batch of {
       label : string;
@@ -104,16 +103,15 @@ let check_shape (q : question) (a : answer) : unit =
 let effect_teacher : Teacher.t =
   {
     Teacher.path_membership =
-      (fun ~label ~context ~rel_path ~witness ->
-        match Effect.perform (Ask (Membership { label; context; rel_path; witness })) with
+      (fun ~label ~context ~rel_path ->
+        match Effect.perform (Ask (Membership { label; context; rel_path })) with
         | Bool b -> b
         | _ -> assert false (* step validates the shape before resuming *));
     path_membership_batch =
-      Some
-        (fun ~label ~context ~rel_paths ->
-          match Effect.perform (Ask (Membership_batch { label; context; rel_paths })) with
-          | Bools bs -> bs
-          | _ -> assert false);
+      (fun ~label ~context ~rel_paths ->
+        match Effect.perform (Ask (Membership_batch { label; context; rel_paths })) with
+        | Bools bs -> bs
+        | _ -> assert false);
     equivalence =
       (fun ~label ~context ~extent ->
         match Effect.perform (Ask (Equivalence { label; context; extent })) with
@@ -216,11 +214,12 @@ let hopt f h = function None -> hmix h 0 | Some x -> f (hmix h 1) x
 
 let question_hash (store : Store.t) (q : question) : int =
   match q with
-  | Membership { label; context; rel_path; witness } ->
+  | Membership { label; context; rel_path } ->
     let h = hstr (hmix 1 1) label in
     let h = hctx store h context in
-    let h = hpath h rel_path in
-    hopt (hnode store) h witness
+    (* the trailing 0 keeps version-2 digests as they were: membership
+       questions once carried an optional node, always absent *)
+    hmix (hpath h rel_path) 0
   | Membership_batch { label; context; rel_paths } ->
     let h = hstr (hmix 1 2) label in
     let h = hctx store h context in
@@ -404,20 +403,10 @@ let abort (m : t) : unit =
 
 let answer_with (teacher : Teacher.t) (q : question) : answer =
   match q with
-  | Membership { label; context; rel_path; witness } ->
-    Bool (teacher.Teacher.path_membership ~label ~context ~rel_path ~witness)
-  | Membership_batch { label; context; rel_paths } -> (
-    match teacher.Teacher.path_membership_batch with
-    | Some f -> Bools (f ~label ~context ~rel_paths)
-    | None ->
-      (* a teacher without a batched oracle (the interactive console)
-         still sees every question one at a time, in order *)
-      Bools
-        (List.map
-           (fun rel_path ->
-             teacher.Teacher.path_membership ~label ~context ~rel_path
-               ~witness:None)
-           rel_paths))
+  | Membership { label; context; rel_path } ->
+    Bool (teacher.Teacher.path_membership ~label ~context ~rel_path)
+  | Membership_batch { label; context; rel_paths } ->
+    Bools (teacher.Teacher.path_membership_batch ~label ~context ~rel_paths)
   | Equivalence { label; context; extent } ->
     Eq (teacher.Teacher.equivalence ~label ~context ~extent)
   | Condition_box { label; context; negative_example } ->

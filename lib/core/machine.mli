@@ -42,7 +42,6 @@ type question =
       label : string;
       context : Teacher.context;
       rel_path : string list;
-      witness : Node.t option;
     }
   | Membership_batch of {
       label : string;
@@ -188,10 +187,7 @@ val oracle_teacher : t -> Teacher.t
     memoization — answer questions with this teacher. *)
 
 val answer_with : Teacher.t -> question -> answer
-(** Compute one answer by asking a teacher.  A [Membership_batch] put to
-    a teacher without a batched oracle ([path_membership_batch = None],
-    e.g. the interactive console) falls back to asking word at a time,
-    in order — same answers, same question stream. *)
+(** Compute one answer by asking a teacher the matching call. *)
 
 val drive : teacher:Teacher.t -> t -> Learn_types.result * t
 (** Loop [step]/[answer_with] to completion — the synchronous driver as

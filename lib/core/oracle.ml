@@ -44,34 +44,6 @@ let task_of_label (o : t) (label : string) : Task.t =
   | Some t -> t
   | None -> invalid_arg (Printf.sprintf "Oracle: no learning task at %s" label)
 
-(** The node the task's composed path starts from, under [context]. *)
-let base_node (o : t) (task : Task.t) (context : Teacher.context) : Node.t =
-  let tree = o.scenario.Scenario.target in
-  let anchor_label =
-    match task.Task.parent with
-    | Some p -> p.Xqtree.label
-    | None -> task.Task.node.Xqtree.label
-  in
-  let anchor_node =
-    match Xqtree.find tree anchor_label with Some n -> n | None -> assert false
-  in
-  match anchor_node.Xqtree.source with
-  | Some (Xqtree.Abs (uri, _)) -> (
-    let doc =
-      match uri with
-      | None -> Store.default o.scenario.Scenario.store
-      | Some u -> Store.find_exn o.scenario.Scenario.store u
-    in
-    doc.Doc.doc_node)
-  | _ -> (
-    match Xqtree.base_var tree anchor_label with
-    | Some v -> (
-      match List.assoc_opt v context with
-      | Some n -> n
-      | None -> invalid_arg (Printf.sprintf "Oracle: context misses $%s" v))
-    | None ->
-      (Store.default o.scenario.Scenario.store).Doc.doc_node)
-
 let path_dfa (o : t) (task : Task.t) : Xl_automata.Dfa.t =
   let label = Task.label task in
   match Hashtbl.find_opt o.path_dfas label with
@@ -105,7 +77,12 @@ let target_extent (o : t) (label : string) (context : Teacher.context) :
   | None ->
     Xl_obs.Obs.Counter.incr c_extent_miss;
     let task = task_of_label o label in
-    let base = base_node o task context in
+    let { Scenario.target; store; _ } = o.scenario in
+    let base =
+      match Task.base target store task context with
+      | Some n -> n
+      | None -> invalid_arg (Printf.sprintf "Oracle: context misses the base of %s" label)
+    in
     let candidates = Extent.select_by_dfa o.ctx (path_dfa o task) base in
     let r =
       Extent.filter_conds o.ctx context ~bind:(Task.bindings_of task)
@@ -113,15 +90,6 @@ let target_extent (o : t) (label : string) (context : Teacher.context) :
     in
     Hashtbl.replace o.extents key r;
     r
-
-let path_membership (o : t) ~label ~context ~rel_path ~witness =
-  ignore context;
-  ignore witness;
-  let alphabet = o.ctx.Xl_xquery.Eval.alphabet in
-  let task = task_of_label o label in
-  match Xl_automata.Alphabet.encode_opt alphabet rel_path with
-  | None -> false
-  | Some w -> Xl_automata.Dfa.accepts (path_dfa o task) w
 
 (* one chunk of a batch: encode, then one DFA pass over the chunk's
    shared prefix trie.  Pure given the precompiled [dfa] and the frozen
@@ -134,8 +102,8 @@ let batch_chunk (o : t) (dfa : Xl_automata.Dfa.t) (paths : string list list) :
   in
   let words = List.filter_map Fun.id encoded in
   let answers = ref (Xl_automata.Dfa.accepts_batch dfa words) in
-  (* paths with symbols outside the alphabet are rejected without
-     touching the DFA, exactly as [path_membership] does *)
+  (* paths with symbols outside the alphabet cannot be in the task's
+     path language: rejected without touching the DFA *)
   List.map
     (fun enc ->
       match enc with
@@ -243,12 +211,12 @@ let create ?(strategy = Best) ?pool (scenario : Scenario.t) : t * Teacher.t =
   let teacher =
     {
       Teacher.path_membership =
-        (fun ~label ~context ~rel_path ~witness ->
-          path_membership o ~label ~context ~rel_path ~witness);
+        (fun ~label ~context ~rel_path ->
+          List.hd
+            (path_membership_batch o ?pool ~label ~context ~rel_paths:[ rel_path ] ()));
       path_membership_batch =
-        Some
-          (fun ~label ~context ~rel_paths ->
-            path_membership_batch o ?pool ~label ~context ~rel_paths ());
+        (fun ~label ~context ~rel_paths ->
+          path_membership_batch o ?pool ~label ~context ~rel_paths ());
       equivalence = (fun ~label ~context ~extent -> equivalence o ~label ~context ~extent);
       condition_box =
         (fun ~label ~context ~negative_example ->

@@ -31,8 +31,5 @@ val path_membership_batch :
 val target_extent : t -> string -> Teacher.context -> Node.t list
 (** EXT_{e,context} of the task at a label. *)
 
-val base_node : t -> Task.t -> Teacher.context -> Node.t
-(** The node the task's composed path starts from. *)
-
 val eval_ctx : t -> Xl_xquery.Eval.ctx
 (** Shared with the learner so path DFAs agree on the alphabet. *)

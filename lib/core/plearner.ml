@@ -31,12 +31,12 @@ let c_mq_auto = Xl_obs.Obs.Counter.make "mq_auto_answered"
 let c_mq_user = Xl_obs.Obs.Counter.make "mq_user"
 let c_mq_reused = Xl_obs.Obs.Counter.make "mq_reused"
 
-(* int-word-keyed table, full-depth hash (see Lstar.Words for why the
-   polymorphic hash is unusable on prefix-sharing words).  Bookkeeping
-   private to one learner instance may key by the encoded word — the
-   alphabet is fixed for the learner's lifetime, so word and path are
-   interchangeable keys, and hashing a handful of ints is several times
-   cheaper than hashing the same path's strings. *)
+(* The learner's tables are keyed by encoded word: the alphabet is fixed
+   for the learner's lifetime, so word and path are interchangeable
+   keys, and hashing a handful of ints is several times cheaper than
+   hashing the same path's strings.  The hash covers the whole word —
+   the polymorphic one stops after ~10 list elements, which degenerates
+   on L*'s prefix-sharing words. *)
 module Word_tbl = Hashtbl.Make (struct
   type t = int list
 
@@ -58,20 +58,19 @@ type t = {
           alone *)
   alphabet : Xl_automata.Alphabet.t;
   abs_prefix : string list;  (** tag path of the fragment's base node *)
-  ask : string list -> bool;  (** the real teacher *)
-  ask_batch : (string list list -> bool list) option;
-      (** the real teacher's batched form, when it has one; the genuine
-          questions of a batch are deferred and asked through this in
-          first-ask order *)
+  ask : string list -> bool;  (** the real teacher, one question *)
+  ask_batch : string list list -> bool list;
+      (** the real teacher, one batch: the genuine questions of a fill
+          are deferred and asked through this in first-ask order *)
   answers_w : bool Word_tbl.t;
       (** every answer, keyed by encoded word; kept across restarts *)
   preloaded_w : unit Word_tbl.t;
       (** answers inherited from an earlier run ([known]) and not yet
           reused, for reuse counting *)
   counted : unit Word_tbl.t;  (** reduction-counted words *)
-  canonical : bool Path_tbl.t;  (** Any_last: prefix -> answer *)
-  mutable known_positive : string list list;
-  known_positive_set : unit Path_tbl.t;
+  canonical : bool Word_tbl.t;  (** Any_last: word prefix -> answer *)
+  mutable known_positive : int list list;
+  known_positive_set : unit Word_tbl.t;
       (** same contents as [known_positive]; membership tests against the
           list were O(|positives|) per query on the hot path *)
   mutable r2_state : r2_state;
@@ -84,7 +83,7 @@ let last = function [] -> None | l -> Some (List.nth l (List.length l - 1))
 let prefix l = match l with [] -> [] | _ -> List.filteri (fun i _ -> i < List.length l - 1) l
 let rec last_sym = function [] -> -1 | [ a ] -> a | _ :: rest -> last_sym rest
 
-let create ?(config = default_config) ?(known = []) ?on_auto ?ask_batch ~stats
+let create ?(config = default_config) ?(known = []) ?on_auto ~ask_batch ~stats
     ~r1_dfas ~alphabet ~abs_prefix ~dropped_path ~ask () =
   let answers_w = Word_tbl.create 256 in
   let preloaded_w = Word_tbl.create 16 in
@@ -98,41 +97,40 @@ let create ?(config = default_config) ?(known = []) ?on_auto ?ask_batch ~stats
         Word_tbl.replace preloaded_w w ()
       | None -> ())
     known;
-  let known_positive_set = Path_tbl.create 16 in
-  Path_tbl.replace known_positive_set dropped_path ();
-  let t =
-    {
-      config;
-      stats;
-      on_auto;
-      r1_dfas;
-      alphabet;
-      abs_prefix;
-      ask;
-      ask_batch;
-      answers_w;
-      preloaded_w;
-      counted = Word_tbl.create 256;
-      canonical = Path_tbl.create 64;
-      known_positive = [ dropped_path ];
-      known_positive_set;
-      r2_state =
-        (if config.r2 then
-           match last dropped_path with Some tag -> Last_tag tag | None -> Off
-         else Off);
-      r2_last_id =
-        (match last dropped_path with
-        | Some tag -> (
-          match Xl_automata.Alphabet.find alphabet tag with
-          | Some a -> a
-          | None -> -2)
-        | None -> -2);
-    }
-  in
-  (match Xl_automata.Alphabet.encode_opt alphabet dropped_path with
-  | Some w -> Word_tbl.replace t.answers_w w true
-  | None -> ());
-  t
+  let dropped = Xl_automata.Alphabet.encode_opt alphabet dropped_path in
+  let known_positive_set = Word_tbl.create 16 in
+  Option.iter
+    (fun w ->
+      Word_tbl.replace answers_w w true;
+      Word_tbl.replace known_positive_set w ())
+    dropped;
+  {
+    config;
+    stats;
+    on_auto;
+    r1_dfas;
+    alphabet;
+    abs_prefix;
+    ask;
+    ask_batch;
+    answers_w;
+    preloaded_w;
+    counted = Word_tbl.create 256;
+    canonical = Word_tbl.create 64;
+    known_positive = Option.to_list dropped;
+    known_positive_set;
+    r2_state =
+      (if config.r2 then
+         match last dropped_path with Some tag -> Last_tag tag | None -> Off
+       else Off);
+    r2_last_id =
+      (match last dropped_path with
+      | Some tag -> (
+        match Xl_automata.Alphabet.find alphabet tag with
+        | Some a -> a
+        | None -> -2)
+      | None -> -2);
+  }
 
 (* Does a relativized schema DFA accept the word?  Symbols interned
    after the DFA was built cannot be schema symbols (the alphabet is
@@ -149,10 +147,8 @@ let dfa_admits (dfa : Xl_automata.Dfa.t) (w : int list) : bool =
 let r1_applicable t (word : int list) =
   t.r1_dfas <> [] && not (List.exists (fun dfa -> dfa_admits dfa word) t.r1_dfas)
 
-(* (applicable, auto answer if used).  [word] is the encoded path; [s],
-   when the caller already decoded it, spares the Any_last branch a
-   decode — the two hot states need only the word's last symbol id. *)
-let r2_applicable t ~(word : int list) ~(s : string list option) =
+(* (applicable, auto answer if used) *)
+let r2_applicable t (word : int list) =
   match t.r2_state with
   | Off -> (false, false)
   | Last_tag _ -> (
@@ -160,26 +156,14 @@ let r2_applicable t ~(word : int list) ~(s : string list option) =
     | [] -> (true, false)  (* the base node itself is never in the extent *)
     | _ -> if last_sym word = t.r2_last_id then (false, false) else (true, false))
   | Any_last -> (
-    let s =
-      match s with Some p -> p | None -> Xl_automata.Alphabet.decode t.alphabet word
-    in
-    match Path_tbl.find_opt t.canonical (prefix s) with
+    match Word_tbl.find_opt t.canonical (prefix word) with
     | Some ans -> (true, ans)
     | None -> (false, false))
 
 (* Resolve one query without the teacher: memoized answers, known
    positives and the rules, with the Reduced(R1,R2,Both) accounting.
-   [None] means the word needs a genuine teacher question.
-
-   Everything on the hit path is keyed by the encoded word — int-list
-   hashes; [s] (the decoded path, when the caller has it anyway) is only
-   consulted on the rare steps that need strings: the Any_last canonical
-   lookup and the [on_auto] observer. *)
-let resolve_auto (t : t) ~(word : int list) ~(s : string list option) :
-    bool option =
-  let path () =
-    match s with Some p -> p | None -> Xl_automata.Alphabet.decode t.alphabet word
-  in
+   [None] means the word needs a genuine teacher question. *)
+let resolve_auto (t : t) (word : int list) : bool option =
   match Word_tbl.find_opt t.answers_w word with
   | Some ans ->
     if
@@ -200,7 +184,7 @@ let resolve_auto (t : t) ~(word : int list) ~(s : string list option) :
     (* evaluate each rule's applicability once; both the answer and
        the independent Reduced(R1,R2,Both) accounting reuse it *)
     let r1a = r1_applicable t word in
-    let r2a, r2_ans = r2_applicable t ~word ~s in
+    let r2a, r2_ans = r2_applicable t word in
     let r1 = t.config.r1 && r1a in
     let r2 = t.config.r2 && r2a in
     if r1 || r2 then begin
@@ -217,7 +201,9 @@ let resolve_auto (t : t) ~(word : int list) ~(s : string list option) :
         (* report the absolute path — R1 judged [abs_prefix @ s], and
            an anchored fragment's relative word is meaningless on its
            own to an observer *)
-        f ~rule:(if r1 then `R1 else `R2) ~path:(t.abs_prefix @ path ()) ~answer:ans
+        f ~rule:(if r1 then `R1 else `R2)
+          ~path:(t.abs_prefix @ Xl_automata.Alphabet.decode t.alphabet word)
+          ~answer:ans
       | None -> ());
       Xl_obs.Obs.Counter.incr c_mq_auto;
       (* R1 answers are schema-sound and may be memoized; R2 answers
@@ -228,130 +214,110 @@ let resolve_auto (t : t) ~(word : int list) ~(s : string list option) :
     else None
 
 (* bookkeeping of a genuine teacher answer (after the ask) *)
-let record_genuine (t : t) ~(word : int list) (s : string list) (ans : bool) :
-    unit =
+let record_genuine (t : t) (word : int list) (ans : bool) : unit =
   Word_tbl.replace t.answers_w word ans;
   if ans then begin
-    t.known_positive <- s :: t.known_positive;
-    Path_tbl.replace t.known_positive_set s ()
+    t.known_positive <- word :: t.known_positive;
+    Word_tbl.replace t.known_positive_set word ()
   end;
-  if t.r2_state = Any_last then Path_tbl.replace t.canonical (prefix s) ans
+  if t.r2_state = Any_last then Word_tbl.replace t.canonical (prefix word) ans
 
-(** The membership oracle handed to L*. *)
-let membership (t : t) (word : int list) : bool =
-  let s = Xl_automata.Alphabet.decode t.alphabet word in
-  match resolve_auto t ~word ~s:(Some s) with
-  | Some ans -> ans
-  | None ->
-    t.stats.Stats.mq <- t.stats.Stats.mq + 1;
-    Xl_obs.Obs.Counter.incr c_mq_user;
-    let ans = t.ask s in
-    record_genuine t ~word s ans;
-    ans
+(** The membership oracle handed to L*: one fill's worth of distinct
+    words, in the order L* first asks them, resolved in that order in
+    one loop.  Words no rule or memo answers are genuine questions.
 
-(** The batched membership oracle: one fill's worth of distinct words,
-    in the exact order the word-at-a-time sweep would first ask them.
-
-    Every word is resolved in order with exactly the sequential
-    bookkeeping (R1 is the same DFA fold {!membership} uses), and the
-    genuine questions are deferred into one teacher batch at the end.
-
-    Deferral is answer-preserving because the words are distinct and,
-    outside the Any_last state, no genuine answer can influence another
-    word of the same batch (rule applicability and memo lookups depend
-    only on the word; R2 state changes only between equivalence queries).
+    Outside the Any_last state they are deferred into one teacher batch
+    at the end.  Deferral is answer-preserving there because the words
+    are distinct and no genuine answer can influence another word of the
+    same batch: rule applicability and memo lookups depend only on the
+    word, and the R2 state changes only between equivalence queries.
     Under Any_last a genuine answer seeds the canonical table consulted
-    by later words, so that state falls back to word-at-a-time order. *)
+    by later words, so each one is asked on the spot, one at a time. *)
 let membership_batch (t : t) (words : int list list) : bool list =
-  match t.r2_state with
-  | Any_last -> List.map (membership t) words
-  | Last_tag _ | Off ->
-    let n = List.length words in
-    let results = Array.make (max n 1) false in
-    let deferred = ref [] in
-    List.iteri
-      (fun i word ->
-        match resolve_auto t ~word ~s:None with
-        | Some ans -> results.(i) <- ans
-        | None ->
-          t.stats.Stats.mq <- t.stats.Stats.mq + 1;
-          Xl_obs.Obs.Counter.incr c_mq_user;
-          deferred := (i, word) :: !deferred)
-      words;
-    (match List.rev !deferred with
-    | [] -> ()
-    | defs ->
-      let defs =
-        List.map
-          (fun (i, w) -> (i, w, Xl_automata.Alphabet.decode t.alphabet w))
-          defs
-      in
-      let paths = List.map (fun (_, _, s) -> s) defs in
-      let answers =
-        match t.ask_batch with
-        | Some f -> f paths
-        | None -> List.map t.ask paths
-      in
-      if List.length answers <> List.length paths then
-        invalid_arg "Plearner: teacher batch answered a different word count";
-      List.iter2
-        (fun (i, word, s) ans ->
-          record_genuine t ~word s ans;
-          results.(i) <- ans)
-        defs answers);
-    List.filteri (fun i _ -> i < n) (Array.to_list results)
+  let results = Array.make (List.length words) false in
+  let deferred = ref [] in
+  List.iteri
+    (fun i word ->
+      match resolve_auto t word with
+      | Some ans -> results.(i) <- ans
+      | None ->
+        t.stats.Stats.mq <- t.stats.Stats.mq + 1;
+        Xl_obs.Obs.Counter.incr c_mq_user;
+        if t.r2_state = Any_last then begin
+          let ans = t.ask (Xl_automata.Alphabet.decode t.alphabet word) in
+          record_genuine t word ans;
+          results.(i) <- ans
+        end
+        else deferred := (i, word) :: !deferred)
+    words;
+  (match List.rev !deferred with
+  | [] -> ()
+  | defs ->
+    let answers =
+      t.ask_batch
+        (List.map (fun (_, w) -> Xl_automata.Alphabet.decode t.alphabet w) defs)
+    in
+    if List.length answers <> List.length defs then
+      invalid_arg "Plearner: teacher batch answered a different word count";
+    List.iter2
+      (fun (i, word) ans ->
+        record_genuine t word ans;
+        results.(i) <- ans)
+      defs answers);
+  Array.to_list results
+
+let restart t =
+  t.stats.Stats.restarts <- t.stats.Stats.restarts + 1;
+  raise Restart
 
 (** Record a positive counterexample path.  Raises {!Restart} when it
-    invalidates the current R2 assumption (backtracking). *)
+    invalidates the current R2 assumption (backtracking) or revises an
+    answer L* has already been given. *)
 let note_positive (t : t) (s : string list) : unit =
   (* counterexample paths always encode: the evaluation context interns
      every symbol of the store before learning starts *)
   let word = Xl_automata.Alphabet.encode t.alphabet s in
   let conflict = Word_tbl.find_opt t.answers_w word = Some false in
   Word_tbl.replace t.answers_w word true;
-  if not (Path_tbl.mem t.known_positive_set s) then begin
-    t.known_positive <- s :: t.known_positive;
-    Path_tbl.replace t.known_positive_set s ()
+  if not (Word_tbl.mem t.known_positive_set word) then begin
+    t.known_positive <- word :: t.known_positive;
+    Word_tbl.replace t.known_positive_set word ()
   end;
   (match t.r2_state with
   | Last_tag t1 when last s <> Some t1 ->
     (* the "fixed last tag" heuristic failed: relax to Any_last and seed
        the canonical table with everything answered so far *)
     t.r2_state <- Any_last;
-    Word_tbl.iter
-      (fun w ans ->
-        Path_tbl.replace t.canonical
-          (prefix (Xl_automata.Alphabet.decode t.alphabet w))
-          ans)
-      t.answers_w;
-    t.stats.Stats.restarts <- t.stats.Stats.restarts + 1;
-    raise Restart
+    Word_tbl.iter (fun w ans -> Word_tbl.replace t.canonical (prefix w) ans) t.answers_w;
+    restart t
   | _ -> ());
-  if t.r2_state = Any_last then Path_tbl.replace t.canonical (prefix s) true;
-  if conflict then begin
-    (* an earlier N on this path was misattributed; restart with the
-       corrected table *)
-    t.stats.Stats.restarts <- t.stats.Stats.restarts + 1;
-    raise Restart
-  end
+  (* an answer L* has seen never changes within one L* run, so revising
+     one restarts it: an earlier N on this path, or an Any_last prefix
+     that answered N and now answers Y *)
+  let revised =
+    match t.r2_state with
+    | Any_last ->
+      let p = prefix word in
+      let was = Word_tbl.find_opt t.canonical p in
+      Word_tbl.replace t.canonical p true;
+      was = Some false
+    | Last_tag _ | Off -> false
+  in
+  if conflict || revised then restart t
 
 (** Record a negative counterexample path.  Raises {!Restart} when it
     contradicts an Any_last auto-answer (R2 is then switched off). *)
 let note_negative (t : t) (s : string list) : unit =
-  let record () =
-    Word_tbl.replace t.answers_w (Xl_automata.Alphabet.encode t.alphabet s) false
-  in
-  (match t.r2_state with
-  | Any_last when Path_tbl.find_opt t.canonical (prefix s) = Some true ->
+  let word = Xl_automata.Alphabet.encode t.alphabet s in
+  Word_tbl.replace t.answers_w word false;
+  if t.r2_state = Any_last && Word_tbl.find_opt t.canonical (prefix word) = Some true
+  then begin
     t.r2_state <- Off;
-    Path_tbl.reset t.canonical;
-    record ();
-    t.stats.Stats.restarts <- t.stats.Stats.restarts + 1;
-    raise Restart
-  | _ -> ());
-  record ()
+    Word_tbl.reset t.canonical;
+    restart t
+  end
 
-let known_positive_paths t = t.known_positive
+let is_known_positive t word = Word_tbl.mem t.known_positive_set word
 
 (** Run L* to convergence, restarting on R2 backtracks.  [equivalence]
     is the outer equivalence-query loop (extent comparison); it returns a
@@ -360,20 +326,11 @@ let learn (t : t)
     ~(equivalence : Xl_automata.Dfa.t -> int list option) : Xl_automata.Dfa.t =
   let alphabet_size = Xl_automata.Alphabet.size t.alphabet in
   let teacher =
-    {
-      Xl_automata.Lstar.membership = membership t;
-      membership_batch = Some (membership_batch t);
-      equivalence;
-    }
+    { Xl_automata.Lstar.membership_batch = membership_batch t; equivalence }
   in
   let rec attempt n =
     if n > 20 then failwith "Plearner.learn: too many restarts";
-    let init =
-      List.filter_map
-        (fun s -> Xl_automata.Alphabet.encode_opt t.alphabet s)
-        t.known_positive
-    in
-    match Xl_automata.Lstar.learn ~init ~alphabet_size teacher with
+    match Xl_automata.Lstar.learn ~init:t.known_positive ~alphabet_size teacher with
     | dfa, _ -> dfa
     | exception Restart -> attempt (n + 1)
   in

@@ -20,11 +20,6 @@ type config = {
 val default_config : config
 (** Both rules on. *)
 
-type r2_state =
-  | Last_tag of string
-  | Any_last
-  | Off
-
 exception Restart
 (** An assumption was invalidated; L* must restart (genuine answers are
     kept across restarts). *)
@@ -34,7 +29,7 @@ type t
 val create :
   ?config:config -> ?known:(string list * bool) list ->
   ?on_auto:(rule:[ `R1 | `R2 ] -> path:string list -> answer:bool -> unit) ->
-  ?ask_batch:(string list list -> bool list) ->
+  ask_batch:(string list list -> bool list) ->
   stats:Stats.t ->
   r1_dfas:Xl_automata.Dfa.t list ->
   alphabet:Xl_automata.Alphabet.t -> abs_prefix:string list ->
@@ -44,11 +39,12 @@ val create :
     tag path of the fragment's base node: each starts at the state the
     prefix reaches.  A word is R1-applicable when the list is non-empty
     and no DFA in it accepts the word.  [dropped_path] seeds the first
-    positive example; [ask] is the real teacher and is counted as a user
-    membership query.  [ask_batch], when
-    the teacher has one, answers the deferred genuine questions of a
-    batched fill in one call (same answers, same counts as per-word
-    [ask]).  [known] seeds the memo with the genuine answers an earlier
+    positive example.  [ask_batch] and [ask] are the real teacher, and
+    every word they are asked counts as a user membership query:
+    [ask_batch] answers the genuine questions of a fill in one call, in
+    first-ask order; [ask] answers them one at a time in the Any_last R2
+    state, where each answer can decide later words of the same fill.
+    [known] seeds the memo with the genuine answers an earlier
     run of the same drop box was given (Section 11 reuse, see
     {!Machine.start}): each one asked again replaces an interaction and
     counts in [Stats.auto_known].  [on_auto] observes every
@@ -58,28 +54,27 @@ val create :
     path language and must match the ground truth, which is exactly what
     the fuzz harness checks; R2 answers are revisable assumptions. *)
 
-val membership : t -> int list -> bool
-(** The membership oracle handed to L*. *)
-
 val membership_batch : t -> int list list -> bool list
-(** Batched {!membership} over the distinct words of one fill, in
-    first-ask order: R1 is the same DFA fold as for single words,
-    genuine questions are deferred into one teacher batch, and every
-    answer and interaction count is identical to asking the words one
-    at a time (the Any_last R2 state, whose auto-answers depend on ask
-    order within a fill, falls back to the word-at-a-time path). *)
+(** The membership oracle handed to L*: the distinct words of one fill,
+    in first-ask order, each resolved in that order by the memo, R1 or
+    R2, or else by the teacher.  Every answer and interaction count is
+    the one the words would get asked one at a time. *)
 
 val note_positive : t -> string list -> unit
-(** Record a positive counterexample path.  May raise {!Restart}. *)
+(** Record a positive counterexample path.  May raise {!Restart}: when
+    R2 backtracks, and whenever the path revises an answer L* has
+    already seen. *)
 
 val note_negative : t -> string list -> unit
 (** Record a negative counterexample path.  May raise {!Restart}. *)
 
-val known_positive_paths : t -> string list list
+val is_known_positive : t -> int list -> bool
+(** Is the word the dropped example's or a positive answer or
+    counterexample? *)
 
 val learn :
   t -> equivalence:(Xl_automata.Dfa.t -> int list option) -> Xl_automata.Dfa.t
-(** Run L* to convergence, restarting on rule backtracks.  [equivalence]
-    is the outer extent-comparison loop; it returns a counterexample
-    word when the path hypothesis must change.  L* fills its observation
-    table through {!membership_batch}; single words go to {!membership}. *)
+(** Run L* to convergence, restarting on rule backtracks and revisions.
+    [equivalence] is the outer extent-comparison loop; it returns a
+    counterexample word when the path hypothesis must change.  L* fills
+    its observation table through {!membership_batch}. *)

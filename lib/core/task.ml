@@ -21,6 +21,27 @@ let var (t : t) = Option.get t.node.Xqtree.var
 let parent_var (t : t) = Option.map (fun p -> Option.get p.Xqtree.var) t.parent
 let anchor (t : t) = Option.value ~default:t.node t.parent
 
+(** The node the task's composed path starts from under [context] (in
+    [tree], the tree the task is of): the document of an absolute anchor
+    source, else the binding of the anchor's base variable, else the
+    default document.  [None] when [context] does not bind that
+    variable. *)
+let base (tree : Xqtree.t) (store : Xl_xml.Store.t) (t : t)
+    (context : (string * Xl_xml.Node.t) list) : Xl_xml.Node.t option =
+  let anchor = anchor t in
+  match anchor.Xqtree.source with
+  | Some (Xqtree.Abs (uri, _)) ->
+    let doc =
+      match uri with
+      | None -> Xl_xml.Store.default store
+      | Some u -> Xl_xml.Store.find_exn store u
+    in
+    Some doc.Xl_xml.Doc.doc_node
+  | _ -> (
+    match Xqtree.base_var tree anchor.Xqtree.label with
+    | Some v -> List.assoc_opt v context
+    | None -> Some (Xl_xml.Store.default store).Xl_xml.Doc.doc_node)
+
 (** All tasks of a tree, in the depth-first learning order. *)
 let tasks_of (tree : Xqtree.t) : t list =
   List.filter_map

@@ -22,6 +22,14 @@ val anchor : t -> Xqtree.node
 (** The node whose ancestors bind the task's context: the collapse
     parent of a pair, the task's own node otherwise. *)
 
+val base :
+  Xqtree.t -> Xl_xml.Store.t -> t -> (string * Xl_xml.Node.t) list ->
+  Xl_xml.Node.t option
+(** [base tree store task context]: the node the task's composed path
+    starts from — the document of an absolute anchor source, else the
+    context's binding of the anchor's base variable in [tree], else the
+    default document.  [None] when the context does not bind it. *)
+
 val tasks_of : Xqtree.t -> t list
 (** Depth-first learning order. *)
 

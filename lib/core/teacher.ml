@@ -29,21 +29,15 @@ type cb_answer = {
 
 type t = {
   path_membership :
-    label:string -> context:context -> rel_path:string list ->
-    witness:Node.t option -> bool;
+    label:string -> context:context -> rel_path:string list -> bool;
       (** Membership query: is a node with this path (relative to the
-          fragment's base) of the intended kind?  [witness] is the node
-          XLearner highlights in the browser, when the instance has one. *)
+          fragment's base) of the intended kind? *)
   path_membership_batch :
-    (label:string -> context:context -> rel_paths:string list list -> bool list)
-      option;
-      (** Answer many membership queries in one pass, one answer per
-          path, in order.  Only teachers that can amortize a shared
-          evaluation (the simulated oracle's single DFA scan over the
-          batch's prefix trie) provide it; an interactive teacher leaves
-          it [None] so each question still reaches the user one at a
-          time, in order.  Batching never changes which distinct paths
-          are asked, so interaction counts are identical either way. *)
+    label:string -> context:context -> rel_paths:string list list -> bool list;
+      (** Many membership queries at once, one answer per path, in
+          order.  The simulated oracle answers them in one pass over the
+          batch's prefix trie; an interactive teacher prompts for each
+          path in turn. *)
   equivalence :
     label:string -> context:context -> extent:Node.t list -> eq_answer;
       (** Equivalence query: XLearner highlights [extent]; the user
@@ -51,8 +45,9 @@ type t = {
   condition_box :
     label:string -> context:context -> negative_example:Node.t option ->
     cb_answer option;
-      (** Raised when the IHT shows no learnable predicate can explain a
-          counterexample; the user fills in an explicit condition. *)
+      (** Raised when a negative counterexample's path is a known
+          positive, so no path expression can exclude it; the user fills
+          in an explicit condition. *)
   order_box : label:string -> (Xl_xquery.Simple_path.t * bool) list;
       (** Sort keys for the node, empty when no ordering is intended. *)
 }

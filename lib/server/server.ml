@@ -412,15 +412,13 @@ let context_json store (ctx : Teacher.context) =
 let question_json store (q : Machine.question) =
   let open Machine in
   match q with
-  | Membership { label; context; rel_path; witness } ->
+  | Membership { label; context; rel_path } ->
     Json.Obj
       [
         ("kind", Json.str "membership");
         ("label", Json.str label);
         ("context", context_json store context);
         ("rel_path", Json.list Json.str rel_path);
-        ( "witness",
-          match witness with Some n -> node_json store n | None -> Json.Null );
       ]
   | Membership_batch { label; context; rel_paths } ->
     Json.Obj

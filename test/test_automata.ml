@@ -117,19 +117,28 @@ let test_nfa_direct () =
 
 (* ---------- L* ---------------------------------------------------------------- *)
 
-let exact_teacher target =
+let exact_teacher ?(asked = ref []) target =
   {
-    Lstar.membership = (fun w -> Dfa.accepts target w);
-    membership_batch = None;
+    Lstar.membership_batch =
+      (fun ws ->
+        asked := List.rev_append ws !asked;
+        List.map (Dfa.accepts target) ws);
     equivalence =
       (fun h -> match Dfa.equivalent h target with Ok () -> None | Error w -> Some w);
   }
 
 let test_lstar_learns_sample () =
   let target = Dfa.minimize (sample_dfa ()) in
-  let learned, stats = Lstar.learn ~alphabet_size:k (exact_teacher target) in
+  let asked = ref [] in
+  let learned, stats = Lstar.learn ~alphabet_size:k (exact_teacher ~asked target) in
   check cbool "language learned exactly" true (Dfa.equivalent learned target = Ok ());
-  check cbool "used some membership queries" true (stats.Lstar.membership_queries > 0)
+  check cbool "used some membership queries" true (stats.Lstar.membership_queries > 0);
+  (* every word reaches the teacher once, in some batch *)
+  check Alcotest.int "one count per word asked" (List.length !asked)
+    stats.Lstar.membership_queries;
+  check Alcotest.int "no word asked twice"
+    (List.length (List.sort_uniq compare !asked))
+    (List.length !asked)
 
 let test_lstar_with_seed () =
   let target = Dfa.minimize (sample_dfa ()) in
@@ -222,7 +231,14 @@ let test_accepts_batch () =
   List.iter (fun w -> ignore (Trie.add_word trie w)) words;
   let shared = Trie.size trie - 1 in
   if not (shared < steps) then
-    Alcotest.failf "prefix trie has %d nodes for %d per-word symbol steps" shared steps
+    Alcotest.failf "prefix trie has %d nodes for %d per-word symbol steps" shared steps;
+  (* a word's node spells the word, and inserting it again finds it *)
+  List.iter
+    (fun w ->
+      check (Alcotest.list Alcotest.int) "node spells its word" w
+        (Trie.symbols trie (Trie.add_word trie w)))
+    words;
+  check Alcotest.int "no node added on reinsertion" (shared + 1) (Trie.size trie)
 
 let () =
   Alcotest.run "xl_automata"

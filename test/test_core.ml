@@ -275,10 +275,10 @@ let test_oracle_answers () =
   (* path membership for the collapsed category/cname task *)
   check cbool "category name path accepted" true
     (teacher.Teacher.path_membership ~label:"N1.1.1" ~context:[]
-       ~rel_path:[ "site"; "categories"; "category"; "name" ] ~witness:None);
+       ~rel_path:[ "site"; "categories"; "category"; "name" ]);
   check cbool "person path rejected" false
     (teacher.Teacher.path_membership ~label:"N1.1.1" ~context:[]
-       ~rel_path:[ "site"; "regions"; "europe"; "item"; "name" ] ~witness:None);
+       ~rel_path:[ "site"; "regions"; "europe"; "item"; "name" ]);
   (* the target extent of the cname task has one node per category *)
   let extent = Oracle.target_extent oracle "N1.1.1" [] in
   check cint "two category names" 2 (List.length extent);
@@ -474,13 +474,17 @@ let plearner_fixture ?(r1 = true) ?(r2 = true) ?(target = fun s -> List.length s
     Plearner.create
       ~config:{ Plearner.r1; r2 }
       ~stats ~r1_dfas:[ r1_dfa ] ~alphabet ~abs_prefix:[ "a" ]
-      ~dropped_path:[ "b" ] ~ask ()
+      ~dropped_path:[ "b" ] ~ask ~ask_batch:(List.map ask) ()
   in
   (pl, stats, asked, alphabet)
 
+(* one word through the P-Learner's fill oracle *)
+let member pl alphabet s =
+  List.hd (Plearner.membership_batch pl [ Xl_automata.Alphabet.encode alphabet s ])
+
 let test_plearner_r1 () =
   let pl, stats, asked, alphabet = plearner_fixture ~r2:false () in
-  let m s = Plearner.membership pl (Xl_automata.Alphabet.encode alphabet s) in
+  let m = member pl alphabet in
   (* schema-inconsistent: a/b/b is impossible (b has PCDATA content) *)
   check cbool "R1 auto-answers impossible path" false (m [ "b"; "b" ]);
   check cint "no user question" 0 (List.length !asked);
@@ -494,7 +498,7 @@ let test_plearner_r1 () =
 
 let test_plearner_r2_last_tag () =
   let pl, stats, asked, alphabet = plearner_fixture ~r1:false () in
-  let m s = Plearner.membership pl (Xl_automata.Alphabet.encode alphabet s) in
+  let m = member pl alphabet in
   (* dropped path ends in b: paths ending elsewhere are auto-answered N *)
   check cbool "wrong last tag rejected" false (m [ "b"; "c" ]);
   check cbool "attribute tail rejected" false (m [ "@x" ]);
@@ -506,7 +510,7 @@ let test_plearner_r2_last_tag () =
   check cint "matching tail asked" 1 (List.length !asked)
 
 let test_plearner_r2_backtrack () =
-  let pl, stats, _, _ = plearner_fixture ~r1:false () in
+  let pl, stats, _, alphabet = plearner_fixture ~r1:false () in
   (* a positive counterexample ending in a different tag invalidates the
      Last_tag assumption: Restart is raised and counted *)
   (match Plearner.note_positive pl [ "c" ] with
@@ -515,11 +519,11 @@ let test_plearner_r2_backtrack () =
   check cint "backtrack counted" 1 stats.Stats.restarts;
   (* after the restart the conflicting path is a known positive *)
   check cbool "path recorded positive" true
-    (List.mem [ "c" ] (Plearner.known_positive_paths pl))
+    (Plearner.is_known_positive pl (Xl_automata.Alphabet.encode alphabet [ "c" ]))
 
 let test_plearner_conflict_restart () =
   let pl, stats, _, alphabet = plearner_fixture ~r1:false () in
-  let m s = Plearner.membership pl (Xl_automata.Alphabet.encode alphabet s) in
+  let m = member pl alphabet in
   ignore stats;
   (* the teacher says No to c/b, then an equivalence counterexample later
      claims it positive: the misattribution forces a restart *)

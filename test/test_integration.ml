@@ -115,6 +115,80 @@ let test_ablation_rules () =
   check cbool "rules reduce user MQs dramatically" true (both * 5 < none);
   check cbool "interactive with rules" true (both <= 10)
 
+(* ---------- the paper driver's other rows, pinned -------------------------------- *)
+
+(* The rows bench/main.exe prints beside Figure 16: the R1/R2 ablation
+   (four rule configurations over XMark Q1/Q13/Q15/Q17 and XMP Q9), the
+   SGML suite and the Section 11 reuse pairs.  Each is a [Stats.to_json]
+   object in paper_rows.json (a declared test dep), keyed
+   "leg/subject[/variant]"; the "none" configuration is the one where
+   every membership query reaches the teacher. *)
+let paper_rows () : (string * string) list =
+  let pick names suite = List.filter (fun (n, _) -> List.mem n names) suite in
+  let xmark = Lazy.force xmark and xmp = Xl_workload.Xmp_scenarios.all () in
+  let configs =
+    [
+      ("r1+r2", { Plearner.r1 = true; r2 = true });
+      ("r1", { Plearner.r1 = true; r2 = false });
+      ("r2", { Plearner.r1 = false; r2 = true });
+      ("none", { Plearner.r1 = false; r2 = false });
+    ]
+  in
+  let row (r : Learn.result) = Stats.to_json r.Learn.stats in
+  let ablation =
+    List.concat_map
+      (fun (name, sc) ->
+        List.map
+          (fun (cname, rules) ->
+            ( Printf.sprintf "ablation/%s/%s" name cname,
+              row (Learn.run ~config:{ Learn.default_config with rules } sc) ))
+          configs)
+      (List.map (fun (n, sc) -> ("XMark-" ^ n, sc)) (pick [ "Q1"; "Q13"; "Q15"; "Q17" ] xmark)
+      @ List.map (fun (n, sc) -> ("XMP-" ^ n, sc)) (pick [ "Q9" ] xmp))
+  in
+  let sgml =
+    List.map
+      (fun (n, sc) -> ("sgml/" ^ n, row (Learn.run sc)))
+      (Xl_workload.Sgml_scenarios.all ())
+  in
+  let reuse =
+    List.concat_map
+      (fun (n, sc) ->
+        let run ?prior () =
+          let m = Machine.start ?prior sc in
+          Machine.drive ~teacher:(Machine.oracle_teacher m) m
+        in
+        let r1, m1 = run () in
+        let r2, _ = run ~prior:m1 () in
+        [ ("reuse/" ^ n ^ "/first", row r1); ("reuse/" ^ n ^ "/second", row r2) ])
+      (pick [ "Q13"; "Q14"; "Q19" ] xmark @ pick [ "Q9" ] xmp)
+  in
+  ablation @ sgml @ reuse
+
+let test_paper_rows_pinned () =
+  let module Json = Xl_json.Json in
+  let parse what s =
+    match Json.parse s with Ok j -> j | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let pinned =
+    (* dune runtest runs in _build/default/test, dune exec in the root *)
+    match List.find_opt Sys.file_exists [ "paper_rows.json"; "test/paper_rows.json" ] with
+    | None -> Alcotest.fail "paper_rows.json not found (declared test dep)"
+    | Some path -> (
+      match parse path (In_channel.with_open_bin path In_channel.input_all) with
+      | Json.Obj rows -> rows
+      | _ -> Alcotest.failf "%s: not a JSON object" path)
+  in
+  let rows = paper_rows () in
+  check (Alcotest.list Alcotest.string) "one pinned row per paper-driver row"
+    (List.map fst pinned) (List.map fst rows);
+  List.iter
+    (fun (key, got) ->
+      let want = List.assoc key pinned in
+      if want <> parse key got then
+        Alcotest.failf "%s: pinned %s, got %s" key (Json.to_string want) got)
+    rows
+
 (* ---------- determinism ----------------------------------------------------------- *)
 
 let test_sessions_deterministic () =
@@ -139,6 +213,10 @@ let () =
           Alcotest.test_case "Q19 (order by)" `Slow test_xmark_q19_orderby;
           Alcotest.test_case "Q5 (drop-box function)" `Slow test_xmark_q5_function;
         ] );
-      ("ablation", [ Alcotest.test_case "R1/R2 off" `Slow test_ablation_rules ]);
+      ( "ablation",
+        [
+          Alcotest.test_case "R1/R2 off" `Slow test_ablation_rules;
+          Alcotest.test_case "paper-driver rows pinned" `Slow test_paper_rows_pinned;
+        ] );
       ("determinism", [ Alcotest.test_case "repeatable sessions" `Quick test_sessions_deterministic ]);
     ]

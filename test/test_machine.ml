@@ -3,7 +3,8 @@
    - replay determinism: every (question, answer) pair of a fig16 run,
      re-driven through Machine.step from the transcript, reproduces the
      hypothesis query and the interaction counts byte-for-byte — on both
-     Figure-16 suites and on the 25-seed fuzz corpus, sequential and
+     Figure-16 suites, on two targets where rule R2 backtracks (their
+     rows pinned) and on the 25-seed fuzz corpus, sequential and
      against a 4-domain pool;
    - suspend/resume: snapshotting at every k-th `Ask (k in {1,3,7}),
      restoring into a fresh machine and finishing yields the same final
@@ -134,6 +135,46 @@ let fig16 =
 
 let fig16_scenario name = List.assoc name (Lazy.force fig16)
 
+(* Two one-box targets on the default XMark instance whose positive
+   counterexamples end in a tag other than the dropped example's, so
+   rule R2 backtracks from Last_tag to Any_last: no Figure-16 scenario
+   does (every row has restarts 0).  The wildcard one also revises an
+   Any_last answer that L* has already seen. *)
+let r2_backtracking =
+  lazy
+    (let env = Xl_workload.Xmark_scenarios.make_env () in
+     let target name p =
+       let open Xl_xqtree in
+       Xl_workload.Xmark_scenarios.scenario env ~description:p name
+         (Xqtree.make ~tag:"result" "N1"
+            ~children:
+              [
+                Xqtree.make ~tag:"hit" ~var:"x"
+                  ~source:(Xqtree.Abs (None, Xl_xquery.Parser.parse_path_string p))
+                  "N1.1";
+              ])
+     in
+     prepare
+       [
+         ("r2-europe", target "r2-europe" "/site/regions/europe/item/(name|description)");
+         ("r2-wildcard", target "r2-wildcard" "/site/regions/*/item/*");
+       ])
+
+(* their machine steps and Figure-16 rows, as [Stats.to_json]; the
+   wildcard target fails with "Lstar.learn: too many rounds" unless
+   every revised answer restarts L* *)
+let r2_rows =
+  [
+    ( "r2-europe",
+      4,
+      {|{"dd":1,"dd_terminals":1,"mq":5,"eq":2,"ce":1,"cb":0,"cb_terminals":0,"ob":0,"reduced_r1":2885,"reduced_r2":582,"reduced_both":556,"reduced_total":2911,"auto_known":0,"restarts":1,"user_interactions":7}|}
+    );
+    ( "r2-wildcard",
+      13,
+      {|{"dd":1,"dd_terminals":1,"mq":83,"eq":4,"ce":3,"cb":0,"cb_terminals":0,"ob":0,"reduced_r1":17126,"reduced_r2":3864,"reduced_both":3788,"reduced_total":17202,"auto_known":0,"restarts":3,"user_interactions":87}|}
+    );
+  ]
+
 (* ---------- replay determinism ----------------------------------------- *)
 
 let test_replay_fig16 () =
@@ -142,7 +183,21 @@ let test_replay_fig16 () =
       let reference, transcript = record (M.start sc) in
       let r = replay_transcript ~what:name sc transcript in
       check_result ~what:name reference r)
-    (Lazy.force fig16)
+    (Lazy.force fig16 @ Lazy.force r2_backtracking)
+
+(* R2 backtracking, end to end: both targets learn a verified query
+   through at least one restart, with their pinned rows *)
+let test_r2_backtracking_rows () =
+  List.iter
+    (fun (name, sc) ->
+      let r, transcript = record (M.start sc) in
+      let _, steps, row = List.find (fun (n, _, _) -> String.equal n name) r2_rows in
+      Alcotest.(check int) (name ^ ": steps") steps (List.length transcript);
+      Alcotest.(check string) (name ^ ": row") row (Stats.to_json r.Learn.stats);
+      Alcotest.(check bool) (name ^ ": verified") true r.Learn.verified;
+      Alcotest.(check bool) (name ^ ": R2 backtracked") true
+        (r.Learn.stats.Stats.restarts > 0))
+    (Lazy.force r2_backtracking)
 
 (* The 25-seed fuzz corpus, recorded sequentially and replayed against a
    4-domain pool: the pool parallelizes work inside a step, so the
@@ -203,7 +258,11 @@ let test_suspend_resume () =
         [ "xmp-Q1"; "xmark-Q3"; "xmark-Q12" ])
     [ 1; 3; 7 ];
   (* one deeper run: xmark Q7 asks 17 questions *)
-  check_suspend_resume ~what:"xmark-Q7" 7 (fig16_scenario "xmark-Q7")
+  check_suspend_resume ~what:"xmark-Q7" 7 (fig16_scenario "xmark-Q7");
+  (* snapshots across an R2 restart *)
+  List.iter
+    (fun (name, sc) -> check_suspend_resume ~what:name 3 sc)
+    (Lazy.force r2_backtracking)
 
 (* ---------- concurrent sessions on one worker service ------------------- *)
 
@@ -594,6 +653,8 @@ let () =
             `Slow test_replay_fig16;
           Alcotest.test_case "25-seed fuzz corpus, -j 1 and -j 4" `Slow
             test_replay_fuzz_corpus;
+          Alcotest.test_case "R2 backtracking targets, pinned rows" `Slow
+            test_r2_backtracking_rows;
         ] );
       ( "suspend-resume",
         [
