@@ -24,11 +24,9 @@ bench-frozen:
 	dune exec bench/main.exe -- frozen -j 4
 
 # Streaming ingestion ladder (DESIGN.md §5i): one-pass builder vs tree
-# walk + freeze at XMark 1x/10x/100x, a parse of the serialized
-# document, the snapshot round trip, then the Figure-16 XMark suite on
-# a 10x streamed store.  Every leg is parity-checked (exit 1 on any
-# structural difference); the 10x snapshot is left behind as
-# XMARK_10x.snapshot.
+# walk + freeze at XMark 1x/10x/100x and a parse of the serialized
+# document, then the Figure-16 XMark suite on a 10x streamed store.
+# Every leg is parity-checked (exit 1 on any structural difference).
 bench-stream:
 	dune build bench/main.exe
 	dune exec bench/main.exe -- stream

@@ -14,8 +14,8 @@
      dune exec bench/main.exe -- sgml         -- extra suite: UC "SGML"
      dune exec bench/main.exe -- frozen       -- frozen-store scan parity on the
                                                  domain pool (make bench-frozen)
-     dune exec bench/main.exe -- stream       -- streaming ingestion + snapshot
-                                                 parity ladder, 10x fig16 variant
+     dune exec bench/main.exe -- stream       -- streaming ingestion parity
+                                                 ladder, 10x fig16 variant
                                                  (make bench-stream)
      dune exec bench/main.exe -- machine      -- record/replay/resume parity
                                                  (make bench-machine)
@@ -60,18 +60,6 @@ let obs_report_top = ref 10
 let obs_check_perfetto : string option ref = ref None
 let obs_check_folded : string option ref = ref None
 let obs_expect_stack : string option ref = ref None
-
-(* a suite's scenarios share one store; freeze its lazy indexes while the
-   store is still visible to a single domain (Pool's confinement rule),
-   and make any later lazy build — a data race under the fan-out — fail
-   loudly instead of silently falling back *)
-let prepare_scenarios scenarios =
-  List.iter
-    (fun (_, sc) ->
-      Xl_xml.Store.prepare sc.Xl_core.Scenario.store;
-      Xl_xml.Store.set_strict sc.Xl_core.Scenario.store true)
-    scenarios;
-  scenarios
 
 let line = String.make 78 '-'
 
@@ -161,7 +149,7 @@ let run_suite ~title scenarios paper_rows =
   Printf.printf "Figure 16 — The Number of Interactions for Learning (%s)\n" title;
   print_endline line;
   header ();
-  let rows = Pool.map (pool ()) (fig16_row paper_rows) (prepare_scenarios scenarios) in
+  let rows = Pool.map (pool ()) (fig16_row paper_rows) scenarios in
   List.iter (fun (row, _) -> print_endline row) rows;
   let verified_count =
     List.length (List.filter (fun (_, v) -> v) rows)
@@ -278,7 +266,7 @@ let reuse () =
 (* ---------- frozen-store scan parity (make bench-frozen) ----------------- *)
 
 (* [frozen] exercises the frozen-snapshot selection engine under domain
-   fan-out: one store, frozen once by [Store.prepare], scanned
+   fan-out: one store, frozen once at construction, scanned
    concurrently by every pool worker through per-domain evaluation
    contexts (the snapshots are immutable and shared).  Each engine's
    results are fingerprinted; a digest mismatch — across domains or
@@ -300,8 +288,6 @@ let frozen_bench () =
   in
   let doc = Xl_workload.Xmark_gen.generate scale in
   let store = Xl_xml.Store.of_docs [ doc ] in
-  Xl_xml.Store.prepare store;
-  Xl_xml.Store.set_strict store true;
   let paths =
     [
       "/site/regions/europe/item/description";
@@ -358,8 +344,8 @@ let frozen_bench () =
 (* ---------- streaming ingestion ladder (make bench-stream) --------------- *)
 
 (* [stream] checks document ingestion at growing XMark scales — the
-   one-pass streaming builder against the tree walk + freeze, a parse of
-   the serialized document, and the binary snapshot round trip — then
+   one-pass streaming builder against the tree walk + freeze and a parse
+   of the serialized document — then
    runs the Figure-16 XMark suite over a 10x streamed store to show the
    learner is oblivious to how its documents entered the store.  The
    costs of these paths are measured by perfbench (BENCHMARK.json), and
@@ -369,7 +355,7 @@ let stream_bench () =
   print_endline line;
   print_endline "Streaming ingestion vs the tree path (XMark scale ladder)";
   print_endline line;
-  Printf.printf "%6s %9s %12s %10s\n" "factor" "nodes" "xml_bytes" "snap_bytes";
+  Printf.printf "%6s %9s %12s\n" "factor" "nodes" "xml_bytes";
   List.iter
     (fun factor ->
       let scale = Xl_workload.Xmark_gen.scale_factor factor in
@@ -390,18 +376,9 @@ let stream_bench () =
       in
       (* the serialized document must parse back through the builder *)
       ignore (Xl_xml.Frozen_builder.parse ~uri:"auction.xml" xml_text);
-      let snap = Xl_xml.Snapshot.to_string stream_fz in
-      if not (Xl_xml.Frozen.structural_equal stream_fz (Xl_xml.Snapshot.of_string snap))
-      then begin
-        Printf.eprintf "FAIL: snapshot round-trip differs at x%d\n" factor;
-        exit 1
-      end;
-      (* persist the 10x snapshot: CI uploads it as a build artifact so a
-         scaled store can be loaded without re-running the generator *)
-      if factor = 10 then Xl_xml.Snapshot.save "XMARK_10x.snapshot" stream_fz;
-      Printf.printf "%6d %9d %12d %10d\n%!" factor
+      Printf.printf "%6d %9d %12d\n%!" factor
         (Xl_xml.Frozen.size stream_fz)
-        (String.length xml_text) (String.length snap))
+        (String.length xml_text))
     [ 1; 10; 100 ];
   (* the scaled Figure-16 variant: the whole XMark suite over a 10x
      document that entered the store through the streaming builder *)
@@ -409,10 +386,9 @@ let stream_bench () =
   print_endline "Figure 16 (XMark suite) on a 10x streamed store";
   print_endline line;
   let scenarios =
-    prepare_scenarios
-      (Xl_workload.Xmark_scenarios.all
-         ~scale:(Xl_workload.Xmark_gen.scale_factor 10)
-         ~streamed:true ())
+    Xl_workload.Xmark_scenarios.all
+      ~scale:(Xl_workload.Xmark_gen.scale_factor 10)
+      ~streamed:true ()
   in
   let rows =
     Pool.map (pool ())
@@ -446,8 +422,7 @@ let machine_bench () =
   print_endline line;
   let module M = Xl_core.Machine in
   let scenarios =
-    prepare_scenarios (Xl_workload.Xmark_scenarios.all ())
-    @ prepare_scenarios (Xl_workload.Xmp_scenarios.all ())
+    Xl_workload.Xmark_scenarios.all () @ Xl_workload.Xmp_scenarios.all ()
   in
   let failures = ref 0 in
   let total_steps = ref 0 in
@@ -586,10 +561,10 @@ let serve_bench () =
   let catalog =
     List.map
       (fun (n, sc) -> ("xmark/" ^ n, sc))
-      (prepare_scenarios (Xl_workload.Xmark_scenarios.all ()))
+      (Xl_workload.Xmark_scenarios.all ())
     @ List.map
         (fun (n, sc) -> ("xmp/" ^ n, sc))
-        (prepare_scenarios (Xl_workload.Xmp_scenarios.all ()))
+        (Xl_workload.Xmp_scenarios.all ())
   in
   let c0 = Client.connect socket in
   let health = req c0 "GET" "/health" () in

@@ -157,8 +157,7 @@ val snapshot : t -> string
 (** Serialize the machine's canonical state: magic ["XLMACHIN"],
     version, the starting configuration, the scenario name, the phase
     and the answered transcript (question digests + full answers), with
-    a trailing MD5 digest — the same framing conventions as
-    {!Xl_xml.Snapshot}.  Counterexample nodes are stored as
+    a trailing MD5 digest.  Counterexample nodes are stored as
     (document URI, Dewey code) pairs, so the snapshot is valid against
     any process holding the same frozen store.  The pool is not part of
     the serialized configuration: parallelism is an execution resource,

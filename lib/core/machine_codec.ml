@@ -1,7 +1,6 @@
 (* The XLMACHIN codec (see machine_codec.mli).
 
-   Layout (little-endian, version 2) — the framing conventions of
-   {!Xl_xml.Snapshot}:
+   Layout (little-endian, version 2):
 
      magic "XLMACHIN"                                  8 bytes
      version                                           u32

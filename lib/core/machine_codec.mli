@@ -3,8 +3,7 @@
 
     A snapshot is the starting configuration, the scenario name, the
     phase and the answered transcript, as entries of a question digest
-    and a full answer, under a trailing MD5 digest — the framing
-    conventions of {!Xl_xml.Snapshot}.  {!Machine.snapshot} and
+    and a full answer, under a trailing MD5 digest.  {!Machine.snapshot} and
     {!Machine.restore} are thin calls into {!encode} and {!decode}; the
     session server ships nodes with {!node_ref} and {!node_of_ref}. *)
 

@@ -14,8 +14,8 @@
     Domain-confinement contract for tasks: a task may freely use mutable
     state it creates (evaluation contexts, alphabets, oracles, data
     graphs), but shared inputs must be read-only for the duration of the
-    call.  In this codebase that means forcing {!Xl_xml.Store.prepare} on
-    any store shared by several tasks before fanning out. *)
+    call.  Stores qualify as built: {!Xl_xml.Store.t} is complete and
+    immutable when its constructor returns. *)
 
 type t
 

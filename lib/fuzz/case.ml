@@ -282,9 +282,7 @@ let conds_identifiable ctx doc store (target : Xqtree.t)
             bases);
     let fresh_ok frag =
       let doc' = Doc.of_frag ~uri:"fuzz.xml" frag in
-      let store' = Store.of_docs [ doc' ] in
-      Store.prepare store';
-      let ctx' = Eval.make_ctx store' in
+      let ctx' = Eval.make_ctx (Store.of_docs [ doc' ]) in
       let ok = ref true in
       fold_contexts ctx' doc' target (fun n cb bases ext ->
           match List.assoc_opt n.Xqtree.label info with
@@ -327,7 +325,6 @@ let admissible ?(fresh = []) (training : Frag.t) (target : Xqtree.t) : bool =
   &&
   let doc = Doc.of_frag ~uri:"fuzz.xml" training in
   let store = Store.of_docs [ doc ] in
-  Store.prepare store;
   let ctx = Eval.make_ctx store in
   walk_exists ctx doc target
   && identifiable ctx doc target
@@ -393,14 +390,11 @@ let fresh_doc (t : t) (i : int) : Frag.t =
 
 (* ---- packaging ------------------------------------------------------- *)
 
-let store_of ?(prepare = true) ?(strict = false) (t : t) : Store.t =
-  let store = Store.of_docs [ Doc.of_frag ~uri:"fuzz.xml" t.training ] in
-  if prepare then Store.prepare store;
-  if strict then Store.set_strict store true;
-  store
+let store_of (t : t) : Store.t =
+  Store.of_docs [ Doc.of_frag ~uri:"fuzz.xml" t.training ]
 
 let scenario (t : t) : Xl_core.Scenario.t =
-  let store = store_of ~prepare:true ~strict:true t in
+  let store = store_of t in
   Xl_core.Scenario.make
     ~description:
       (Printf.sprintf "fuzz case %d of seed %d%s" t.index t.seed

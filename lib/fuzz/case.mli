@@ -59,13 +59,11 @@ val fresh_doc : t -> int -> Xl_xml.Frag.t
     [(seed, index, i)] only, so shrinking the training document never
     changes the fresh instances. *)
 
-val store_of : ?prepare:bool -> ?strict:bool -> t -> Xl_xml.Store.t
-(** A fresh store over the training document.  [prepare] (default
-    [true]) builds the indexes eagerly; [strict] (default [false])
-    additionally forbids lazy index building afterwards. *)
+val store_of : t -> Xl_xml.Store.t
+(** A fresh store over the training document. *)
 
 val scenario : t -> Xl_core.Scenario.t
-(** Package the case for {!Xl_core.Learn.run}: prepared strict store,
+(** Package the case for {!Xl_core.Learn.run}: a fresh store,
     the generated DTD as rule R1's source schema, the target query as
     the simulated user's intention. *)
 

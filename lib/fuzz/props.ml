@@ -25,7 +25,6 @@ type failure =
   | Training_mismatch
   | Fresh_mismatch of int
   | Parity_mismatch
-  | Unprepared_store_mismatch
 
 let failure_to_string = function
   | Invalid_document s -> "Invalid_document: " ^ s
@@ -34,7 +33,6 @@ let failure_to_string = function
   | Training_mismatch -> "Training_mismatch: learned query differs on the training document"
   | Fresh_mismatch i -> Printf.sprintf "Fresh_mismatch: learned query differs on fresh document %d" i
   | Parity_mismatch -> "Parity_mismatch: Eval and Ref_eval differ"
-  | Unprepared_store_mismatch -> "Unprepared_store_mismatch: lazy and prepared stores differ"
 
 let constructor_name = function
   | Invalid_document _ -> "Invalid_document"
@@ -43,7 +41,6 @@ let constructor_name = function
   | Training_mismatch -> "Training_mismatch"
   | Fresh_mismatch _ -> "Fresh_mismatch"
   | Parity_mismatch -> "Parity_mismatch"
-  | Unprepared_store_mismatch -> "Unprepared_store_mismatch"
 
 (* ---- bug injection --------------------------------------------------- *)
 
@@ -197,90 +194,87 @@ let check ?bug ?(fresh = 3) (case : Case.t) : failure option =
   match invalid with
   | Some f -> Some f
   | None -> (
-    (* 2: evaluator parity and store-preparation parity on the target *)
-    let prepared = Case.store_of ~prepare:true case in
-    let out_fast = eval_to_string target prepared in
-    if not (String.equal out_fast (ref_eval_to_string target prepared)) then
-      Some Parity_mismatch
-    else
-      let lazy_store = Case.store_of ~prepare:false case in
-      let out_lazy = eval_to_string target lazy_store in
-      if not (String.equal out_fast out_lazy) then Some Unprepared_store_mismatch
-      else begin
-        (* 3: learn, recording R1 auto-answers *)
-        let scenario = Case.scenario case in
-        let r1_rejects = ref [] in
-        let on_auto ~label ~rule ~path ~answer =
-          ignore answer;
-          match rule with
-          | `R1 -> r1_rejects := (label, path) :: !r1_rejects
-          | `R2 -> ()
+    (* 2: evaluator parity on the target *)
+    let training = Case.store_of case in
+    if
+      not
+        (String.equal (eval_to_string target training)
+           (ref_eval_to_string target training))
+    then Some Parity_mismatch
+    else begin
+      (* 3: learn, recording R1 auto-answers *)
+      let scenario = Case.scenario case in
+      let r1_rejects = ref [] in
+      let on_auto ~label ~rule ~path ~answer =
+        ignore answer;
+        match rule with
+        | `R1 -> r1_rejects := (label, path) :: !r1_rejects
+        | `R2 -> ()
+      in
+      (* the harness's simulated teacher is an explicit loop over the
+         learner state machine: each question is answered with the
+         machine's own oracle and fed back through [Machine.step] *)
+      let learn_stepwise () =
+        let m = Machine.start ~on_auto scenario in
+        let teacher = Machine.oracle_teacher m in
+        let rec loop m =
+          match Machine.outcome m with
+          | `Done r -> r
+          | `Ask q ->
+            let _, m' = Machine.step m (Machine.answer_with teacher q) in
+            loop m'
         in
-        (* the harness's simulated teacher is an explicit loop over the
-           learner state machine: each question is answered with the
-           machine's own oracle and fed back through [Machine.step] *)
-        let learn_stepwise () =
-          let m = Machine.start ~on_auto scenario in
-          let teacher = Machine.oracle_teacher m in
-          let rec loop m =
-            match Machine.outcome m with
-            | `Done r -> r
-            | `Ask q ->
-              let _, m' = Machine.step m (Machine.answer_with teacher q) in
-              loop m'
-          in
-          loop m
-        in
-        match
-          try Ok (learn_stepwise ()) with
-          | Learn.Learning_failed m -> Error ("Learning_failed: " ^ m)
-          | e -> Error (Printexc.to_string e)
-        with
-        | Error m -> Some (Learning_raised m)
-        | Ok r -> (
-          (* 4: R1 soundness against the target path languages *)
-          let dfas = target_dfas case scenario.Xl_core.Scenario.store in
-          let unsound =
-            List.find_map
-              (fun (label, word) ->
-                if not (schema_realizable case.Case.gen word) then None
-                else
-                  match List.assoc_opt label dfas with
+        loop m
+      in
+      match
+        try Ok (learn_stepwise ()) with
+        | Learn.Learning_failed m -> Error ("Learning_failed: " ^ m)
+        | e -> Error (Printexc.to_string e)
+      with
+      | Error m -> Some (Learning_raised m)
+      | Ok r -> (
+        (* 4: R1 soundness against the target path languages *)
+        let dfas = target_dfas case scenario.Xl_core.Scenario.store in
+        let unsound =
+          List.find_map
+            (fun (label, word) ->
+              if not (schema_realizable case.Case.gen word) then None
+              else
+                match List.assoc_opt label dfas with
+                | None -> None
+                | Some (alphabet, dfa) -> (
+                  match Alphabet.encode_opt alphabet word with
                   | None -> None
-                  | Some (alphabet, dfa) -> (
-                    match Alphabet.encode_opt alphabet word with
-                    | None -> None
-                    | Some w ->
-                      if Dfa.accepts dfa w then
-                        Some
-                          (R1_unsound
-                             (Printf.sprintf "%s at %s" (String.concat "/" word) label))
-                      else None))
-              !r1_rejects
+                  | Some w ->
+                    if Dfa.accepts dfa w then
+                      Some
+                        (R1_unsound
+                           (Printf.sprintf "%s at %s" (String.concat "/" word) label))
+                    else None))
+            !r1_rejects
+        in
+        match unsound with
+        | Some f -> Some f
+        | None ->
+          (* 5: differential equivalence, training then fresh *)
+          let learned =
+            match bug with
+            | None -> r.Learn.learned
+            | Some b -> inject b r.Learn.learned
           in
-          match unsound with
-          | Some f -> Some f
-          | None ->
-            (* 5: differential equivalence, training then fresh *)
-            let learned =
-              match bug with
-              | None -> r.Learn.learned
-              | Some b -> inject b r.Learn.learned
-            in
-            let differs store =
-              not
-                (String.equal (eval_to_string target store)
-                   (eval_to_string learned store))
-            in
-            if differs prepared then Some Training_mismatch
-            else
-              List.find_map
-                (fun i ->
-                  let store =
-                    Store.of_docs
-                      [ Doc.of_frag ~uri:"fuzz.xml" (Case.fresh_doc case i) ]
-                  in
-                  Store.prepare store;
-                  if differs store then Some (Fresh_mismatch i) else None)
-                (List.init fresh Fun.id))
-      end)
+          let differs store =
+            not
+              (String.equal (eval_to_string target store)
+                 (eval_to_string learned store))
+          in
+          if differs training then Some Training_mismatch
+          else
+            List.find_map
+              (fun i ->
+                let store =
+                  Store.of_docs
+                    [ Doc.of_frag ~uri:"fuzz.xml" (Case.fresh_doc case i) ]
+                in
+                if differs store then Some (Fresh_mismatch i) else None)
+              (List.init fresh Fun.id))
+    end)

@@ -5,12 +5,12 @@
     extent-equivalent to the target on the training document {e and} on
     [fresh] freshly generated documents of the same DTD (sound because
     training documents are covering — DESIGN.md §5f).  Secondary
-    properties: {!Xl_xquery.Eval} vs {!Ref_eval} parity, prepared/unprepared
-    store parity, and R1 reduction soundness: R1 may only reject a word
-    that is outside the target path language {e or} outside the source
-    schema's path language (rejecting schema-impossible words is R1's
-    whole point) — the schema side is recomputed from first principles
-    over the recursion-free DTD.  R2 answers are assumptions the
+    properties: {!Xl_xquery.Eval} vs {!Ref_eval} parity and R1
+    reduction soundness: R1 may only reject a word that is outside the
+    target path language {e or} outside the source schema's path
+    language (rejecting schema-impossible words is R1's whole point) —
+    the schema side is recomputed from first principles over the
+    recursion-free DTD.  R2 answers are assumptions the
     pipeline may revise by restarting, so only R1 is asserted. *)
 
 type bug =
@@ -28,7 +28,6 @@ type failure =
   | Training_mismatch  (** learned ≠ target on the training document *)
   | Fresh_mismatch of int  (** learned ≠ target on fresh document #i *)
   | Parity_mismatch  (** {!Xl_xquery.Eval} and {!Ref_eval} differ *)
-  | Unprepared_store_mismatch  (** prepared vs lazy store differ *)
 
 val failure_to_string : failure -> string
 

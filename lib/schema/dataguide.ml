@@ -31,19 +31,21 @@ let insert (t : t) (path : string list) : unit =
   in
   go t path
 
+let insert_doc t (doc : Xl_xml.Doc.t) =
+  List.iter
+    (fun n -> insert t (Xl_xml.Node.tag_path n))
+    (Xl_xml.Doc.all_nodes doc)
+
 (** Build from every element/attribute/text node of the store. *)
 let of_store (store : Xl_xml.Store.t) : t =
   let t = create_node () in
-  List.iter
-    (fun doc ->
-      List.iter
-        (fun n -> insert t (Xl_xml.Node.tag_path n))
-        (Xl_xml.Doc.all_nodes doc))
-    (Xl_xml.Store.docs store);
+  List.iter (insert_doc t) (Xl_xml.Store.docs store);
   t
 
 let of_doc (doc : Xl_xml.Doc.t) : t =
-  of_store (Xl_xml.Store.of_docs [ doc ])
+  let t = create_node () in
+  insert_doc t doc;
+  t
 
 (** Does some node of the instance have this tag path?  Every prefix of
     an inserted path is admitted too (it names the ancestor). *)

@@ -13,7 +13,7 @@
       delete) is one task on it, so no session state is locked.
       Connection threads frame HTTP, parse JSON and uploads and render
       replies; [/health] reads one atomic count.
-    - {b sharing}: catalog stores are prepared once at startup and read
+    - {b sharing}: catalog stores are built once at startup and read
       shared by every session of the same corpus; uploaded documents
       are deduplicated by content digest (the one lock left: that
       cache is shared by every worker), so a thousand sessions over one
@@ -569,7 +569,7 @@ let do_auto (s : sess) count =
 (* ---------- spool framing ------------------------------------------------ *)
 
 (* magic, version, id blob, scenario-ref blob, machine-snapshot blob,
-   MD5 trailer — the XLFROZEN / XLMACHIN framing discipline *)
+   MD5 trailer — the XLMACHIN framing discipline *)
 let spool_magic = "XLSESSON"
 let spool_version = 1
 
@@ -653,8 +653,6 @@ let upload_store t ~uri ~xml =
         match Xl_xml.Xml_parser.parse_doc ~uri xml with
         | doc ->
           let store = Store.of_docs [ doc ] in
-          Store.prepare store;
-          Store.set_strict store true;
           Hashtbl.replace t.uploads digest store;
           Ok (digest, store)
         | exception Xl_xml.Xml_parser.Parse_error (msg, _) ->
@@ -1038,13 +1036,6 @@ let create ?workers ?spool ~socket () =
     @ tag "xmp" (Xl_workload.Xmp_scenarios.all ())
     @ tag "sgml" (Xl_workload.Sgml_scenarios.all ())
   in
-  (* one prepared, strict store per suite, shared read-only by every
-     session — Pool's confinement rule, applied before any fan-out *)
-  List.iter
-    (fun (_, sc) ->
-      Store.prepare sc.Scenario.store;
-      Store.set_strict sc.Scenario.store true)
-    catalog;
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   Unix.bind listen_fd (Unix.ADDR_UNIX socket);

@@ -34,7 +34,7 @@
     double-step, status reads are consistent, and a suspend (snapshot,
     spool write, removal) cannot drop an answer it has acknowledged.
     [GET /health] counts live sessions from one atomic and never waits
-    on a worker.  Catalog stores are prepared once and shared read-only
+    on a worker.  Catalog stores are built once and shared read-only
     by every session of the same corpus, and uploaded documents are
     deduplicated by content digest.
     Malformed requests (HTTP framing or JSON bodies) answer 400 with
@@ -46,8 +46,8 @@
 type t
 
 val create : ?workers:int -> ?spool:string -> socket:string -> unit -> t
-(** Build the scenario catalog (XMark, XMP and SGML Figure-16 suites,
-    stores prepared), start the worker service, bind and listen on
+(** Build the scenario catalog (XMark, XMP and SGML Figure-16 suites),
+    start the worker service, bind and listen on
     [socket] (an existing socket file is replaced).  [spool] is the
     suspend/resume directory, default [socket ^ ".spool"].  [workers]
     defaults to [Pool.default_jobs ()]. *)

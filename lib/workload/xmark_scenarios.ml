@@ -19,11 +19,7 @@ let value_ep var spath = Cond.ep ~path:(sp spath) var
 let data v spath = Ast.Call ("data", [ Ast.Simple (Ast.Var v, sp spath) ])
 let data0 v = Ast.Call ("data", [ Ast.Var v ])
 
-type env = {
-  store : Xl_xml.Store.t;
-  dtd : Xl_schema.Dtd.t;
-  doc : Xl_xml.Doc.t;
-}
+type env = { store : Xl_xml.Store.t; dtd : Xl_schema.Dtd.t }
 
 (* [streamed] builds the instance through the one-pass streaming builder
    and registers the ready snapshot ([Store.of_frozen]) instead of the
@@ -32,11 +28,11 @@ type env = {
 let make_env ?(scale = Xmark_gen.default_scale) ?seed ?(streamed = false) () :
     env =
   if streamed then
-    let doc, fz = Xmark_gen.generate_frozen ?seed scale in
-    { store = Xl_xml.Store.of_frozen [ fz ]; dtd = Xmark_dtd.get (); doc }
+    let _, fz = Xmark_gen.generate_frozen ?seed scale in
+    { store = Xl_xml.Store.of_frozen [ fz ]; dtd = Xmark_dtd.get () }
   else
     let doc = Xmark_gen.generate ?seed scale in
-    { store = Xl_xml.Store.of_docs [ doc ]; dtd = Xmark_dtd.get (); doc }
+    { store = Xl_xml.Store.of_docs [ doc ]; dtd = Xmark_dtd.get () }
 
 let scenario env ?(picks = []) ?(extra_explicit = []) ~description name target =
   Xl_core.Scenario.make ~description ~source_dtd:env.dtd ~store:env.store ~picks
@@ -45,7 +41,7 @@ let scenario env ?(picks = []) ?(extra_explicit = []) ~description name target =
 (* find a helper value in the instance (the "user knows the data" part of
    scenario authoring, e.g. the person id used in a selection) *)
 let first_match env q =
-  let ctx = Eval.ctx_of_doc env.doc in
+  let ctx = Eval.make_ctx env.store in
   match Eval.run ctx (Parser.parse q) with
   | Value.Node n :: _ -> Xl_xml.Node.string_value n
   | Value.Atom a :: _ -> Value.atom_to_string a

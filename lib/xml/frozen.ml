@@ -14,12 +14,6 @@ type pos_index =
           several documents are built concurrently. *)
   | Sparse of (int, int) Hashtbl.t  (** fallback: node id -> position *)
 
-type tree = {
-  doc : Doc.t;
-  nodes : Node.t array;
-  pos_of_id : pos_index;
-}
-
 type t = {
   uid : int;
   symbols : string array;
@@ -28,7 +22,9 @@ type t = {
   subtree_end : int array;
   first_child : int array;
   next_sibling : int array;
-  tree : tree Lazy.t;
+  doc : Doc.t;
+  nodes : Node.t array;
+  pos_of_id : pos_index;
 }
 
 let next_uid = Atomic.make 0
@@ -76,14 +72,13 @@ let link_siblings ~(parent : int array) ~(subtree_end : int array) :
   done;
   (first_child, next_sibling)
 
-(* Shared assembly: derive the sibling links, draw a fresh uid, attach
-   the (possibly deferred) node-tree side.  Callers ({!freeze},
-   [Frozen_builder], [Snapshot]) are responsible for the layout contract:
-   [nodes] in preorder with attributes before children, position 0 the
-   document node, [sym] interned in first-appearance (= preorder)
-   order. *)
-let assemble ~(symbols : string array) ~(sym : int array) ~(parent : int array)
-    ~(subtree_end : int array) ~(tree : tree Lazy.t) : t =
+(* Derive the sibling links and the position index and draw a fresh
+   uid.  Callers ({!freeze}, [Frozen_builder]) are responsible for the
+   layout contract: [nodes] in preorder with attributes before children,
+   position 0 the document node, [sym] interned in first-appearance
+   (= preorder) order. *)
+let of_arrays ~(doc : Doc.t) ~(nodes : Node.t array) ~(symbols : string array)
+    ~(sym : int array) ~(parent : int array) ~(subtree_end : int array) : t =
   let first_child, next_sibling = link_siblings ~parent ~subtree_end in
   {
     uid = Atomic.fetch_and_add next_uid 1;
@@ -93,22 +88,10 @@ let assemble ~(symbols : string array) ~(sym : int array) ~(parent : int array)
     subtree_end;
     first_child;
     next_sibling;
-    tree;
+    doc;
+    nodes;
+    pos_of_id = make_pos_index nodes;
   }
-
-let of_arrays ~(doc : Doc.t) ~(nodes : Node.t array) ~(symbols : string array)
-    ~(sym : int array) ~(parent : int array) ~(subtree_end : int array) : t =
-  assemble ~symbols ~sym ~parent ~subtree_end
-    ~tree:(Lazy.from_val { doc; nodes; pos_of_id = make_pos_index nodes })
-
-let of_arrays_deferred ~(symbols : string array) ~(sym : int array)
-    ~(parent : int array) ~(subtree_end : int array)
-    ~(tree : unit -> Doc.t * Node.t array) : t =
-  assemble ~symbols ~sym ~parent ~subtree_end
-    ~tree:
-      (lazy
-        (let doc, nodes = tree () in
-         { doc; nodes; pos_of_id = make_pos_index nodes }))
 
 let freeze (doc : Doc.t) : t =
   let n = Doc.node_count doc in
@@ -150,28 +133,25 @@ let freeze (doc : Doc.t) : t =
   of_arrays ~doc ~nodes ~symbols ~sym ~parent ~subtree_end
 
 let size t = Array.length t.sym
-let tree_forced t = Lazy.is_val t.tree
-let doc t = (Lazy.force t.tree).doc
-let nodes t = (Lazy.force t.tree).nodes
-let node t p = (Lazy.force t.tree).nodes.(p)
-let force_tree t = ignore (Lazy.force t.tree)
+let doc t = t.doc
+let nodes t = t.nodes
+let node t p = t.nodes.(p)
 
 let pos_of_node t (n : Node.t) : int option =
-  let tree = Lazy.force t.tree in
   let id = n.Node.id in
   let raw =
-    match tree.pos_of_id with
+    match t.pos_of_id with
     | Dense { base; tbl } ->
       let i = id - base in
       if i >= 0 && i < Array.length tbl then Some tbl.(i) else None
     | Sparse h -> Hashtbl.find_opt h id
   in
   match raw with
-  | Some p when Node.equal tree.nodes.(p) n -> Some p
+  | Some p when Node.equal t.nodes.(p) n -> Some p
   | _ -> None
 
 let pos_index_is_dense t =
-  match (Lazy.force t.tree).pos_of_id with Dense _ -> true | Sparse _ -> false
+  match t.pos_of_id with Dense _ -> true | Sparse _ -> false
 
 (* Equality of everything the evaluator can observe: the int arrays, the
    symbol table, and each position's node kind/name/value/Dewey code.
@@ -191,4 +171,4 @@ let structural_equal (a : t) (b : t) : bool =
          && String.equal x.Node.name y.Node.name
          && String.equal x.Node.value y.Node.value
          && x.Node.dewey = y.Node.dewey)
-       (nodes a) (nodes b)
+       a.nodes b.nodes

@@ -9,21 +9,16 @@
     becomes a single linear scan with O(1) subtree skips instead of a
     pointer chase with string comparisons.
 
-    The pointer-tree side of a snapshot — the {!Doc.t}, the
-    position -> {!Node.t} array and the id -> position index — lives
-    behind a lazy cell: {!freeze} and the streaming builder fill it
-    eagerly (the tree already exists), while the binary snapshot loader
-    defers it, so loading a snapshot for array-only work costs only the
-    array decode.  Forcing happens on first access to {!doc}, {!nodes},
-    {!node} or {!pos_of_node}; a deferred snapshot must be forced (e.g.
-    by [Store.prepare], which walks the document) before it is shared
-    across domains — concurrent first forcing of a lazy cell is a race.
+    Each snapshot also carries its pointer-tree side — the {!Doc.t}, the
+    position -> {!Node.t} array and the id -> position index — so a
+    snapshot is complete when it is made and is shared across domains
+    as it is.
 
-    Three producers share this layout: {!freeze} (walk an existing
-    {!Doc.t}), [Frozen_builder] (append rows directly from parser events
-    or a fragment, no intermediate tree walk), and [Snapshot] (load a
-    persisted binary image).  All three must yield structurally equal
-    snapshots for the same document — see {!structural_equal}. *)
+    Two producers share this layout: {!freeze} (walk an existing
+    {!Doc.t}) and [Frozen_builder] (append rows directly from parser
+    events or a fragment, no intermediate tree walk).  Both must yield
+    structurally equal snapshots for the same document — see
+    {!structural_equal}. *)
 
 (** Node-id -> position index.  Freshly built documents draw their ids
     from one atomic counter, so the ids of a single document are usually
@@ -34,13 +29,6 @@
 type pos_index =
   | Dense of { base : int; tbl : int array }
   | Sparse of (int, int) Hashtbl.t
-
-(** The materialized pointer-tree side of a snapshot. *)
-type tree = private {
-  doc : Doc.t;
-  nodes : Node.t array;  (** position -> node, document order; 0 = doc node *)
-  pos_of_id : pos_index;  (** node id -> position *)
-}
 
 type t = private {
   uid : int;  (** process-unique snapshot identity, for per-context caches *)
@@ -53,7 +41,9 @@ type t = private {
   first_child : int array;
       (** position of the first attribute/child, or -1 for leaves *)
   next_sibling : int array;  (** next sibling position, or -1 at the last *)
-  tree : tree Lazy.t;  (** the node tree; deferred by the snapshot loader *)
+  doc : Doc.t;
+  nodes : Node.t array;  (** position -> node, document order; 0 = doc node *)
+  pos_of_id : pos_index;  (** node id -> position *)
 }
 
 val freeze : Doc.t -> t
@@ -75,36 +65,17 @@ val of_arrays :
     document node, [symbols] interned in first-appearance order,
     [subtree_end] exclusive). *)
 
-val of_arrays_deferred :
-  symbols:string array ->
-  sym:int array ->
-  parent:int array ->
-  subtree_end:int array ->
-  tree:(unit -> Doc.t * Node.t array) ->
-  t
-(** Like {!of_arrays}, but the node tree is produced on first demand by
-    the [tree] thunk (same layout contract).  For the snapshot loader:
-    array-only consumers never pay the tree rebuild.  Force ({!doc},
-    {!nodes}, {!force_tree}, ...) before sharing across domains. *)
-
 val size : t -> int
 (** Number of positions (= nodes, document node included). *)
 
 val doc : t -> Doc.t
-(** The snapshot's document (forces a deferred tree). *)
+(** The snapshot's document. *)
 
 val nodes : t -> Node.t array
-(** Position -> node, document order (forces a deferred tree). *)
+(** Position -> node, document order. *)
 
 val node : t -> int -> Node.t
 (** [node t p] = [(nodes t).(p)]. *)
-
-val tree_forced : t -> bool
-(** Whether the pointer-tree side is already materialized. *)
-
-val force_tree : t -> unit
-(** Materialize the pointer-tree side now — required before a deferred
-    snapshot crosses a domain boundary. *)
 
 val pos_of_node : t -> Node.t -> int option
 (** The position of a node of this document, [None] for foreign nodes. *)

@@ -40,7 +40,6 @@ type join_index = {
   items : Value.item array;  (** the build sequence, original order *)
   buckets : (string, int list) Hashtbl.t;
       (** {!Value.atom_hash_keys} key -> ascending indices into [items] *)
-  built_at : int;  (** {!Store.generation} at build time *)
 }
 
 (** A planned hash join for one FLWOR: bind [jp_var] (the [jp_binding]-th
@@ -68,8 +67,7 @@ type ctx = {
       (** {!Xl_xml.Frozen.t} uid -> (local symbol id -> alphabet id or -1,
           alphabet size at build) — rebuilt when the alphabet grows *)
   extent_cache : (Xl_automata.Dfa.t * int, Node.t list) Hashtbl.t;
-      (** (DFA, base node id) -> selection, flushed on store change *)
-  mutable extent_cache_gen : int;  (** {!Store.generation} stamp *)
+      (** (DFA, base node id) -> selection *)
   live_cache : (Xl_automata.Dfa.t, bool array) Hashtbl.t;
       (** liveness of DFAs not compiled by this context (oracle DFAs) *)
   mutable frozen_scratch : int array;
@@ -114,7 +112,6 @@ let make_ctx (store : Store.t) : ctx =
     plan_cache = Hashtbl.create 16;
     frozen_syms = Hashtbl.create 4;
     extent_cache = Hashtbl.create 256;
-    extent_cache_gen = Store.generation store;
     live_cache = Hashtbl.create 16;
     frozen_scratch = [||];
   }
@@ -286,22 +283,14 @@ let raw_select (ctx : ctx) (dfa : Xl_automata.Dfa.t) (live : bool array)
   | Some (fz, pos) -> frozen_select ctx fz ~base_pos:pos dfa live
   | None -> tree_select ctx dfa live base
 
-let check_extent_gen (ctx : ctx) =
-  let g = Store.generation ctx.store in
-  if g <> ctx.extent_cache_gen then begin
-    Hashtbl.reset ctx.extent_cache;
-    Hashtbl.reset ctx.frozen_syms;
-    ctx.extent_cache_gen <- g
-  end
-
 (* The one memoized selection entry point.  The cache key pairs the DFA
    value itself (structural equality/hashing — DFAs are pure int/bool
    records, and symbol ids never change meaning because the alphabet is
-   append-only) with the base's node id; entries are flushed when the
-   store's generation moves.  Cached lists are immutable and shared. *)
+   append-only) with the base's node id; the store never changes, so
+   entries live as long as the context.  Cached lists are immutable and
+   shared. *)
 let select_dfa_live (ctx : ctx) (dfa : Xl_automata.Dfa.t) (live : bool array)
     (base : Node.t) : Node.t list =
-  check_extent_gen ctx;
   let key = (dfa, base.Node.id) in
   match Hashtbl.find_opt ctx.extent_cache key with
   | Some r ->
@@ -717,13 +706,12 @@ let rec eval (ctx : ctx) (env : Env.t) (e : Ast.expr) : Value.t =
     Value.document_order (eval ctx env a @ eval ctx env b)
 
 (** The build-side index for [p], shared across probes through the
-    context and rebuilt only when the store changes. *)
+    context and built once per context. *)
 and join_index_of (ctx : ctx) (p : join_plan) : join_index =
   let key = (p.jp_source, p.jp_key) in
-  let gen = Store.generation ctx.store in
   match Hashtbl.find_opt ctx.join_cache key with
-  | Some ji when ji.built_at = gen -> ji
-  | _ ->
+  | Some ji -> ji
+  | None ->
     let items = Array.of_list (eval ctx Env.empty p.jp_source) in
     let buckets = Hashtbl.create ((2 * Array.length items) + 1) in
     Array.iteri
@@ -740,7 +728,7 @@ and join_index_of (ctx : ctx) (p : join_plan) : join_index =
           keys)
       items;
     Hashtbl.filter_map_inplace (fun _ is -> Some (List.rev is)) buckets;
-    let ji = { items; buckets; built_at = gen } in
+    let ji = { items; buckets } in
     Hashtbl.replace ctx.join_cache key ji;
     ji
 

@@ -27,7 +27,6 @@ type join_index = {
   items : Value.item array;  (** the build sequence, original order *)
   buckets : (string, int list) Hashtbl.t;
       (** {!Value.atom_hash_keys} key -> ascending indices into [items] *)
-  built_at : int;  (** {!Xl_xml.Store.generation} at build time *)
 }
 
 (** A planned hash join for one FLWOR or one [some] quantifier (see
@@ -56,9 +55,8 @@ type ctx = {
       (** {!Xl_xml.Frozen.t} uid -> (local symbol id -> alphabet id or
           -1, alphabet size at build); rebuilt when the alphabet grows *)
   extent_cache : (Xl_automata.Dfa.t * int, Xl_xml.Node.t list) Hashtbl.t;
-      (** (DFA, base node id) -> selection, flushed on store change — the
-          cross-round extent cache of the learning loop *)
-  mutable extent_cache_gen : int;  (** {!Xl_xml.Store.generation} stamp *)
+      (** (DFA, base node id) -> selection — the cross-round extent cache
+          of the learning loop *)
   live_cache : (Xl_automata.Dfa.t, bool array) Hashtbl.t;
       (** liveness of externally compiled DFAs (the oracle's) *)
   mutable frozen_scratch : int array;

@@ -147,15 +147,13 @@ let run_fig16 pool scenarios : string list =
     scenarios
 
 (* the check behind `XLEARNER_JOBS=1` vs `XLEARNER_JOBS=4`: the suite's
-   interaction counts may not depend on the worker count *)
+   interaction counts may not depend on the worker count.  Each suite's
+   store goes to the workers straight from its constructor. *)
 let test_fig16_determinism () =
   let scenarios =
     List.map (fun (n, sc) -> ("xmark", n, sc)) (Xl_workload.Xmark_scenarios.all ())
     @ List.map (fun (n, sc) -> ("xmp", n, sc)) (Xl_workload.Xmp_scenarios.all ())
   in
-  List.iter
-    (fun (_, _, sc) -> Xml.Store.prepare sc.Xl_core.Scenario.store)
-    scenarios;
   let sequential = run_fig16 (Pool.create ~domains:1 ()) scenarios in
   let parallel = run_fig16 (Pool.create ~domains:4 ()) scenarios in
   Alcotest.(check int) "same row count" (List.length sequential)
@@ -175,9 +173,6 @@ let test_fig16_tracing_identity () =
           if List.mem n [ "Q1"; "Q13" ] then Some ("xmark", n, sc) else None)
         (Xl_workload.Xmark_scenarios.all ())
   in
-  List.iter
-    (fun (_, _, sc) -> Xml.Store.prepare sc.Xl_core.Scenario.store)
-    scenarios;
   let with_tracing enabled workers =
     Xl_obs.Obs.reset ();
     Xl_obs.Obs.set_enabled enabled;

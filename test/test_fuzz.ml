@@ -6,9 +6,6 @@
    - bit-reproducibility of the campaign report across worker counts;
    - injected learner bugs (dropped condition, widened path) are caught
      by the differential oracle and minimized to tiny cases;
-   - store discipline under the fuzz workload: a never-prepared store
-     evaluates identically to a prepared one, and a strict store fails
-     loudly when an index is demanded before Store.prepare;
    - pinned regression fixtures (examples/fuzz): minimized
      counterexamples that exposed real pipeline bugs during harness
      development, re-learned and re-checked here. *)
@@ -72,33 +69,6 @@ let test_drop_cond_caught () =
 let test_widen_path_caught () =
   check_bug_caught "widen-path" Props.Widen_learned_path
 
-(* ---------- store discipline ------------------------------------------- *)
-
-let test_unprepared_store_parity () =
-  List.iter
-    (fun index ->
-      let case = Case.generate ~seed ~index in
-      let prepared = Case.store_of ~prepare:true case in
-      let never_prepared = Case.store_of ~prepare:false case in
-      Alcotest.(check string)
-        (Printf.sprintf "case %d: prepared = never-prepared" index)
-        (Props.eval_to_string case.Case.target prepared)
-        (Props.eval_to_string case.Case.target never_prepared))
-    [ 0; 1; 2; 3; 4 ]
-
-let test_strict_store_fails_loudly () =
-  let case = Case.generate ~seed ~index:0 in
-  let store = Case.store_of ~prepare:false ~strict:true case in
-  (match Store.nodes store with
-  | _ -> Alcotest.fail "strict unprepared store did not raise"
-  | exception Failure _ -> ());
-  (* prepare lifts the restriction without turning strictness off *)
-  Store.prepare store;
-  Alcotest.(check bool)
-    "index demand succeeds after prepare" true
-    (ignore (Store.nodes store);
-     true)
-
 (* ---------- pinned regression fixtures --------------------------------- *)
 
 let check_fixture (f : Xl_fuzz_fixtures.Fixtures.t) () =
@@ -109,8 +79,6 @@ let check_fixture (f : Xl_fuzz_fixtures.Fixtures.t) () =
     "fixture document valid for its DTD" true
     (Xl_schema.Validate.is_valid dtd doc);
   let store = Store.of_docs [ doc ] in
-  Store.prepare store;
-  Store.set_strict store true;
   let scenario =
     Xl_core.Scenario.make ~description:f.Fixtures.bug ~source_dtd:dtd ~store
       ~target:f.Fixtures.target f.Fixtures.name
@@ -146,13 +114,6 @@ let () =
             test_drop_cond_caught;
           Alcotest.test_case "widened path caught and minimized" `Slow
             test_widen_path_caught;
-        ] );
-      ( "store",
-        [
-          Alcotest.test_case "never-prepared store parity" `Quick
-            test_unprepared_store_parity;
-          Alcotest.test_case "strict mode fails loudly before prepare" `Quick
-            test_strict_store_fails_loudly;
         ] );
       ("fixtures", fixture_tests);
     ]

@@ -117,21 +117,10 @@ let check_result ~what (reference : Learn.result) (r : Learn.result) =
 
 (* ---------- the scenario pool ------------------------------------------- *)
 
-(* A suite's scenarios share one store; freeze its lazy indexes up front
-   (same discipline as the bench drivers). *)
-let prepare scenarios =
-  List.iter
-    (fun (_, sc) ->
-      Store.prepare sc.Scenario.store;
-      Store.set_strict sc.Scenario.store true)
-    scenarios;
-  scenarios
-
 let fig16 =
   lazy
-    (prepare
-       (List.map (fun (n, sc) -> ("xmark-" ^ n, sc)) (Xl_workload.Xmark_scenarios.all ())
-       @ List.map (fun (n, sc) -> ("xmp-" ^ n, sc)) (Xl_workload.Xmp_scenarios.all ())))
+    (List.map (fun (n, sc) -> ("xmark-" ^ n, sc)) (Xl_workload.Xmark_scenarios.all ())
+     @ List.map (fun (n, sc) -> ("xmp-" ^ n, sc)) (Xl_workload.Xmp_scenarios.all ()))
 
 let fig16_scenario name = List.assoc name (Lazy.force fig16)
 
@@ -154,11 +143,10 @@ let r2_backtracking =
                   "N1.1";
               ])
      in
-     prepare
-       [
-         ("r2-europe", target "r2-europe" "/site/regions/europe/item/(name|description)");
-         ("r2-wildcard", target "r2-wildcard" "/site/regions/*/item/*");
-       ])
+     [
+       ("r2-europe", target "r2-europe" "/site/regions/europe/item/(name|description)");
+       ("r2-wildcard", target "r2-wildcard" "/site/regions/*/item/*");
+     ])
 
 (* their machine steps and Figure-16 rows, as [Stats.to_json]; the
    wildcard target fails with "Lstar.learn: too many rounds" unless
@@ -279,10 +267,9 @@ let test_concurrent_snapshot_mid_eq () =
   let module Service = Pool.Service in
   let pick = [ "Q1"; "Q3"; "Q7"; "Q8"; "Q13" ] in
   let scenarios () =
-    prepare
-      (List.filter
-         (fun (n, _) -> List.mem n pick)
-         (Xl_workload.Xmark_scenarios.all ()))
+    List.filter
+      (fun (n, _) -> List.mem n pick)
+      (Xl_workload.Xmark_scenarios.all ())
   in
   let batch = scenarios () in
   let refs =
@@ -545,8 +532,6 @@ let test_resume_mid_repair () =
       Xl_xml.Xml_parser.parse_doc ~uri:"fixture.xml" f.Fixtures.training
     in
     let store = Store.of_docs [ doc ] in
-    Store.prepare store;
-    Store.set_strict store true;
     Scenario.make ~description:f.Fixtures.bug ~source_dtd:dtd ~store
       ~target:f.Fixtures.target f.Fixtures.name
   in

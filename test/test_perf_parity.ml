@@ -7,8 +7,8 @@
    The sweeps fan out on a {!Xl_exec.Pool}: each work item (a query, or a
    whole scenario run) is checked inside a worker domain and reduced to a
    comparable string; the Alcotest assertions run afterwards on the main
-   domain.  Stores shared by several work items are [Store.prepare]d
-   before the fan-out, per the pool's domain-confinement contract. *)
+   domain.  Stores are complete at construction, so work items share
+   them read-only straight away. *)
 
 open Xl_xquery
 module Xml = Xl_xml
@@ -37,7 +37,6 @@ let fingerprint (store : Xml.Store.t) (v : Value.t) : string =
    fingerprints (or exception messages, when both raise). *)
 let check_query_parity ~suite (store : Xml.Store.t)
     (queries : (string * string) list) =
-  Xml.Store.prepare store;
   let outcomes =
     Xl_exec.Pool.map pool
       (fun (qid, text) ->
@@ -97,7 +96,7 @@ let test_fuzz_corpus_parity () =
     Xl_exec.Pool.map pool
       (fun index ->
         let case = Xl_fuzz.Case.generate ~seed:20040301 ~index in
-        let store = Xl_fuzz.Case.store_of ~prepare:true case in
+        let store = Xl_fuzz.Case.store_of case in
         let target = case.Xl_fuzz.Case.target in
         ( index,
           Xl_fuzz.Props.eval_to_string target store,
@@ -221,7 +220,6 @@ let test_semi_join_parity () =
 let test_semi_join_rel3_candidates () =
   let doc = Xl_workload.Xmark_gen.generate ~seed:1 Xl_workload.Xmark_gen.tiny_scale in
   let store = Xml.Store.of_docs [ doc ] in
-  Xml.Store.prepare store;
   let dg = Xl_core.Data_graph.build store in
   let ctx = Eval.make_ctx store in
   let nodes q = Value.nodes_of (Eval.run ctx (Parser.parse q)) in
@@ -279,7 +277,6 @@ let test_semi_join_scaling () =
   in
   let count (sc : Xl_core.Scenario.t) run_to_string =
     let store = sc.Xl_core.Scenario.store in
-    Xml.Store.prepare store;
     let ast = Xl_xqtree.Xqtree.to_ast sc.Xl_core.Scenario.target in
     with_quant_counts (fun () -> run_to_string (Eval.make_ctx store) ast)
   in
@@ -318,7 +315,6 @@ let test_q1_hash_join () =
     }
   in
   let store = Xml.Store.of_docs [ Xl_workload.Xmark_gen.generate scale ] in
-  Xml.Store.prepare store;
   let q1 =
     Parser.parse
       {|for $c in /site/categories/category
@@ -347,7 +343,7 @@ let test_fuzz_corpus_engines () =
     Xl_exec.Pool.map pool
       (fun index ->
         let case = Xl_fuzz.Case.generate ~seed:20040301 ~index in
-        let store = Xl_fuzz.Case.store_of ~prepare:true case in
+        let store = Xl_fuzz.Case.store_of case in
         let ast = Xl_xqtree.Xqtree.to_ast case.Xl_fuzz.Case.target in
         let ctx = Eval.make_ctx store in
         let cold = Eval.run_to_string ctx ast in
@@ -380,7 +376,6 @@ let test_select_engine_parity () =
       ("xmp", Xl_workload.Xmp_data.store ());
     ]
   in
-  List.iter (fun (_, store) -> Xml.Store.prepare store) stores;
   let jobs =
     List.concat_map
       (fun (suite, store) ->
@@ -472,8 +467,8 @@ let test_select_engine_parity () =
 
 (* Streaming-ingestion parity over the fuzz corpus: for each case's
    training document, the one-pass builder (fragment walk and SAX text
-   parse) and a binary snapshot round-trip must all reproduce the
-   two-pass freeze-of-tree snapshot node for node. *)
+   parse) must reproduce the two-pass freeze-of-tree snapshot node for
+   node. *)
 let test_streaming_fuzz_parity () =
   let outcomes =
     Xl_exec.Pool.map pool
@@ -484,22 +479,18 @@ let test_streaming_fuzz_parity () =
         let _, frag_fz = Xml.Frozen_builder.of_frag ~uri:"t.xml" frag in
         let text = Xml.Serialize.frag_to_string frag in
         let _, parse_fz = Xml.Frozen_builder.parse ~uri:"t.xml" text in
-        let snap_fz = Xml.Snapshot.of_string (Xml.Snapshot.to_string tree_fz) in
         let eq = Xml.Frozen.structural_equal tree_fz in
-        (index, eq frag_fz, eq parse_fz, eq snap_fz))
+        (index, eq frag_fz, eq parse_fz))
       (List.init 25 Fun.id)
   in
   List.iter
-    (fun (index, frag_ok, parse_ok, snap_ok) ->
+    (fun (index, frag_ok, parse_ok) ->
       Alcotest.(check bool)
         (Printf.sprintf "fuzz case %d streamed fragment walk" index)
         true frag_ok;
       Alcotest.(check bool)
         (Printf.sprintf "fuzz case %d streamed text parse" index)
-        true parse_ok;
-      Alcotest.(check bool)
-        (Printf.sprintf "fuzz case %d snapshot roundtrip" index)
-        true snap_ok)
+        true parse_ok)
     outcomes
 
 (* The same parity on the Figure-16 documents: the XMark generator's
@@ -546,16 +537,8 @@ let stats_row (name : string) (r : Xl_core.Learn.result) : string =
     r.Xl_core.Learn.verified
 
 let fig16_scenarios () =
-  let scenarios =
-    List.map (fun (n, sc) -> ("xmark", n, sc)) (Xl_workload.Xmark_scenarios.all ())
-    @ List.map (fun (n, sc) -> ("xmp", n, sc)) (Xl_workload.Xmp_scenarios.all ())
-  in
-  (* the scenarios of one suite share a store; freeze its lazy indexes
-     while still single-domain *)
-  List.iter
-    (fun (_, _, sc) -> Xml.Store.prepare sc.Xl_core.Scenario.store)
-    scenarios;
-  scenarios
+  List.map (fun (n, sc) -> ("xmark", n, sc)) (Xl_workload.Xmark_scenarios.all ())
+  @ List.map (fun (n, sc) -> ("xmp", n, sc)) (Xl_workload.Xmp_scenarios.all ())
 
 (* A streamed XMark store (documents ingested through the builder and
    registered with their pre-built snapshots) must be indistinguishable
@@ -563,9 +546,6 @@ let fig16_scenarios () =
    scenario. *)
 let test_streamed_store_learner_parity () =
   let rows scenarios =
-    List.iter
-      (fun (_, sc) -> Xml.Store.prepare sc.Xl_core.Scenario.store)
-      scenarios;
     Xl_exec.Pool.map pool
       (fun (name, sc) ->
         match Xl_core.Learn.run sc with
@@ -585,7 +565,8 @@ let test_streamed_store_learner_parity () =
    batch chunks, schema precompute, relay scan) changes who computes
    answers, never the answers — every stats row must be byte-identical
    with the fan-outs on one domain and on four.  Scenarios run on the
-   main domain here so the config's pool is the only pool in play. *)
+   main domain here so the config's pool is the only pool in play; its
+   domains read each suite's store straight from the constructor. *)
 let sweep_configs () =
   let pool4 = Xl_exec.Pool.create ~domains:4 () in
   [
@@ -714,7 +695,7 @@ let () =
         ] );
       ( "streaming",
         [
-          Alcotest.test_case "fuzz corpus, streamed vs tree vs snapshot" `Quick
+          Alcotest.test_case "fuzz corpus, streamed vs tree" `Quick
             test_streaming_fuzz_parity;
           Alcotest.test_case "fig16 documents, streamed vs tree" `Quick
             test_streaming_fig16_parity;

@@ -100,10 +100,7 @@ let local_scenario name =
     prefixed "xmark" (Xl_workload.Xmark_scenarios.all ())
     @ prefixed "xmp" (Xl_workload.Xmp_scenarios.all ())
   in
-  let sc = List.assoc name all in
-  Store.prepare sc.Scenario.store;
-  Store.set_strict sc.Scenario.store true;
-  sc
+  List.assoc name all
 
 (* ---------- health + catalog -------------------------------------------- *)
 

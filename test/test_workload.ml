@@ -169,6 +169,27 @@ let test_scenarios_enumerate () =
     (List.map fst (Xmp_scenarios.all ())
     = List.map (fun (r : Paper_reference.fig16_row) -> r.Paper_reference.id) Paper_reference.xmp)
 
+(* The XMark suite builds its instance's store once: the helper values
+   its scenarios look up in the instance read that store instead of
+   indexing the document again. *)
+let test_xmark_instance_indexed_once () =
+  let module Obs = Xl_obs.Obs in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let builds =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        ignore (Xmark_scenarios.all ());
+        List.length
+          (List.filter
+             (fun s -> String.equal s.Obs.sp_name "store.index_build")
+             (Obs.spans ())))
+  in
+  check cint "one store.index_build span" 1 builds
+
 (* ---------- XMark query texts on the engine ------------------------------- *)
 
 let test_xmark_query_texts () =
@@ -284,6 +305,8 @@ let () =
         [
           Alcotest.test_case "reduced identity" `Quick test_paper_reference_consistency;
           Alcotest.test_case "scenario inventory" `Quick test_scenarios_enumerate;
+          Alcotest.test_case "XMark instance indexed once" `Quick
+            test_xmark_instance_indexed_once;
         ] );
       ( "xmark-queries",
         [

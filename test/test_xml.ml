@@ -166,6 +166,19 @@ let test_store () =
   check cbool "missing" true (Store.find st "c.xml" = None);
   check cint "all nodes" 2 (List.length (Store.nodes st))
 
+let test_store_reuse () =
+  let _, fz = Frozen_builder.of_frag ~uri:"sample.xml" sample in
+  let store = Store.of_frozen [ fz ] in
+  (* the store must keep the given snapshot, not re-freeze *)
+  check cbool "store reuses the supplied snapshot" true
+    (match Store.frozen_docs store with
+    | [ fz' ] -> fz' == fz
+    | _ -> false);
+  check cbool "store queries work" true
+    (List.length
+       (List.filter (fun n -> String.equal (Node.symbol n) "item") (Store.nodes store))
+     = 1)
+
 (* ---------- Frozen ---------------------------------------------------------- *)
 
 let test_frozen_document_order () =
@@ -375,86 +388,6 @@ let test_pos_index_dense_and_sparse () =
   check cbool "sparse lookup still works" true
     (Frozen.pos_of_node gz root = Some 1)
 
-(* ---------- Binary snapshots -------------------------------------------- *)
-
-let test_snapshot_roundtrip () =
-  let d = doc () in
-  let fz = Frozen.freeze d in
-  let loaded = Snapshot.of_string (Snapshot.to_string fz) in
-  check cbool "round-trip is structurally equal" true
-    (Frozen.structural_equal fz loaded);
-  (* node-for-node: kinds, names, values and Dewey codes per position *)
-  let a = Frozen.nodes fz and b = Frozen.nodes loaded in
-  check cint "same node count" (Array.length a) (Array.length b);
-  Array.iteri
-    (fun p (x : Node.t) ->
-      let y = b.(p) in
-      check cbool
-        (Printf.sprintf "node %d matches" p)
-        true
-        (x.Node.kind = y.Node.kind
-        && x.Node.name = y.Node.name
-        && x.Node.value = y.Node.value
-        && x.Node.dewey = y.Node.dewey))
-    a;
-  (* the rebuilt tree serializes identically and is fully indexed *)
-  check cstr "serialization matches"
-    (Serialize.node_to_string (Doc.root d))
-    (Serialize.node_to_string (Doc.root (Frozen.doc loaded)));
-  check cstr "uri preserved" (Doc.uri d) (Doc.uri (Frozen.doc loaded));
-  check cbool "loaded doc indexed" true
-    (Doc.node_with_path (Frozen.doc loaded) [ "site"; "regions"; "europe"; "item" ]
-    <> None)
-
-let test_snapshot_lazy_tree () =
-  let fz = Frozen.freeze (doc ()) in
-  let loaded = Snapshot.of_string (Snapshot.to_string fz) in
-  check cbool "tree deferred right after load" false (Frozen.tree_forced loaded);
-  check cint "arrays usable without the tree" (Frozen.size fz) (Frozen.size loaded);
-  ignore (Frozen.nodes loaded);
-  check cbool "tree materialized on demand" true (Frozen.tree_forced loaded)
-
-let test_snapshot_rejects_corruption () =
-  let fz = Frozen.freeze (doc ()) in
-  let snap = Snapshot.to_string fz in
-  let rejects what s =
-    check cbool what true
-      (match Snapshot.of_string s with
-      | exception Snapshot.Corrupt _ -> true
-      | _ -> false)
-  in
-  rejects "empty input" "";
-  rejects "truncated header" (String.sub snap 0 10);
-  rejects "truncated body" (String.sub snap 0 (String.length snap - 7));
-  rejects "bad magic" ("XLBROKEN" ^ String.sub snap 8 (String.length snap - 8));
-  (* future format version *)
-  let future = Bytes.of_string snap in
-  Bytes.set future 8 '\xff';
-  rejects "unsupported version" (Bytes.to_string future);
-  (* single flipped bytes all along the payload trip the checksum *)
-  let len = String.length snap in
-  List.iter
-    (fun frac ->
-      let i = 12 + (frac * (len - 13) / 100) in
-      let b = Bytes.of_string snap in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x20));
-      rejects (Printf.sprintf "flipped byte at %d%%" frac) (Bytes.to_string b))
-    [ 0; 25; 50; 75; 100 ]
-
-let test_snapshot_store_reuse () =
-  let _, fz = Frozen_builder.of_frag ~uri:"sample.xml" sample in
-  let store = Store.of_frozen [ fz ] in
-  Store.prepare store;
-  (* build_index must reuse the registered snapshot, not re-freeze *)
-  check cbool "store reuses the supplied snapshot" true
-    (match Store.frozen_docs store with
-    | [ fz' ] -> fz' == fz
-    | _ -> false);
-  check cbool "store queries work" true
-    (List.length
-       (List.filter (fun n -> String.equal (Node.symbol n) "item") (Store.nodes store))
-     = 1)
-
 (* ---------- Ingestion cost ----------------------------------------------- *)
 
 (* The ingestion paths compared by what they allocate on one XMark
@@ -493,15 +426,6 @@ let test_stream_allocates_less () =
   if not (stream < tree) then
     Alcotest.failf "streamed build allocates %.0f bytes, parse + freeze %.0f" stream
       tree
-
-let test_snapshot_load_allocates_less () =
-  let text = Lazy.force xmark_text in
-  let snap = Snapshot.to_string (snd (Frozen_builder.parse text)) in
-  let tree = allocated_by (fun () -> parse_plus_freeze text) in
-  let load = allocated_by (fun () -> Snapshot.of_string snap) in
-  if not (10. *. load <= tree) then
-    Alcotest.failf "snapshot load allocates %.0f bytes, parse + freeze %.0f (%.1fx, want >= 10x)"
-      load tree (tree /. load)
 
 (* ---------- Properties ------------------------------------------------------ *)
 
@@ -609,26 +533,21 @@ let () =
           Alcotest.test_case "of_frag parity" `Quick test_streaming_of_frag;
           Alcotest.test_case "builder misuse" `Quick test_builder_misuse;
         ] );
-      ( "snapshot",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_snapshot_roundtrip;
-          Alcotest.test_case "lazy tree" `Quick test_snapshot_lazy_tree;
-          Alcotest.test_case "rejects corruption" `Quick test_snapshot_rejects_corruption;
-          Alcotest.test_case "store reuse" `Quick test_snapshot_store_reuse;
-        ] );
       ( "ingestion",
         [
           Alcotest.test_case "streamed build allocates less than parse + freeze"
             `Quick test_stream_allocates_less;
-          Alcotest.test_case "snapshot load allocates 10x less than parse + freeze"
-            `Quick test_snapshot_load_allocates_less;
         ] );
       ( "serializer",
         [
           Alcotest.test_case "escaping" `Quick test_serialize_escaping;
           Alcotest.test_case "roundtrip" `Quick test_serialize_node_roundtrip;
         ] );
-      ("store", [ Alcotest.test_case "basics" `Quick test_store ]);
+      ( "store",
+        [
+          Alcotest.test_case "basics" `Quick test_store;
+          Alcotest.test_case "store reuse" `Quick test_store_reuse;
+        ] );
       ( "frozen",
         [
           Alcotest.test_case "document order" `Quick test_frozen_document_order;
