@@ -6,21 +6,28 @@
     — an access word, a one-symbol extension, either of them followed by
     a suffix of E — is a node of one prefix {!Trie}, and its answer and
     row live on that node.  So a teacher is asked about each distinct
-    word at most once, which is what the paper counts as one (potential)
-    interaction, and a word that is both in S and an extension has one
-    row.
+    word at most once per run, which is what the paper counts as one
+    (potential) interaction, and a word that is both in S and an
+    extension has one row.
 
     Before every observation-table sweep the learner collects the
-    unanswered words of the S rows into one batch and then those of the
-    extension rows into a second, each deduplicated, in sweep order:
-    rows in table order, suffixes in E order within a row. *)
+    unanswered cells of the S rows into one batch and then those of the
+    extension rows into a second, each deduplicated by node, in sweep
+    order: rows in table order, suffixes in E order within a row.  A
+    cell goes to the teacher as its node, its row's node and its index
+    in E; the learner spells no word. *)
+
+type batch = {
+  trie : Trie.t;
+  suffixes : int list array;
+  nodes : int array;
+  rows : int array;
+  cols : int array;
+}
 
 type teacher = {
-  membership_batch : int list list -> bool list;
-      (** Answer many words at once; input words are distinct and must be
-          answered in order. *)
+  membership_batch : batch -> bool array;
   equivalence : Dfa.t -> int list option;
-      (** [None] = hypothesis accepted; [Some w] = counterexample word *)
 }
 
 (* telemetry: rounds and final observation-table size, per learn call;
@@ -61,6 +68,8 @@ module Vec = struct
     end;
     v.data.(v.len) <- x;
     v.len <- v.len + 1
+
+  let to_array v = Array.sub v.data 0 v.len
 end
 
 type stats = {
@@ -97,12 +106,16 @@ let queued = '\001'  (* in the batch being collected *)
 let no = '\002'
 let yes = '\003'
 
+(* The trie is the caller's: it may hold nodes from earlier runs, and
+   the teacher may add nodes to it between fills, so the answer bytes
+   grow to whatever node a step returns. *)
 let child tbl node a =
   let c = Trie.child tbl.trie node a in
   let cap = Bytes.length tbl.answer in
   if c >= cap then begin
-    tbl.answer <- Bytes.extend tbl.answer 0 cap;
-    Bytes.fill tbl.answer cap cap unknown
+    let cap' = max (2 * cap) (c + 1) in
+    tbl.answer <- Bytes.extend tbl.answer 0 (cap' - cap);
+    Bytes.fill tbl.answer cap (cap' - cap) unknown
   end;
   c
 
@@ -140,7 +153,8 @@ let add_access tbl w =
 let fill tbl (nodes : int Vec.t) : bool array array =
   let ncols = Vec.length tbl.e in
   let rows = Array.make (Vec.length nodes) [||] in
-  let short = ref [] and pending = ref [] and npend = ref 0 in
+  let short = ref [] in
+  let q_nodes = Vec.create () and q_rows = Vec.create () and q_cols = Vec.create () in
   for r = 0 to Vec.length nodes - 1 do
     let node = Vec.get nodes r in
     rows.(r) <- Option.value ~default:[||] (Hashtbl.find_opt tbl.rows node);
@@ -153,31 +167,37 @@ let fill tbl (nodes : int Vec.t) : bool array array =
             | [] -> node
             | a :: e -> List.fold_left (fun n a -> child tbl n a) (step tbl node i a) e)
       in
-      (* a queued word is spelled as the row's word followed by the
-         suffix, which it shares with E *)
-      let word = lazy (Trie.symbols tbl.trie node) in
       Array.iteri
         (fun j c ->
           if Bytes.get tbl.answer c = unknown then begin
             Bytes.set tbl.answer c queued;
-            pending := (c, Lazy.force word @ Vec.get tbl.e (from + j)) :: !pending;
-            incr npend
+            Vec.push q_nodes c;
+            Vec.push q_rows node;
+            Vec.push q_cols (from + j)
           end)
         cells;
       short := (r, cells) :: !short
     end
   done;
-  if !npend > 0 then begin
-    let pending = List.rev !pending in
-    let answers = tbl.teacher.membership_batch (List.map snd pending) in
-    if List.length answers <> !npend then
-      invalid_arg "Lstar: membership_batch answered a different word count";
-    List.iter2
-      (fun (c, _) b -> Bytes.set tbl.answer c (if b then yes else no))
-      pending answers;
-    tbl.stats.membership_queries <- tbl.stats.membership_queries + !npend;
-    Xl_obs.Obs.Counter.add c_mq_batched !npend;
-    Xl_obs.Obs.Histogram.observe h_batch_size !npend
+  let npend = Vec.length q_nodes in
+  if npend > 0 then begin
+    let nodes = Vec.to_array q_nodes in
+    let answers =
+      tbl.teacher.membership_batch
+        {
+          trie = tbl.trie;
+          suffixes = Vec.to_array tbl.e;
+          nodes;
+          rows = Vec.to_array q_rows;
+          cols = Vec.to_array q_cols;
+        }
+    in
+    if Array.length answers <> npend then
+      invalid_arg "Lstar: membership_batch answered a different cell count";
+    Array.iteri (fun k c -> Bytes.set tbl.answer c (if answers.(k) then yes else no)) nodes;
+    tbl.stats.membership_queries <- tbl.stats.membership_queries + npend;
+    Xl_obs.Obs.Counter.add c_mq_batched npend;
+    Xl_obs.Obs.Histogram.observe h_batch_size npend
   end;
   List.iter
     (fun (r, cells) ->
@@ -275,22 +295,23 @@ let conjecture tbl (s_rows, ext_rows) : Dfa.t =
     states;
   Dfa.create ~alphabet_size:tbl.alphabet_size ~states:n ~start ~finals ~delta
 
-(** Run L*.  [init] words are seeded into the access set before the first
-    hypothesis — the paper seeds [path(e)] of the dropped example, which
-    spares the teacher the cold-start round of equivalence queries.
-    [max_rounds] bounds the equivalence-query loop as a safety net. *)
-let learn ?(init = []) ?(max_rounds = 200) ~alphabet_size (teacher : teacher) :
+(** Run L* on [trie].  [init] words are seeded into the access set before
+    the first hypothesis — the paper seeds [path(e)] of the dropped
+    example, which spares the teacher the cold-start round of equivalence
+    queries.  [max_rounds] bounds the equivalence-query loop as a safety
+    net. *)
+let learn ?(init = []) ?(max_rounds = 200) ~trie ~alphabet_size (teacher : teacher) :
     Dfa.t * stats =
   Xl_obs.Obs.span ~name:"lstar.learn" (fun () ->
   let tbl =
     {
       alphabet_size;
-      trie = Trie.create ();
+      trie;
       s = Vec.create ();
       s_index = Hashtbl.create 64;
       e = Vec.create ();
       exts = Vec.create ();
-      answer = Bytes.make 64 unknown;
+      answer = Bytes.make (max 64 (Trie.size trie)) unknown;
       rows = Hashtbl.create 256;
       teacher;
       stats = fresh_stats ();

@@ -3,19 +3,33 @@
 
     The teacher answers membership queries in batches and equivalence
     queries on hypothesis DFAs.  The observation table keeps every word
-    as a node of one prefix {!Trie}, with its answer on the node, so the
-    teacher is asked about each distinct word at most once — which is
-    what the paper counts as one (potential) interaction. *)
+    as a node of a prefix {!Trie} the caller owns, with its answer on
+    the node, so the teacher is asked about each distinct word at most
+    once per run — which is what the paper counts as one (potential)
+    interaction.  The teacher is handed cells, not words: a cell is the
+    node of a row's word followed by one suffix of E, and a teacher that
+    needs the word spells it from the trie. *)
+
+type batch = {
+  trie : Trie.t;  (** the trie the learner was given *)
+  suffixes : int list array;
+      (** E: column [j] holds suffix [suffixes.(j)], [[]] first.  E only
+          grows within one run, so a column's suffix is the same list in
+          every batch of that run. *)
+  nodes : int array;  (** each cell's node: its row's word followed by its suffix *)
+  rows : int array;  (** each cell's row node (an access word or one of its extensions) *)
+  cols : int array;  (** each cell's index in [suffixes] *)
+}
+(** One fill's unanswered cells, deduplicated by node.  Before every
+    observation-table sweep the learner hands the teacher two batches,
+    the S rows' and then the extension rows', each in sweep order: rows
+    in table order, suffixes in E order within a row.  A row's parent
+    node is always an access word's, so a teacher can derive per-row
+    state from the parent row's. *)
 
 type teacher = {
-  membership_batch : int list list -> bool list;
-      (** Answer a batch of words at once, one answer per word, in order.
-          Before every observation-table sweep the learner hands the
-          fill's unanswered words to this function in two batches, the
-          S rows' and then the extension rows', each deduplicated and in
-          sweep order (rows in table order, suffixes in E order), so a
-          teacher can amortize one shared evaluation pass over a whole
-          fill. *)
+  membership_batch : batch -> bool array;
+      (** One answer per cell, in order. *)
   equivalence : Dfa.t -> int list option;
       (** [None] = hypothesis accepted; [Some w] = counterexample word *)
 }
@@ -28,8 +42,11 @@ type stats = {
 }
 
 val learn :
-  ?init:int list list -> ?max_rounds:int -> alphabet_size:int -> teacher ->
-  Dfa.t * stats
-(** Run L* to convergence.  [init] seeds words into the access set before
-    the first hypothesis — the paper seeds [path(e)] of the dropped
-    example.  The returned DFA is minimized. *)
+  ?init:int list list -> ?max_rounds:int -> trie:Trie.t -> alphabet_size:int ->
+  teacher -> Dfa.t * stats
+(** Run L* to convergence over [trie], which may hold nodes from earlier
+    runs and may grow while the teacher answers.  Answers and rows are
+    per run: a word the trie already holds is asked again.  [init] seeds
+    words into the access set before the first hypothesis — the paper
+    seeds [path(e)] of the dropped example.  The returned DFA is
+    minimized. *)

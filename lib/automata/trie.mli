@@ -7,7 +7,10 @@
     batch into one trie lets any per-symbol state machine (a path DFA, a
     schema stepper) answer all words in a single forward pass over the
     trie nodes instead of one walk per word.  L*'s observation table
-    keeps every word it holds as a node of one trie.
+    keeps every word it holds as a node of a trie its caller owns: the
+    P-Learner keeps one per learning task, hangs its per-word state on
+    the node ids, and spells a word ({!symbols}) only when a teacher or
+    an observer needs it.
 
     Nodes are numbered in creation order, so a parent's id is always
     smaller than its children's — iterating ids ascending visits every

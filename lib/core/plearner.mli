@@ -54,11 +54,17 @@ val create :
     path language and must match the ground truth, which is exactly what
     the fuzz harness checks; R2 answers are revisable assumptions. *)
 
-val membership_batch : t -> int list list -> bool list
-(** The membership oracle handed to L*: the distinct words of one fill,
-    in first-ask order, each resolved in that order by the memo, R1 or
-    R2, or else by the teacher.  Every answer and interaction count is
-    the one the words would get asked one at a time. *)
+val trie : t -> Xl_automata.Trie.t
+(** The task's prefix trie: every word the learner has seen is a node of
+    it, and {!learn} hands it to every L* run. *)
+
+val membership_batch : t -> Xl_automata.Lstar.batch -> bool array
+(** The membership oracle handed to L*: the distinct cells of one fill,
+    in first-ask order, each resolved in that order by its node's
+    answer, R1 or R2, or else by the teacher.  The batch's trie must be
+    {!trie}.  Every answer and interaction count is the one the cells'
+    words would get asked one at a time; a word is spelled only for the
+    teacher or [on_auto]. *)
 
 val note_positive : t -> string list -> unit
 (** Record a positive counterexample path.  May raise {!Restart}: when

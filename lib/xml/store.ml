@@ -5,8 +5,8 @@
     (XMP scenarios join [bib.xml] with [reviews.xml]).
 
     A store is complete when its constructor returns: the flattened
-    element/attribute node universe, an id->node table, a value index
-    and the frozen array snapshots are built once, up front, and nothing
+    element/attribute node universe, a value index and the frozen array
+    snapshots are built once, up front, and nothing
     changes them afterwards.  The value index is shared with
     {!Xl_core.Data_graph} so building the data graph does not re-scan
     every document. *)
@@ -16,7 +16,6 @@ type t = {
   univ : Node.t list;
       (** element/attribute nodes, document order within each document,
           documents in registration order — the extent universe *)
-  by_id : (int, Node.t) Hashtbl.t;  (** every node, text and doc included *)
   by_value : (string, Node.t list) Hashtbl.t;
       (** direct value -> value-bearing nodes (v-equality neighbours) *)
   frozen : Frozen.t list;
@@ -30,14 +29,6 @@ let build (entries : (Doc.t * Frozen.t option) list) : t =
   Xl_obs.Obs.span ~name:"store.index_build" (fun () ->
   let docs = List.map fst entries in
   let univ = List.concat_map Doc.nodes docs in
-  let by_id = Hashtbl.create 4096 in
-  List.iter
-    (fun d ->
-      Hashtbl.replace by_id d.Doc.doc_node.Node.id d.Doc.doc_node;
-      List.iter
-        (fun n -> Hashtbl.replace by_id n.Node.id n)
-        (Doc.all_nodes d))
-    docs;
   (* value index: same construction (and hence same bucket order) as the
      data graph historically used, so learner behaviour is unchanged *)
   let by_value = Hashtbl.create 4096 in
@@ -54,7 +45,7 @@ let build (entries : (Doc.t * Frozen.t option) list) : t =
       (fun (d, fz) -> match fz with Some fz -> fz | None -> Frozen.freeze d)
       entries
   in
-  { docs; univ; by_id; by_value; frozen })
+  { docs; univ; by_value; frozen })
 
 let of_docs docs = build (List.map (fun d -> (d, None)) docs)
 
@@ -86,8 +77,6 @@ let prepare (_ : t) = ()
 (** Every element/attribute node of every document, document order within
     each document, documents in registration order. *)
 let nodes t = t.univ
-
-let find_node_by_id t id = Hashtbl.find_opt t.by_id id
 
 (** Value-bearing nodes whose direct value is [v] — the v-equality
     neighbours of the data graph. *)

@@ -5,8 +5,8 @@
     scenarios join [bib.xml] with [reviews.xml] and [prices.xml]).
 
     A store is immutable and complete when {!of_docs} or {!of_frozen}
-    returns: the flattened node universe, id->node, the v-equality value
-    index and the frozen array snapshots are built then, once, under the
+    returns: the flattened node universe, the v-equality value index
+    and the frozen array snapshots are built then, once, under the
     [store.index_build] span.  Every reader is a pure lookup, so a store
     can be shared read-only across domains straight from its
     constructor. *)
@@ -41,9 +41,6 @@ val prepare : t -> unit
 val nodes : t -> Node.t list
 (** Every element/attribute node of every document, document order within
     each document, documents in registration order. *)
-
-val find_node_by_id : t -> int -> Node.t option
-(** Any node (text and document nodes included) by id, via the id index. *)
 
 val with_value : t -> string -> Node.t list
 (** Value-bearing nodes with the given direct value — the v-equality

@@ -117,12 +117,20 @@ let test_nfa_direct () =
 
 (* ---------- L* ---------------------------------------------------------------- *)
 
+(* answers each cell by spelling its word from the trie, and checks that
+   the word is the cell's row's followed by its suffix *)
 let exact_teacher ?(asked = ref []) target =
   {
     Lstar.membership_batch =
-      (fun ws ->
-        asked := List.rev_append ws !asked;
-        List.map (Dfa.accepts target) ws);
+      (fun (b : Lstar.batch) ->
+        Array.mapi
+          (fun i node ->
+            let w = Trie.symbols b.trie node in
+            if w <> Trie.symbols b.trie b.rows.(i) @ b.suffixes.(b.cols.(i)) then
+              Alcotest.failf "cell %d: node is not row . suffix" i;
+            asked := w :: !asked;
+            Dfa.accepts target w)
+          b.nodes);
     equivalence =
       (fun h -> match Dfa.equivalent h target with Ok () -> None | Error w -> Some w);
   }
@@ -130,7 +138,7 @@ let exact_teacher ?(asked = ref []) target =
 let test_lstar_learns_sample () =
   let target = Dfa.minimize (sample_dfa ()) in
   let asked = ref [] in
-  let learned, stats = Lstar.learn ~alphabet_size:k (exact_teacher ~asked target) in
+  let learned, stats = Lstar.learn ~trie:(Trie.create ()) ~alphabet_size:k (exact_teacher ~asked target) in
   check cbool "language learned exactly" true (Dfa.equivalent learned target = Ok ());
   check cbool "used some membership queries" true (stats.Lstar.membership_queries > 0);
   (* every word reaches the teacher once, in some batch *)
@@ -143,16 +151,17 @@ let test_lstar_learns_sample () =
 let test_lstar_with_seed () =
   let target = Dfa.minimize (sample_dfa ()) in
   let learned, _ =
-    Lstar.learn ~init:[ [ 0; 1; 2 ] ] ~alphabet_size:k (exact_teacher target)
+    Lstar.learn ~init:[ [ 0; 1; 2 ] ] ~trie:(Trie.create ()) ~alphabet_size:k
+      (exact_teacher target)
   in
   check cbool "seeded learning converges" true (Dfa.equivalent learned target = Ok ())
 
 let test_lstar_empty_and_universal () =
   let empty = Dfa.empty ~alphabet_size:2 in
-  let learned, _ = Lstar.learn ~alphabet_size:2 (exact_teacher empty) in
+  let learned, _ = Lstar.learn ~trie:(Trie.create ()) ~alphabet_size:2 (exact_teacher empty) in
   check cbool "learns the empty language" true (Dfa.equivalent learned empty = Ok ());
   let uni = Dfa.universal ~alphabet_size:2 in
-  let learned, _ = Lstar.learn ~alphabet_size:2 (exact_teacher uni) in
+  let learned, _ = Lstar.learn ~trie:(Trie.create ()) ~alphabet_size:2 (exact_teacher uni) in
   check cbool "learns the universal language" true (Dfa.equivalent learned uni = Ok ())
 
 (* random regex generator for property tests *)
@@ -176,7 +185,9 @@ let prop_lstar_learns_random_regex =
   QCheck2.Test.make ~name:"L* learns random regular languages exactly" ~count:40
     gen_regex (fun r ->
       let target = Dfa.minimize (Regex.to_dfa ~alphabet_size:k r) in
-      let learned, _ = Lstar.learn ~alphabet_size:k (exact_teacher target) in
+      let learned, _ =
+        Lstar.learn ~trie:(Trie.create ()) ~alphabet_size:k (exact_teacher target)
+      in
       Dfa.equivalent learned target = Ok ())
 
 let prop_of_dfa_roundtrip =

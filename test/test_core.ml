@@ -478,9 +478,19 @@ let plearner_fixture ?(r1 = true) ?(r2 = true) ?(target = fun s -> List.length s
   in
   (pl, stats, asked, alphabet)
 
-(* one word through the P-Learner's fill oracle *)
+(* one word through the P-Learner's fill oracle: a cell that is its own
+   row, under E = {ε} *)
 let member pl alphabet s =
-  List.hd (Plearner.membership_batch pl [ Xl_automata.Alphabet.encode alphabet s ])
+  let trie = Plearner.trie pl in
+  let node = Xl_automata.Trie.add_word trie (Xl_automata.Alphabet.encode alphabet s) in
+  (Plearner.membership_batch pl
+     {
+       Xl_automata.Lstar.trie;
+       suffixes = [| [] |];
+       nodes = [| node |];
+       rows = [| node |];
+       cols = [| 0 |];
+     }).(0)
 
 let test_plearner_r1 () =
   let pl, stats, asked, alphabet = plearner_fixture ~r2:false () in
@@ -534,6 +544,253 @@ let test_plearner_conflict_restart () =
   | () -> ()  (* answer was Yes: no conflict *)
   | exception Plearner.Restart -> ());
   check cbool "table is consistent afterwards" true (m [ "c"; "b" ])
+
+(* ---------- P-Learner vs the per-word reference resolver ---------------------- *)
+
+(* A learning task at the P-Learner level: a target path language
+   relative to the fragment's base, R1 from the XMark DTD relativized to
+   the base prefix, R2 from the dropped path (the target's shortest
+   word).  The teacher is exact over the target intersected with the
+   schema — what a user of a valid instance can confirm — and routes
+   counterexamples as the engine does. *)
+type pl_task = {
+  task : string;
+  alphabet : Xl_automata.Alphabet.t;
+  r1_dfas : Xl_automata.Dfa.t list;
+  abs_prefix : string list;
+  target : Xl_automata.Dfa.t;
+  dropped_path : string list;
+}
+
+module type PL = sig
+  type t
+
+  val create :
+    ?config:Plearner.config -> ?known:(string list * bool) list ->
+    ?on_auto:(rule:[ `R1 | `R2 ] -> path:string list -> answer:bool -> unit) ->
+    ask_batch:(string list list -> bool list) -> stats:Stats.t ->
+    r1_dfas:Xl_automata.Dfa.t list -> alphabet:Xl_automata.Alphabet.t ->
+    abs_prefix:string list -> dropped_path:string list -> ask:(string list -> bool) ->
+    unit -> t
+
+  val note_positive : t -> string list -> unit
+  val note_negative : t -> string list -> unit
+  val is_known_positive : t -> int list -> bool
+  val learn : t -> equivalence:(Xl_automata.Dfa.t -> int list option) -> Xl_automata.Dfa.t
+end
+
+(* Everything a run shows, in order: each teacher batch and genuine
+   question with its answer, each [on_auto] call, each equivalence
+   outcome; then the stats row and how the run ended.  Also the genuine
+   answers, for reuse. *)
+let run_pl (module P : PL) ?config ?known (t : pl_task) =
+  let module A = Xl_automata.Alphabet in
+  let events = ref [] and genuine = ref [] in
+  let log e = events := e :: !events in
+  let show s = "/" ^ String.concat "/" s in
+  let ask s =
+    let a = Xl_automata.Dfa.accepts t.target (A.encode t.alphabet s) in
+    log (Printf.sprintf "ask %s %b" (show s) a);
+    genuine := (s, a) :: !genuine;
+    a
+  in
+  let ask_batch ss =
+    log (Printf.sprintf "batch of %d" (List.length ss));
+    List.map ask ss
+  in
+  let on_auto ~rule ~path ~answer =
+    log
+      (Printf.sprintf "auto %s %s %b"
+         (match rule with `R1 -> "R1" | `R2 -> "R2")
+         (show path) answer)
+  in
+  let stats = Stats.create () in
+  let pl =
+    P.create ?config ?known ~on_auto ~ask_batch ~stats ~r1_dfas:t.r1_dfas
+      ~alphabet:t.alphabet ~abs_prefix:t.abs_prefix ~dropped_path:t.dropped_path ~ask ()
+  in
+  let equivalence hyp =
+    match Xl_automata.Dfa.equivalent hyp t.target with
+    | Ok () ->
+      log "equal";
+      None
+    | Error w ->
+      let s = A.decode t.alphabet w in
+      if Xl_automata.Dfa.accepts t.target w then begin
+        log ("positive " ^ show s);
+        P.note_positive pl s;
+        Some w
+      end
+      else if P.is_known_positive pl w then
+        Alcotest.failf "%s: negative counterexample %s is a known positive" t.task (show s)
+      else begin
+        log ("negative " ^ show s);
+        P.note_negative pl s;
+        Some w
+      end
+  in
+  let outcome =
+    match P.learn pl ~equivalence with
+    | dfa -> Printf.sprintf "learned, %d states" (Xl_automata.Dfa.minimize dfa).states
+    | exception Failure m -> "failed: " ^ m
+  in
+  (List.rev !events, Stats.to_json stats ^ " " ^ outcome, List.rev !genuine)
+
+(* both resolvers on one task: the same observations, event by event *)
+let differential ?config ?known (t : pl_task) =
+  let ref_events, ref_end, genuine = run_pl (module Ref_plearner) ?config ?known t in
+  let events, fin, _ = run_pl (module Plearner) ?config ?known t in
+  let rec first_diff i = function
+    | x :: xs, y :: ys -> if String.equal x y then first_diff (i + 1) (xs, ys) else Some (i, x, y)
+    | x :: _, [] -> Some (i, x, "<end>")
+    | [], y :: _ -> Some (i, "<end>", y)
+    | [], [] -> None
+  in
+  (match first_diff 0 (ref_events, events) with
+  | Some (i, x, y) ->
+    Alcotest.failf "%s: event %d differs: reference %S, node-keyed %S" t.task i x y
+  | None -> ());
+  check cstr (t.task ^ ": stats and outcome") ref_end fin;
+  (ref_end, genuine)
+
+(* The tasks: every distinct learning task of the XMark scenarios (the
+   target relative to its anchor; a relative anchor's base prefix is the
+   shortest schema path its variable binds), plus the two R2
+   backtracking targets test_machine pins. *)
+let pl_tasks =
+  lazy
+    (let scenarios = Xl_workload.Xmark_scenarios.all () in
+     let sc0 = snd (List.hd scenarios) in
+     let alphabet = (Eval.make_ctx sc0.Scenario.store).Eval.alphabet in
+     let schema = Xl_schema.Schema_source.of_dtd (Option.get sc0.Scenario.source_dtd) in
+     ignore (Xl_schema.Schema_source.to_dfa schema alphabet);
+     let regex p =
+       Eval.intern_path_symbols alphabet p;
+       Path_expr.to_regex alphabet p
+     in
+     (* the absolute path language of a variable's bindings *)
+     let rec abs_regex tree (n : Xqtree.node) =
+       match n.Xqtree.source with
+       | Some (Xqtree.Abs (_, p)) -> regex p
+       | Some (Xqtree.Rel p) -> (
+         match Xqtree.base_var tree n.Xqtree.label with
+         | Some v ->
+           let b = List.find (fun (m : Xqtree.node) -> m.Xqtree.var = Some v) (Xqtree.nodes tree) in
+           Xl_automata.Regex.Seq (abs_regex tree b, regex p)
+         | None -> regex p)
+       | None -> Xl_automata.Regex.Eps
+     in
+     let specs =
+       List.concat_map
+         (fun (name, sc) ->
+           let tree = sc.Scenario.target in
+           List.filter_map
+             (fun task ->
+               match Task.composed_source task with
+               | None -> None
+               | Some src ->
+                 let p = match src with Xqtree.Abs (_, p) | Xqtree.Rel p -> p in
+                 let anchor = Task.anchor task in
+                 let base =
+                   match anchor.Xqtree.source with
+                   | Some (Xqtree.Abs _) -> None
+                   | _ -> (
+                     match Xqtree.base_var tree anchor.Xqtree.label with
+                     | Some v ->
+                       Some
+                         (abs_regex tree
+                            (List.find
+                               (fun (m : Xqtree.node) -> m.Xqtree.var = Some v)
+                               (Xqtree.nodes tree)))
+                     | None -> None)
+                 in
+                 Some ("xmark " ^ name ^ " " ^ Task.label task, (Path_expr.to_string p, regex p), base))
+             (Task.tasks_of tree))
+         scenarios
+       @ List.map
+           (fun p -> ("r2 " ^ p, (p, regex (path p)), None))
+           [ "/site/regions/europe/item/(name|description)"; "/site/regions/*/item/*" ]
+     in
+     let k = Xl_automata.Alphabet.size alphabet in
+     let sdfa =
+       Xl_automata.Dfa.extend_alphabet (Xl_schema.Schema_source.to_dfa schema alphabet)
+         ~alphabet_size:k
+     in
+     let to_dfa re = Xl_automata.Regex.to_dfa ~alphabet_size:k re in
+     let seen = Hashtbl.create 16 in
+     List.filter_map
+       (fun (task, (rel_text, rel), base) ->
+         let prefix =
+           match base with
+           | None -> Some []
+           | Some re ->
+             Xl_automata.Dfa.shortest_accepted
+               (Xl_automata.Dfa.intersection (to_dfa re) sdfa)
+         in
+         Option.bind prefix (fun w ->
+             let r1 = Xl_automata.Dfa.with_start sdfa (Xl_automata.Dfa.run sdfa w) in
+             let target =
+               Xl_automata.Dfa.minimize (Xl_automata.Dfa.intersection (to_dfa rel) r1)
+             in
+             match Xl_automata.Dfa.shortest_accepted target with
+             | None -> None
+             | Some d ->
+               let abs_prefix = Xl_automata.Alphabet.decode alphabet w in
+               let dropped_path = Xl_automata.Alphabet.decode alphabet d in
+               (* one task per distinct (prefix, path) *)
+               let key = (abs_prefix, rel_text) in
+               if Hashtbl.mem seen key then None
+               else begin
+                 Hashtbl.replace seen key ();
+                 Some { task; alphabet; r1_dfas = [ r1 ]; abs_prefix; target; dropped_path }
+               end))
+       specs)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let rule_configs =
+  [
+    { Plearner.r1 = true; r2 = true };
+    { Plearner.r1 = true; r2 = false };
+    { Plearner.r1 = false; r2 = true };
+  ]
+
+let test_differential_xmark () =
+  List.iter
+    (fun t ->
+      if String.starts_with ~prefix:"xmark" t.task then
+        List.iter (fun config -> ignore (differential ~config t)) rule_configs)
+    (Lazy.force pl_tasks)
+
+let test_differential_r2 () =
+  List.iter
+    (fun t ->
+      if String.starts_with ~prefix:"r2" t.task then begin
+        let fin, _ = differential t in
+        (* the target leaves Last_tag: a restart is on the row *)
+        if contains fin {|"restarts":0,|} then
+          Alcotest.failf "%s: no R2 backtrack (%s)" t.task fin
+      end)
+    (Lazy.force pl_tasks)
+
+(* Section 11 reuse: a second run seeded with all or every other genuine
+   answer of a first run *)
+let test_differential_reuse () =
+  let reused = ref 0 in
+  List.iter
+    (fun t ->
+      let _, genuine = differential t in
+      let every_other = List.filteri (fun i _ -> i mod 2 = 0) genuine in
+      List.iter
+        (fun known ->
+          let fin, _ = differential ~known t in
+          if not (contains fin {|"auto_known":0,|}) then incr reused)
+        [ genuine; every_other ])
+    (Lazy.force pl_tasks);
+  if !reused = 0 then Alcotest.fail "no run reused a known answer"
 
 (* ---------- Dialog (Figure 5) -------------------------------------------------- *)
 
@@ -612,6 +869,9 @@ let () =
           Alcotest.test_case "rule R2 last-tag" `Quick test_plearner_r2_last_tag;
           Alcotest.test_case "rule R2 backtrack" `Quick test_plearner_r2_backtrack;
           Alcotest.test_case "conflict restart" `Quick test_plearner_conflict_restart;
+          Alcotest.test_case "differential, XMark tasks" `Quick test_differential_xmark;
+          Alcotest.test_case "differential, R2 backtracking" `Quick test_differential_r2;
+          Alcotest.test_case "differential, reuse" `Quick test_differential_reuse;
         ] );
       ( "end-to-end",
         [

@@ -109,19 +109,19 @@ let test_concurrent_store_ids () =
   Alcotest.(check int)
     "no duplicate node ids across concurrently built stores"
     (List.length all_ids) (List.length sorted);
-  (* and each store's id index resolves its own nodes, exactly *)
+  (* and each store's snapshots resolve its own nodes, exactly *)
   List.iter
     (fun store ->
       List.iter
         (fun d ->
           List.iter
             (fun n ->
-              match Xml.Store.find_node_by_id store n.Xml.Node.id with
-              | Some m ->
+              match Xml.Store.frozen_of_node store n with
+              | Some (fz, p) ->
                 Alcotest.(check bool)
-                  "find_node_by_id returns the node itself" true
-                  (Xml.Node.equal m n)
-              | None -> Alcotest.fail "find_node_by_id lost a node")
+                  "frozen_of_node finds the node itself" true
+                  (Xml.Frozen.node fz p == n)
+              | None -> Alcotest.fail "frozen_of_node lost a node")
             (Xml.Doc.all_nodes d))
         (Xml.Store.docs store))
     stores

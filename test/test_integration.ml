@@ -189,6 +189,43 @@ let test_paper_rows_pinned () =
         Alcotest.failf "%s: pinned %s, got %s" key (Json.to_string want) got)
     rows
 
+(* The Figure-16 scenarios learned with no schema: R1 then judges words
+   by the instance's DataGuide.  Each row is a [Stats.to_json] object in
+   dataguide_rows.json (a declared test dep), keyed "suite/name", and
+   every query still verifies. *)
+let test_dataguide_rows_pinned () =
+  let module Json = Xl_json.Json in
+  let parse what s =
+    match Json.parse s with Ok j -> j | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let pinned =
+    match
+      List.find_opt Sys.file_exists [ "dataguide_rows.json"; "test/dataguide_rows.json" ]
+    with
+    | None -> Alcotest.fail "dataguide_rows.json not found (declared test dep)"
+    | Some path -> (
+      match parse path (In_channel.with_open_bin path In_channel.input_all) with
+      | Json.Obj rows -> rows
+      | _ -> Alcotest.failf "%s: not a JSON object" path)
+  in
+  let rows =
+    List.map
+      (fun (key, sc) ->
+        let r = Learn.run { sc with Scenario.source_dtd = None; more_dtds = [] } in
+        check cbool (key ^ ": verified") true r.Learn.verified;
+        (key, Stats.to_json r.Learn.stats))
+      (List.map (fun (n, sc) -> ("xmark/" ^ n, sc)) (Lazy.force xmark)
+      @ List.map (fun (n, sc) -> ("xmp/" ^ n, sc)) (Xl_workload.Xmp_scenarios.all ()))
+  in
+  check (Alcotest.list Alcotest.string) "one pinned row per scenario"
+    (List.map fst pinned) (List.map fst rows);
+  List.iter
+    (fun (key, got) ->
+      let want = List.assoc key pinned in
+      if want <> parse key got then
+        Alcotest.failf "%s: pinned %s, got %s" key (Json.to_string want) got)
+    rows
+
 (* ---------- determinism ----------------------------------------------------------- *)
 
 let test_sessions_deterministic () =
@@ -217,6 +254,7 @@ let () =
         [
           Alcotest.test_case "R1/R2 off" `Slow test_ablation_rules;
           Alcotest.test_case "paper-driver rows pinned" `Slow test_paper_rows_pinned;
+          Alcotest.test_case "DataGuide rows pinned" `Slow test_dataguide_rows_pinned;
         ] );
       ("determinism", [ Alcotest.test_case "repeatable sessions" `Quick test_sessions_deterministic ]);
     ]

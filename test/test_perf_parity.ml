@@ -25,8 +25,8 @@ let fingerprint (store : Xml.Store.t) (v : Value.t) : string =
        (fun (it : Value.item) ->
          match it with
          | Value.Node n -> (
-           match Xml.Store.find_node_by_id store n.Xml.Node.id with
-           | Some m when Xml.Node.equal m n -> Printf.sprintf "#%d" n.Xml.Node.id
+           match Xml.Store.frozen_of_node store n with
+           | Some (fz, p) when Xml.Frozen.node fz p == n -> Printf.sprintf "#%d" n.Xml.Node.id
            | _ -> "C:" ^ Xml.Serialize.node_to_string n)
          | Value.Atom a -> "A:" ^ Value.atom_to_string a)
        v)
@@ -667,6 +667,36 @@ let test_pinned_fig16_counts () =
           (Xl_json.Json.to_string want) (Xl_json.Json.to_string got))
     rows
 
+(* The fill's counted work on the Figure-16 set (XMark 1x + XMP) with
+   the counters on.  Batch traffic, its auto-answered share, genuine and
+   reused questions and L* rounds are the learner's work, not the
+   host's, so they are pinned exactly; and with no [on_auto] observer
+   only genuine questions are spelled into words. *)
+let test_fill_work_counted () =
+  let module Obs = Xl_obs.Obs in
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+  @@ fun () ->
+  List.iter (fun (_, _, sc) -> ignore (Xl_core.Learn.run sc)) (fig16_scenarios ());
+  let value name =
+    match Obs.Counter.find name with Some c -> Obs.Counter.value c | None -> 0
+  in
+  List.iter
+    (fun (name, want) -> Alcotest.(check int) name want (value name))
+    [
+      ("mq_batched", 118829);
+      ("mq_auto_answered", 118696);
+      ("mq_user", 63);
+      ("mq_reused", 0);
+      ("lstar_rounds", 70);
+    ];
+  if value "mq_spelled" > value "mq_user" then
+    Alcotest.failf "%d words spelled for %d genuine questions" (value "mq_spelled")
+      (value "mq_user")
+
 let () =
   Alcotest.run "perf-parity"
     [
@@ -710,5 +740,6 @@ let () =
             test_fuzz_pool_parity;
           Alcotest.test_case "interaction counts pinned to fig16_stats.json"
             `Slow test_pinned_fig16_counts;
+          Alcotest.test_case "fig16 fill work, counted" `Slow test_fill_work_counted;
         ] );
     ]
