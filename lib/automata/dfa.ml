@@ -83,25 +83,55 @@ let with_start t q =
   if q < 0 || q >= t.states then invalid_arg "Dfa.with_start";
   { t with start = q }
 
-(** Product construction combining acceptance with [f]. *)
+(** Product construction combining acceptance with [f], over the pairs
+    reachable from the start pair only.  Reached pairs keep the order of
+    their full-product codes [qa·|B| + qb], so the result is the full
+    product's reachable part renumbered monotonically, and {!minimize}
+    (which numbers classes by first occurrence) returns the same
+    automaton, state for state, as it would from the full product. *)
 let product f a b =
   if a.alphabet_size <> b.alphabet_size then
     invalid_arg "Dfa.product: alphabet mismatch";
-  let k = a.alphabet_size in
-  let encode qa qb = (qa * b.states) + qb in
-  let n = a.states * b.states in
-  let finals = Array.make n false in
-  let delta = Array.init n (fun _ -> Array.make k 0) in
-  for qa = 0 to a.states - 1 do
-    for qb = 0 to b.states - 1 do
-      let q = encode qa qb in
-      finals.(q) <- f a.finals.(qa) b.finals.(qb);
-      for s = 0 to k - 1 do
-        delta.(q).(s) <- encode a.delta.(qa).(s) b.delta.(qb).(s)
-      done
+  let k = a.alphabet_size and nb = b.states in
+  let n = a.states * nb in
+  (* [number.(code)]: -1 unreached; after the sweep, the state number *)
+  let number = Array.make n (-1) in
+  let stack = Array.make n 0 in
+  let start = (a.start * nb) + b.start in
+  number.(start) <- 0;
+  stack.(0) <- start;
+  let sp = ref 1 in
+  while !sp > 0 do
+    decr sp;
+    let code = stack.(!sp) in
+    let ra = a.delta.(code / nb) and rb = b.delta.(code mod nb) in
+    for s = 0 to k - 1 do
+      let c = (ra.(s) * nb) + rb.(s) in
+      if number.(c) < 0 then begin
+        number.(c) <- 0;
+        stack.(!sp) <- c;
+        incr sp
+      end
     done
   done;
-  { alphabet_size = k; states = n; start = encode a.start b.start; finals; delta }
+  let states = ref 0 in
+  for c = 0 to n - 1 do
+    if number.(c) >= 0 then begin
+      number.(c) <- !states;
+      incr states
+    end
+  done;
+  let finals = Array.make !states false and delta = Array.make !states [||] in
+  for c = 0 to n - 1 do
+    let q = number.(c) in
+    if q >= 0 then begin
+      let qa = c / nb and qb = c mod nb in
+      let ra = a.delta.(qa) and rb = b.delta.(qb) in
+      finals.(q) <- f a.finals.(qa) b.finals.(qb);
+      delta.(q) <- Array.init k (fun s -> number.((ra.(s) * nb) + rb.(s)))
+    end
+  done;
+  { alphabet_size = k; states = !states; start = number.(start); finals; delta }
 
 let intersection = product ( && )
 let union = product ( || )
@@ -174,80 +204,102 @@ let equivalent a b =
   | Some w -> Error w
 
 (** Moore partition-refinement minimization; also removes unreachable
-    states.  O(k·n²) — ample for the small automata of path learning. *)
+    states.  Each round gives every reachable state the signature (its
+    class, its successors' classes) and numbers the distinct signatures
+    by first occurrence in ascending state order, through an
+    open-addressing table of representative states: a signature is
+    hashed and compared in place, never built.  Rounds stop when the
+    class count is stable, so the last round's numbering is the output's:
+    classes in order of their smallest reachable state. *)
 let minimize t =
-  (* reachable states *)
+  let k = t.alphabet_size in
+  (* reachable states, ascending *)
   let reach = Array.make t.states false in
-  let rec dfs q =
-    if not reach.(q) then begin
-      reach.(q) <- true;
-      Array.iter dfs t.delta.(q)
+  let stack = Array.make t.states 0 in
+  reach.(t.start) <- true;
+  stack.(0) <- t.start;
+  let sp = ref 1 and m = ref 1 in
+  while !sp > 0 do
+    decr sp;
+    Array.iter
+      (fun q' ->
+        if not reach.(q') then begin
+          reach.(q') <- true;
+          stack.(!sp) <- q';
+          incr sp;
+          incr m
+        end)
+      t.delta.(stack.(!sp))
+  done;
+  let states = Array.make !m 0 in
+  let j = ref 0 in
+  Array.iteri
+    (fun q r ->
+      if r then begin
+        states.(!j) <- q;
+        incr j
+      end)
+    reach;
+  let m = !m in
+  let cls = Array.make t.states 0 and next = Array.make t.states 0 in
+  Array.iter (fun q -> cls.(q) <- Bool.to_int t.finals.(q)) states;
+  (* 0 is no class count, so at least two rounds run *)
+  let count = ref 0 in
+  let size = ref 1 in
+  while !size < 2 * m do size := 2 * !size done;
+  let mask = !size - 1 in
+  (* slot -> representative state of a class + 1, 0 when empty *)
+  let slots = Array.make !size 0 in
+  let hash q =
+    let row = t.delta.(q) in
+    let h = ref cls.(q) in
+    for a = 0 to k - 1 do
+      h := (!h * 31) + cls.(row.(a))
+    done;
+    !h land max_int
+  in
+  let same p q =
+    cls.(p) = cls.(q)
+    &&
+    let rp = t.delta.(p) and rq = t.delta.(q) in
+    let rec go a = a = k || (cls.(rp.(a)) = cls.(rq.(a)) && go (a + 1)) in
+    go 0
+  in
+  let rec refine () =
+    Array.fill slots 0 !size 0;
+    let fresh = ref 0 in
+    Array.iter
+      (fun q ->
+        let rec probe i =
+          let r = slots.(i) in
+          if r = 0 then begin
+            slots.(i) <- q + 1;
+            next.(q) <- !fresh;
+            incr fresh
+          end
+          else if same (r - 1) q then next.(q) <- next.(r - 1)
+          else probe ((i + 1) land mask)
+        in
+        probe (hash q land mask))
+      states;
+    Array.iter (fun q -> cls.(q) <- next.(q)) states;
+    if !fresh <> !count then begin
+      count := !fresh;
+      refine ()
     end
   in
-  dfs t.start;
-  let reach_states = ref [] in
-  for q = t.states - 1 downto 0 do
-    if reach.(q) then reach_states := q :: !reach_states
-  done;
-  let states = !reach_states in
-  (* partition ids *)
-  let cls = Array.make t.states 0 in
-  List.iter (fun q -> cls.(q) <- (if t.finals.(q) then 1 else 0)) states;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    (* signature = (class, classes of successors) *)
-    let sigs = Hashtbl.create 64 in
-    let next_cls = Array.make t.states 0 in
-    let counter = ref 0 in
-    List.iter
-      (fun q ->
-        let s = (cls.(q), Array.to_list (Array.map (fun q' -> cls.(q')) t.delta.(q))) in
-        let c =
-          match Hashtbl.find_opt sigs s with
-          | Some c -> c
-          | None ->
-            let c = !counter in
-            incr counter;
-            Hashtbl.replace sigs s c;
-            c
-        in
-        next_cls.(q) <- c)
-      states;
-    let distinct_before =
-      let seen = Hashtbl.create 16 in
-      List.iter (fun q -> Hashtbl.replace seen cls.(q) ()) states;
-      Hashtbl.length seen
-    in
-    if !counter <> distinct_before then changed := true;
-    List.iter (fun q -> cls.(q) <- next_cls.(q)) states
-  done;
-  let class_count =
-    let seen = Hashtbl.create 16 in
-    List.iter (fun q -> Hashtbl.replace seen cls.(q) ()) states;
-    Hashtbl.length seen
-  in
-  (* renumber classes densely in order of first occurrence *)
-  let renum = Hashtbl.create 16 in
-  let next = ref 0 in
-  List.iter
+  refine ();
+  let n = !count in
+  let finals = Array.make n false and delta = Array.make n [||] in
+  Array.iter
     (fun q ->
-      if not (Hashtbl.mem renum cls.(q)) then begin
-        Hashtbl.replace renum cls.(q) !next;
-        incr next
+      let c = cls.(q) in
+      if Array.length delta.(c) = 0 then begin
+        finals.(c) <- t.finals.(q);
+        delta.(c) <- Array.map (fun q' -> cls.(q')) t.delta.(q)
       end)
     states;
-  let cid q = Hashtbl.find renum cls.(q) in
-  let finals = Array.make class_count false in
-  let delta = Array.init class_count (fun _ -> Array.make t.alphabet_size 0) in
-  List.iter
-    (fun q ->
-      finals.(cid q) <- t.finals.(q);
-      for a = 0 to t.alphabet_size - 1 do
-        delta.(cid q).(a) <- cid t.delta.(q).(a)
-      done)
-    states;
-  { alphabet_size = t.alphabet_size; states = class_count; start = cid t.start; finals; delta }
+  { alphabet_size = k; states = n; start = cls.(t.start); finals; delta }
 
 (** Widen the alphabet: new symbols all lead to a fresh sink state. *)
 let extend_alphabet t ~alphabet_size:k =

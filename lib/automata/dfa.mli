@@ -48,6 +48,12 @@ val with_start : t -> int -> t
     a fragment's base prefix. *)
 
 val product : (bool -> bool -> bool) -> t -> t -> t
+(** Combine acceptance with [f] over the state pairs reachable from the
+    start pair.  The pairs keep the order of their full-product codes
+    [qa·|B| + qb], so the result is the full product's reachable part,
+    numbered monotonically: {!minimize} and {!shortest_accepted} give
+    what they would on the full product. *)
+
 val intersection : t -> t -> t
 val union : t -> t -> t
 val difference : t -> t -> t
@@ -67,7 +73,10 @@ val equivalent : t -> t -> (unit, int list) result
     counterexample for equivalence queries. *)
 
 val minimize : t -> t
-(** Partition refinement; also drops unreachable states. *)
+(** Moore partition refinement; also drops unreachable states.  Classes
+    are numbered by their smallest reachable state, so the result
+    depends only on the language and on the order of the input's
+    reachable states. *)
 
 val extend_alphabet : t -> alphabet_size:int -> t
 (** Widen the alphabet; new symbols lead to a fresh sink. *)

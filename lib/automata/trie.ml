@@ -40,23 +40,41 @@ let grow t =
     Bytes.fill t.data cap cap '\255'
   end
 
-let child t node sym =
+(* a new child of [node] on [sym], which [node] must not have *)
+let add t node sym =
+  grow t;
+  let c = t.len in
+  set t c parent_f node;
+  set t c symbol_f sym;
+  (* prepend keeps insertion O(1) with no tail pointer *)
+  set t c next_sibling_f (get t node first_child_f);
+  set t node first_child_f c;
+  t.len <- t.len + 1;
+  c
+
+(* a top-level scan: a local closure over [t], [node] and [sym] would be
+   allocated on every step of every L* cell walk *)
+let rec scan t node sym c =
+  if c < 0 then add t node sym
+  else if get t c symbol_f = sym then c
+  else scan t node sym (get t c next_sibling_f)
+
+let child t node sym = scan t node sym (get t node first_child_f)
+
+let children t node k =
+  let out = Array.make k (-1) in
   let rec scan c =
-    if c < 0 then begin
-      grow t;
-      let c = t.len in
-      set t c parent_f node;
-      set t c symbol_f sym;
-      (* prepend keeps insertion O(fanout) with no tail pointer *)
-      set t c next_sibling_f (get t node first_child_f);
-      set t node first_child_f c;
-      t.len <- t.len + 1;
-      c
+    if c >= 0 then begin
+      let sym = get t c symbol_f in
+      if sym < k then out.(sym) <- c;
+      scan (get t c next_sibling_f)
     end
-    else if get t c symbol_f = sym then c
-    else scan (get t c next_sibling_f)
   in
-  scan (get t node first_child_f)
+  scan (get t node first_child_f);
+  for sym = 0 to k - 1 do
+    if out.(sym) < 0 then out.(sym) <- add t node sym
+  done;
+  out
 
 let add_word t word = List.fold_left (fun node sym -> child t node sym) root word
 

@@ -33,7 +33,15 @@ val add_word : t -> int list -> int
 val child : t -> int -> int -> int
 (** [child t node a]: the node of [node]'s word followed by [a], created
     if absent.  Finding it scans [node]'s children, so a caller that
-    steps from a node with a wide fanout keeps its own index. *)
+    steps from a node with a wide fanout keeps its own index, built once
+    by {!children}. *)
+
+val children : t -> int -> int -> int array
+(** [children t node k]: [node]'s children on the symbols [0 .. k-1], in
+    symbol order, the absent ones created in ascending symbol order —
+    the nodes and ids [k] calls of {!child} would give, for one scan of
+    [node]'s children instead of [k].  L* indexes every access word's
+    alphabet-wide fanout this way. *)
 
 val parent : t -> int -> int
 (** Parent node id ([-1] for the root). *)

@@ -17,7 +17,6 @@
 open Xl_xqtree
 
 type t = {
-  context : Teacher.context;
   mutable hypothesis : Cond.t list;  (** ĉ — interpreted as a conjunction *)
   mutable initial_size : int;
   mutable refinements : int;  (** positive examples that shrank ĉ *)
@@ -44,29 +43,18 @@ let create ?pool (dg : Data_graph.t) (context : Teacher.context)
       [] hypothesis
   in
   Xl_obs.Obs.Histogram.observe h_candidates (List.length hypothesis);
-  { context; hypothesis; initial_size = List.length hypothesis; refinements = 0 }
+  { hypothesis; initial_size = List.length hypothesis; refinements = 0 }
 
 let hypothesis t = t.hypothesis
 
-(** A new positive example (with its per-candidate [bindings]): keep only
-    the predicates it satisfies. *)
-let observe_positive (t : t) (ctx : Xl_xquery.Eval.ctx)
-    ~(bindings : (string * Xl_xml.Node.t) list) : bool =
+(** A new positive example: keep only the predicates it satisfies,
+    judged through the attempt's verdict memo. *)
+let observe_positive (t : t) (verdicts : Extent.verdicts) (node : Xl_xml.Node.t) : bool =
   let before = List.length t.hypothesis in
-  t.hypothesis <-
-    List.filter
-      (fun c -> Extent.satisfies ctx t.context ~bindings [ c ])
-      t.hypothesis;
+  t.hypothesis <- List.filter (fun c -> Extent.holds verdicts c node) t.hypothesis;
   let changed = List.length t.hypothesis <> before in
   if changed then t.refinements <- t.refinements + 1;
   changed
-
-(** Would the hypothesis exclude the node with these bindings?  Used to
-    decide whether a negative counterexample can be explained by
-    learnable predicates at all (if not, a Condition Box is needed). *)
-let excludes (t : t) (ctx : Xl_xquery.Eval.ctx)
-    ~(bindings : (string * Xl_xml.Node.t) list) : bool =
-  not (Extent.satisfies ctx t.context ~bindings t.hypothesis)
 
 (* prefer compact output: drop Relay predicates that are implied by a
    retained Join on the same endpoints *)

@@ -21,14 +21,9 @@ val create :
 val hypothesis : t -> Cond.t list
 (** The current conjunction ĉ. *)
 
-val observe_positive :
-  t -> Xl_xquery.Eval.ctx -> bindings:(string * Xl_xml.Node.t) list -> bool
-(** Intersection step; returns whether ĉ shrank. *)
-
-val excludes :
-  t -> Xl_xquery.Eval.ctx -> bindings:(string * Xl_xml.Node.t) list -> bool
-(** Would ĉ exclude this node?  Decides whether a negative
-    counterexample can be explained by learnable predicates at all. *)
+val observe_positive : t -> Extent.verdicts -> Xl_xml.Node.t -> bool
+(** Intersection step for a positive example, judged by the verdicts of
+    the task's context; returns whether ĉ shrank. *)
 
 val minimized : t -> Cond.t list
 (** ĉ with relay predicates that a retained join implies removed. *)

@@ -125,9 +125,3 @@ let candidates ?(relay_up = 2) ?(max_fanout = 24) ?pool (dg : Data_graph.t)
   in
   List.iter consider_context context;
   List.rev !out
-
-(** Filter: keep the candidates that hold for a (new) positive example
-    with the given variable [bindings] — the C-Learner intersection step. *)
-let holding (ctx : Xl_xquery.Eval.ctx) (context : Teacher.context)
-    ~(bindings : (string * Node.t) list) (conds : Cond.t list) : Cond.t list =
-  List.filter (fun c -> Extent.satisfies ctx context ~bindings [ c ]) conds

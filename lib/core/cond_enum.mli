@@ -16,9 +16,3 @@ val candidates :
   Teacher.context -> ve:string -> Node.t -> Cond.t list
 (** [pool] fans the Rel3 relay scan out across domains; the candidate
     list (order included) is identical with and without it. *)
-
-val holding :
-  Xl_xquery.Eval.ctx -> Teacher.context -> bindings:(string * Node.t) list ->
-  Cond.t list -> Cond.t list
-(** Keep the candidates a new positive example satisfies — the
-    C-Learner's intersection step. *)

@@ -151,7 +151,10 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
     in
     let fixed : Cond.t list ref = ref [] in
     let rounds = ref 0 in
-    let bind n = Task.bindings_of task n in
+    (* the context and the bindings are fixed for the attempt, so one
+       verdict memo serves the equivalence loop, the C-Learner and the
+       condition minimization *)
+    let verdicts = Extent.verdicts ctx context ~bind:(Task.bindings_of task) in
     let equivalence (dfa : Xl_automata.Dfa.t) : int list option =
       let rec loop () =
         incr rounds;
@@ -159,8 +162,7 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
           raise (Learning_failed (label ^ ": too many equivalence rounds"));
         let conds = Clearner.hypothesis cl @ !fixed in
         let extent =
-          Extent.select_by_dfa ctx dfa base
-          |> Extent.filter_conds ctx context ~bind conds
+          Extent.select_by_dfa ctx dfa base |> Extent.filter verdicts conds
         in
         stats.Stats.eq <- stats.Stats.eq + 1;
         match teacher.Teacher.equivalence ~label ~context ~extent with
@@ -179,7 +181,7 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
             let word = Xl_automata.Alphabet.encode alphabet s in
             if positive then begin
               let path_ok = Xl_automata.Dfa.accepts dfa word in
-              ignore (Clearner.observe_positive cl ctx ~bindings:(bind node));
+              ignore (Clearner.observe_positive cl verdicts node);
               Plearner.note_positive pl s;
               if path_ok then loop () else Some word
             end
@@ -215,6 +217,7 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
     let presentable_dfa =
       (* tighten with the schema of this task's document: the relativized
          schema language that still intersects the learned language *)
+      Xl_obs.Obs.span ~name:"task.tighten" @@ fun () ->
       let k = Xl_automata.Alphabet.size alphabet in
       let dfa' = Xl_automata.Dfa.extend_alphabet dfa ~alphabet_size:k in
       let tightened rel =
@@ -230,11 +233,11 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
        not change the extent (coincidental candidates that survived every
        positive example are usually implied by the real join) *)
     let final_conds =
+      Xl_obs.Obs.span ~name:"task.min_conds" @@ fun () ->
       let hyp = Clearner.minimized cl in
       let candidates = Extent.select_by_dfa ctx dfa base in
       let extent_with conds =
-        Extent.filter_conds ctx context ~bind conds candidates
-        |> List.map (fun (n : Node.t) -> n.Node.id)
+        Extent.filter verdicts conds candidates |> List.map (fun (n : Node.t) -> n.Node.id)
       in
       let reference = extent_with (hyp @ !fixed) in
       let removal_order =
@@ -453,39 +456,34 @@ let sweep_once ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
       (match source_path with
       | None -> ()
       | Some p ->
-        let extent_in context =
-          match Task.base learned store task context with
-          | None -> []
-          | Some base ->
-            Xl_xquery.Eval.eval_path ctx p base
-            |> Extent.filter_conds ctx context ~bind:(Task.bindings_of task)
-                 !conds
-        in
-        let holds context node c =
-          Extent.satisfies ctx context ~bindings:(Task.bindings_of task node)
-            [ c ]
-        in
         List.iter
           (fun context ->
+            let verdicts = Extent.verdicts ctx context ~bind:(Task.bindings_of task) in
+            let extent_in () =
+              match Task.base learned store task context with
+              | None -> []
+              | Some base -> Xl_xquery.Eval.eval_path ctx p base |> Extent.filter verdicts !conds
+            in
+            let holds node c = Extent.holds verdicts c node in
             let rec settle budget =
               if budget > 0 && not !give_up then begin
                 stats.Stats.eq <- stats.Stats.eq + 1;
                 match
                   teacher.Teacher.equivalence ~label:r.task_label ~context
-                    ~extent:(extent_in context)
+                    ~extent:(extent_in ())
                 with
                 | Teacher.Equal -> ()
                 | Teacher.Counter { node; positive } ->
                   stats.Stats.ce <- stats.Stats.ce + 1;
                   if positive then begin
                     let keep, dropped =
-                      List.partition (holds context node) !conds
+                      List.partition (holds node) !conds
                     in
                     (* a spare a positive violates is coincidental
                        everywhere — never offer it either; a dropped
                        condition never re-enters [spares], so the
                        drop/restore cycle cannot oscillate *)
-                    spares := List.filter (holds context node) !spares;
+                    spares := List.filter (holds node) !spares;
                     if dropped = [] then
                       (* every condition holds: the path misses it *)
                       give_up := true
@@ -500,7 +498,7 @@ let sweep_once ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
                        excludes the negative example *)
                     match
                       List.find_opt
-                        (fun c -> not (holds context node c))
+                        (fun c -> not (holds node c))
                         !spares
                     with
                     | Some c ->

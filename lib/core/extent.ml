@@ -51,22 +51,63 @@ let env_of_bindings (bindings : (string * Node.t) list) : Xl_xquery.Env.t =
     (fun env (v, n) -> Xl_xquery.Env.bind env v (Xl_xquery.Value.of_node n))
     Xl_xquery.Env.empty bindings
 
-(** Do [conds] hold under [context] extended with [bindings]? *)
-let satisfies (ctx : Xl_xquery.Eval.ctx) (context : Teacher.context)
-    ~(bindings : (string * Node.t) list) (conds : Xl_xqtree.Cond.t list) : bool =
-  match conds with
-  | [] -> true
-  | _ ->
-    let env = env_of_bindings (context @ bindings) in
-    List.for_all
-      (fun c ->
-        Xl_xquery.Value.to_bool
-          (Xl_xquery.Eval.eval ctx env (Xl_xqtree.Cond.to_expr c)))
-      conds
+(* one condition evaluated on one node: a verdict memo miss *)
+let c_cond_evals = Xl_obs.Obs.Counter.make "cond_evals"
 
-(** Filter candidate nodes by [conds]; [bind] supplies the per-candidate
-    variable bindings. *)
-let filter_conds (ctx : Xl_xquery.Eval.ctx) (context : Teacher.context)
-    ~(bind : Node.t -> (string * Node.t) list) (conds : Xl_xqtree.Cond.t list)
-    (nodes : Node.t list) : Node.t list =
-  List.filter (fun n -> satisfies ctx context ~bindings:(bind n) conds) nodes
+module Cond_tbl = Hashtbl.Make (struct
+  type t = Xl_xqtree.Cond.t
+
+  let equal = Xl_xqtree.Cond.equal
+  let hash = Hashtbl.hash
+end)
+
+module Id_tbl = Hashtbl.Make (Int)
+
+(* a condition compiled once, with its verdicts by node id *)
+type judged = { expr : Xl_xquery.Ast.expr; seen : bool Id_tbl.t }
+
+type verdicts = {
+  ctx : Xl_xquery.Eval.ctx;
+  context : Teacher.context;
+  bind : Node.t -> (string * Node.t) list;
+  conds : judged Cond_tbl.t;
+}
+
+let verdicts ctx context ~bind = { ctx; context; bind; conds = Cond_tbl.create 32 }
+
+let judged v c =
+  match Cond_tbl.find_opt v.conds c with
+  | Some j -> j
+  | None ->
+    let j = { expr = Xl_xqtree.Cond.to_expr c; seen = Id_tbl.create 64 } in
+    Cond_tbl.replace v.conds c j;
+    j
+
+(* every one of [js] holds for [n], judged left to right and stopping at
+   the first failure; the node's env is built at its first memo miss *)
+let holds_all v (js : judged list) (n : Node.t) : bool =
+  let env = ref None in
+  let verdict j =
+    match Id_tbl.find j.seen n.Node.id with
+    | b -> b
+    | exception Not_found ->
+      Xl_obs.Obs.Counter.incr c_cond_evals;
+      let env =
+        match !env with
+        | Some e -> e
+        | None ->
+          let e = env_of_bindings (v.context @ v.bind n) in
+          env := Some e;
+          e
+      in
+      let b = Xl_xquery.Value.to_bool (Xl_xquery.Eval.eval v.ctx env j.expr) in
+      Id_tbl.replace j.seen n.Node.id b;
+      b
+  in
+  List.for_all verdict js
+
+let holds v c n = holds_all v [ judged v c ] n
+
+let filter v conds nodes =
+  let js = List.map (judged v) conds in
+  List.filter (holds_all v js) nodes

@@ -20,12 +20,22 @@ val rel_path : base:Node.t -> Node.t -> string list option
 val ancestor_at : Node.t -> int -> Node.t option
 (** k levels up (0 = the node itself). *)
 
-val env_of_bindings : (string * Node.t) list -> Xl_xquery.Env.t
+type verdicts
+(** Condition verdicts under one context and one [bind]: which
+    conditions hold for which candidate nodes.  Evaluation is pure and
+    the context and bindings are fixed, so a (condition, node) verdict
+    never changes and is computed once.  Each condition's expression is
+    compiled once, and a node's environment (the context plus [bind n])
+    is built only when one of its verdicts is missing.  Every miss counts
+    as one [cond_evals]. *)
 
-val satisfies :
-  Xl_xquery.Eval.ctx -> Teacher.context ->
-  bindings:(string * Node.t) list -> Xl_xqtree.Cond.t list -> bool
-
-val filter_conds :
+val verdicts :
   Xl_xquery.Eval.ctx -> Teacher.context -> bind:(Node.t -> (string * Node.t) list) ->
-  Xl_xqtree.Cond.t list -> Node.t list -> Node.t list
+  verdicts
+
+val holds : verdicts -> Xl_xqtree.Cond.t -> Node.t -> bool
+
+val filter : verdicts -> Xl_xqtree.Cond.t list -> Node.t list -> Node.t list
+(** The nodes every condition holds for, in order.  Conditions are
+    judged left to right per node and the first failure decides, so the
+    verdicts computed are those a plain conjunction would compute. *)

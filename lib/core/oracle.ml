@@ -85,7 +85,8 @@ let target_extent (o : t) (label : string) (context : Teacher.context) :
     in
     let candidates = Extent.select_by_dfa o.ctx (path_dfa o task) base in
     let r =
-      Extent.filter_conds o.ctx context ~bind:(Task.bindings_of task)
+      Extent.filter
+        (Extent.verdicts o.ctx context ~bind:(Task.bindings_of task))
         (Task.conds task) candidates
     in
     Hashtbl.replace o.extents key r;

@@ -220,7 +220,9 @@ let conds_identifiable ctx doc store (target : Xqtree.t)
   then true
   else begin
     let holds ctx cb v nd c =
-      Xl_core.Extent.satisfies ctx cb ~bindings:[ (v, nd) ] [ c ]
+      Xl_core.Extent.holds
+        (Xl_core.Extent.verdicts ctx cb ~bind:(fun nd -> [ (v, nd) ]))
+        c nd
     in
     let walk = canonical_walk ctx doc target in
     let dg = Data_graph.build store in

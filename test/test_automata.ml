@@ -211,6 +211,182 @@ let prop_product_correct =
       let d2 = Regex.to_dfa ~alphabet_size:k r2 in
       Dfa.accepts (Dfa.intersection d1 d2) w = (Dfa.accepts d1 w && Dfa.accepts d2 w))
 
+(* ---------- reference product and minimizer ------------------------------ *)
+
+(* A plain construction kept as the oracle for [Dfa]: every state pair
+   of the product, and Moore refinement hashing an [Array.to_list]
+   signature per state in every round.  The differential properties below require the same
+   automaton, state for state, from both. *)
+module Ref_dfa = struct
+  open Dfa
+
+  let product f a b =
+    if a.alphabet_size <> b.alphabet_size then
+      invalid_arg "Dfa.product: alphabet mismatch";
+    let k = a.alphabet_size in
+    let encode qa qb = (qa * b.states) + qb in
+    let n = a.states * b.states in
+    let finals = Array.make n false in
+    let delta = Array.init n (fun _ -> Array.make k 0) in
+    for qa = 0 to a.states - 1 do
+      for qb = 0 to b.states - 1 do
+        let q = encode qa qb in
+        finals.(q) <- f a.finals.(qa) b.finals.(qb);
+        for s = 0 to k - 1 do
+          delta.(q).(s) <- encode a.delta.(qa).(s) b.delta.(qb).(s)
+        done
+      done
+    done;
+    { alphabet_size = k; states = n; start = encode a.start b.start; finals; delta }
+
+  let intersection = product ( && )
+  let symmetric_difference = product (fun x y -> x <> y)
+
+  let equivalent a b =
+    match shortest_accepted (symmetric_difference a b) with None -> Ok () | Some w -> Error w
+
+  let minimize t =
+    (* reachable states *)
+    let reach = Array.make t.states false in
+    let rec dfs q =
+      if not reach.(q) then begin
+        reach.(q) <- true;
+        Array.iter dfs t.delta.(q)
+      end
+    in
+    dfs t.start;
+    let reach_states = ref [] in
+    for q = t.states - 1 downto 0 do
+      if reach.(q) then reach_states := q :: !reach_states
+    done;
+    let states = !reach_states in
+    (* partition ids *)
+    let cls = Array.make t.states 0 in
+    List.iter (fun q -> cls.(q) <- (if t.finals.(q) then 1 else 0)) states;
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      (* signature = (class, classes of successors) *)
+      let sigs = Hashtbl.create 64 in
+      let next_cls = Array.make t.states 0 in
+      let counter = ref 0 in
+      List.iter
+        (fun q ->
+          let s = (cls.(q), Array.to_list (Array.map (fun q' -> cls.(q')) t.delta.(q))) in
+          let c =
+            match Hashtbl.find_opt sigs s with
+            | Some c -> c
+            | None ->
+              let c = !counter in
+              incr counter;
+              Hashtbl.replace sigs s c;
+              c
+          in
+          next_cls.(q) <- c)
+        states;
+      let distinct_before =
+        let seen = Hashtbl.create 16 in
+        List.iter (fun q -> Hashtbl.replace seen cls.(q) ()) states;
+        Hashtbl.length seen
+      in
+      if !counter <> distinct_before then changed := true;
+      List.iter (fun q -> cls.(q) <- next_cls.(q)) states
+    done;
+    let class_count =
+      let seen = Hashtbl.create 16 in
+      List.iter (fun q -> Hashtbl.replace seen cls.(q) ()) states;
+      Hashtbl.length seen
+    in
+    (* renumber classes densely in order of first occurrence *)
+    let renum = Hashtbl.create 16 in
+    let next = ref 0 in
+    List.iter
+      (fun q ->
+        if not (Hashtbl.mem renum cls.(q)) then begin
+          Hashtbl.replace renum cls.(q) !next;
+          incr next
+        end)
+      states;
+    let cid q = Hashtbl.find renum cls.(q) in
+    let finals = Array.make class_count false in
+    let delta = Array.init class_count (fun _ -> Array.make t.alphabet_size 0) in
+    List.iter
+      (fun q ->
+        finals.(cid q) <- t.finals.(q);
+        for a = 0 to t.alphabet_size - 1 do
+          delta.(cid q).(a) <- cid t.delta.(q).(a)
+        done)
+      states;
+    { alphabet_size = t.alphabet_size; states = class_count; start = cid t.start; finals; delta }
+end
+
+(* a random DFA over [k] symbols with 1..7 states, unreachable states
+   included *)
+let gen_dfa =
+  let open QCheck2.Gen in
+  1 -- 7 >>= fun n ->
+  map3
+    (fun start finals delta ->
+      Dfa.create ~alphabet_size:k ~states:n ~start ~finals:(Array.of_list finals)
+        ~delta:(Array.of_list (List.map Array.of_list delta)))
+    (0 -- (n - 1))
+    (list_repeat n bool)
+    (list_repeat n (list_repeat k (0 -- (n - 1))))
+
+let prop_minimize_matches_reference =
+  QCheck2.Test.make ~name:"minimize matches the reference state for state" ~count:300 gen_dfa
+    (fun d -> Dfa.minimize d = Ref_dfa.minimize d)
+
+let prop_product_matches_reference =
+  QCheck2.Test.make
+    ~name:"minimize (intersection a b) and equivalent match the full product" ~count:300
+    QCheck2.Gen.(pair gen_dfa gen_dfa)
+    (fun (a, b) ->
+      Dfa.minimize (Dfa.intersection a b) = Ref_dfa.minimize (Ref_dfa.intersection a b)
+      && Dfa.equivalent a b = Ref_dfa.equivalent a b
+      && Dfa.equivalent (Dfa.minimize a) a = Ok ())
+
+(* ---------- L* against the bool-array table ------------------------------ *)
+
+type event =
+  | Batch of int list array * int array * int array * int array
+  | Hypothesis of Dfa.t
+
+(* An exact teacher that logs every batch and every hypothesis.  Its
+   counterexample is the last word of length at most 5 in the symmetric
+   difference, not the shortest: long counterexamples put many prefixes
+   into S, which is what makes tables inconsistent. *)
+let recording_teacher target log =
+  {
+    Lstar.membership_batch =
+      (fun (b : Lstar.batch) ->
+        log := Batch (b.suffixes, b.nodes, b.rows, b.cols) :: !log;
+        Array.map (fun node -> Dfa.accepts target (Trie.symbols b.trie node)) b.nodes);
+    equivalence =
+      (fun h ->
+        log := Hypothesis h :: !log;
+        match List.rev (Dfa.accepted_up_to (Dfa.symmetric_difference h target) 5) with
+        | w :: _ -> Some w
+        | [] -> (match Dfa.equivalent h target with Ok () -> None | Error w -> Some w));
+  }
+
+let prop_lstar_matches_reference =
+  QCheck2.Test.make ~name:"L* matches the bool-array table batch for batch" ~count:200
+    QCheck2.Gen.(
+      triple gen_regex gen_regex (list_size (0 -- 2) (list_size (0 -- 4) (0 -- (k - 1)))))
+    (fun (r1, r2, init) ->
+      let r = Regex.Alt (Regex.Seq (r1, Regex.Star r2), Regex.Seq (r2, r1)) in
+      let target = Dfa.minimize (Regex.to_dfa ~alphabet_size:k r) in
+      let log = ref [] and ref_log = ref [] in
+      let learned, stats =
+        Lstar.learn ~init ~trie:(Trie.create ()) ~alphabet_size:k (recording_teacher target log)
+      in
+      let ref_learned, ref_stats =
+        Ref_lstar.learn ~init ~trie:(Trie.create ()) ~alphabet_size:k
+          (recording_teacher target ref_log)
+      in
+      !log = !ref_log && learned = ref_learned && stats = ref_stats)
+
 (* ---------- Batched membership ------------------------------------------ *)
 
 (* An observation-table-shaped batch: S is every word over {0..3} up to
@@ -286,5 +462,8 @@ let () =
             prop_of_dfa_roundtrip;
             prop_minimize_preserves;
             prop_product_correct;
+            prop_minimize_matches_reference;
+            prop_product_matches_reference;
+            prop_lstar_matches_reference;
           ] );
     ]

@@ -226,6 +226,40 @@ let test_dataguide_rows_pinned () =
         Alcotest.failf "%s: pinned %s, got %s" key (Json.to_string want) got)
     rows
 
+(* The query text of every Figure-16 scenario on the default instance,
+   pinned by fig16_queries.json (a declared test dep), keyed
+   "suite/name".  The text depends on more than the interaction counts:
+   the state numbering of the schema-tightened path DFA decides the
+   printed path, and the condition minimization decides which
+   predicates are printed. *)
+let test_fig16_queries_pinned () =
+  let module Json = Xl_json.Json in
+  let pinned =
+    match
+      List.find_opt Sys.file_exists [ "fig16_queries.json"; "test/fig16_queries.json" ]
+    with
+    | None -> Alcotest.fail "fig16_queries.json not found (declared test dep)"
+    | Some path -> (
+      match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+      | Ok (Json.Obj rows) ->
+        List.map
+          (function
+            | key, Json.Str q -> (key, q)
+            | key, _ -> Alcotest.failf "%s: %s is not a string" path key)
+          rows
+      | Ok _ -> Alcotest.failf "%s: not a JSON object" path
+      | Error e -> Alcotest.failf "%s: %s" path e)
+  in
+  let rows =
+    List.map
+      (fun (key, sc) -> (key, (Learn.run sc).Learn.query_text))
+      (List.map (fun (n, sc) -> ("xmark/" ^ n, sc)) (Lazy.force xmark)
+      @ List.map (fun (n, sc) -> ("xmp/" ^ n, sc)) (Xl_workload.Xmp_scenarios.all ()))
+  in
+  check (Alcotest.list Alcotest.string) "one pinned query per scenario"
+    (List.map fst pinned) (List.map fst rows);
+  List.iter (fun (key, got) -> check Alcotest.string key (List.assoc key pinned) got) rows
+
 (* ---------- determinism ----------------------------------------------------------- *)
 
 let test_sessions_deterministic () =
@@ -255,6 +289,7 @@ let () =
           Alcotest.test_case "R1/R2 off" `Slow test_ablation_rules;
           Alcotest.test_case "paper-driver rows pinned" `Slow test_paper_rows_pinned;
           Alcotest.test_case "DataGuide rows pinned" `Slow test_dataguide_rows_pinned;
+          Alcotest.test_case "Figure-16 query texts pinned" `Slow test_fig16_queries_pinned;
         ] );
       ("determinism", [ Alcotest.test_case "repeatable sessions" `Quick test_sessions_deterministic ]);
     ]

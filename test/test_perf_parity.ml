@@ -669,9 +669,9 @@ let test_pinned_fig16_counts () =
 
 (* The fill's counted work on the Figure-16 set (XMark 1x + XMP) with
    the counters on.  Batch traffic, its auto-answered share, genuine and
-   reused questions and L* rounds are the learner's work, not the
-   host's, so they are pinned exactly; and with no [on_auto] observer
-   only genuine questions are spelled into words. *)
+   reused questions, L* rounds and conditions judged are the learner's
+   work, not the host's, so they are pinned exactly; and with no
+   [on_auto] observer only genuine questions are spelled into words. *)
 let test_fill_work_counted () =
   let module Obs = Xl_obs.Obs in
   Obs.reset ();
@@ -692,6 +692,8 @@ let test_fill_work_counted () =
       ("mq_user", 63);
       ("mq_reused", 0);
       ("lstar_rounds", 70);
+      (* one condition judged on one node, memo misses only *)
+      ("cond_evals", 1858);
     ];
   if value "mq_spelled" > value "mq_user" then
     Alcotest.failf "%d words spelled for %d genuine questions" (value "mq_spelled")
