@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-par bench-frozen bench-stream bench-machine bench-serve machine-test machine-demo serve obs-demo obs-report fuzz clean
+.PHONY: build test bench bench-par bench-frozen bench-stream bench-machine bench-serve machine-test machine-demo serve obs-demo obs-report fuzz seed-sweep clean
 
 build:
 	dune build
@@ -80,6 +80,13 @@ machine-demo:
 # if any minimized counterexample survives.
 fuzz:
 	dune exec bench/main.exe -- fuzz --cases 500 --seed 20040301
+
+# Every XMark scenario learned on the instances of seeds 1-40, then the
+# XMP set, on the domain pool; exits 1 if any learned query fails
+# verification or any session raises.
+seed-sweep:
+	dune build bench/main.exe
+	dune exec bench/main.exe -- seed-sweep
 
 # One XMP learning session with telemetry on: writes a JSONL trace
 # (spans + metrics + the teacher dialog) plus a Chrome trace-event file

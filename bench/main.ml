@@ -22,6 +22,10 @@
      dune exec bench/main.exe -- serve        -- server parity under concurrent
                                                  sessions (make bench-serve)
      dune exec bench/main.exe -- fuzz         -- differential fuzzing (make fuzz)
+     dune exec bench/main.exe -- seed-sweep   -- every XMark scenario on seeds
+                                                 1-40 plus XMP, exit 1 on any
+                                                 unverified query
+                                                 (make seed-sweep)
      dune exec bench/main.exe -- obs-report T -- offline analysis of a JSONL
                                                  trace T: span-tree self time,
                                                  worker utilization, critical
@@ -262,6 +266,46 @@ let reuse () =
   print_endline
     "\n=> a re-learned drop box replays the first run's genuine answers: zero";
   print_endline "   membership queries the second time around\n"
+
+(* ---------- seeded sweep (make seed-sweep) ------------------------------ *)
+
+(* [seed-sweep] learns every XMark scenario on the instances of seeds
+   1-40, then the XMP set, on the domain pool, and lists every learned
+   query that failed verification and every session that raised.  The
+   Figure-16 suites see one instance each; a seeded instance exposes
+   drop contexts where the intended extent needs no condition, which
+   only the repair sweep can then fix.  Exit 1 on any listed failure. *)
+let sweep_seeds = 40
+
+let seed_sweep () =
+  print_endline line;
+  Printf.printf "Seeded sweep: XMark on seeds 1-%d, then XMP\n" sweep_seeds;
+  print_endline line;
+  let learn (name, sc) =
+    match Xl_core.Learn.run sc with
+    | r when r.Xl_core.Learn.verified -> None
+    | _ -> Some (name ^ ": unverified")
+    | exception e -> Some (Printf.sprintf "%s: FAILED: %s" name (Printexc.to_string e))
+  in
+  let run_set label scenarios =
+    let failures = List.filter_map Fun.id (Pool.map (pool ()) learn scenarios) in
+    Printf.printf "%-10s %2d scenarios, %d not verified%s\n%!" label
+      (List.length scenarios) (List.length failures)
+      (String.concat "" (List.map (fun f -> "\n  " ^ f) failures));
+    List.length failures
+  in
+  let xmark =
+    List.fold_left
+      (fun acc seed ->
+        acc
+        + run_set (Printf.sprintf "seed %d" seed)
+            (Xl_workload.Xmark_scenarios.all ~seed ()))
+      0
+      (List.init sweep_seeds (fun i -> i + 1))
+  in
+  let failures = xmark + run_set "XMP" (Xl_workload.Xmp_scenarios.all ()) in
+  Printf.printf "\n=> %d learned queries not verified\n\n" failures;
+  if failures > 0 then exit 1
 
 (* ---------- frozen-store scan parity (make bench-frozen) ----------------- *)
 
@@ -978,6 +1022,7 @@ let () =
     | "machine" -> machine_bench ()
     | "serve" -> serve_bench ()
     | "fuzz" -> fuzz ()
+    | "seed-sweep" -> seed_sweep ()
     | "all" ->
       fig15 ();
       fig16_xmark ();
@@ -987,7 +1032,7 @@ let () =
       reuse ()
     | other ->
       Printf.eprintf
-        "unknown benchmark %S (expected fig15 | fig16-xmark | fig16-xmp | ablation | reuse | sgml | frozen | stream | machine | serve | fuzz | obs-report TRACE | all)\n"
+        "unknown benchmark %S (expected fig15 | fig16-xmark | fig16-xmp | ablation | reuse | sgml | frozen | stream | machine | serve | fuzz | seed-sweep | obs-report TRACE | all)\n"
         other;
       exit 2
   in

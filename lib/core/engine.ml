@@ -83,6 +83,22 @@ let context_of (tree : Xqtree.t) (bindings : (string * (string * Node.t)) list)
 
 exception Reanchor
 
+(* A negative counterexample that neither the path language nor a spare
+   condition can exclude: ask the user for the missing predicate in a
+   Condition Box (Section 7.1), counted in CB.  [None] when the teacher
+   cannot state one.  Both the per-task equivalence loop and the repair
+   sweep raise their boxes here, so the two count them alike. *)
+let condition_box ~(stats : Stats.t) ~(teacher : Teacher.t) ~label ~context
+    (node : Node.t) : Cond.t option =
+  match
+    teacher.Teacher.condition_box ~label ~context ~negative_example:(Some node)
+  with
+  | Some { Teacher.cond; terminals; negative = _ } ->
+    stats.Stats.cb <- stats.Stats.cb + 1;
+    stats.Stats.cb_terminals <- stats.Stats.cb_terminals + terminals;
+    Some cond
+  | None -> None
+
 let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
     ~(ctx : Xl_xquery.Eval.ctx) ~(dg : Data_graph.t)
     ~(schema_dfas : Xl_automata.Dfa.t list) ~(tree : Xqtree.t)
@@ -187,13 +203,8 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
             end
             else if Plearner.is_known_positive pl word then begin
               (* no path expression separates it: raise a Condition Box *)
-              match
-                teacher.Teacher.condition_box ~label ~context
-                  ~negative_example:(Some node)
-              with
-              | Some { Teacher.cond; terminals; negative = _ } ->
-                stats.Stats.cb <- stats.Stats.cb + 1;
-                stats.Stats.cb_terminals <- stats.Stats.cb_terminals + terminals;
+              match condition_box ~stats ~teacher ~label ~context node with
+              | Some cond ->
                 fixed := !fixed @ [ cond ];
                 loop ()
               | None ->
@@ -372,7 +383,10 @@ let rebuild (tree : Xqtree.t) (results : node_result list) : Xqtree.t =
    violates (target conditions hold for every member of every intended
    extent, so only coincidental conjuncts can be dropped), and a
    negative counterexample restores a spare condition — one the drop
-   context could not distinguish from redundant — that excludes it.
+   context could not distinguish from redundant — that excludes it, or,
+   when no spare does, raises a Condition Box ([condition_box]).  A
+   task with no conditions at all is swept too: its drop context may
+   simply not have needed the predicate another context does.
    Conditions discarded by a positive example are banned from
    restoration, so the repair terminates.
 
@@ -443,7 +457,6 @@ let sweep_once ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
         tasks
     with
     | None -> r
-    | Some _ when r.learned_conds = [] && r.spare_conds = [] -> r
     | Some task ->
       let source_path =
         match Task.composed_source task with
@@ -495,11 +508,14 @@ let sweep_once ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
                   end
                   else begin
                     (* under-constrained here: restore a spare that
-                       excludes the negative example *)
+                       excludes the negative example, or raise a
+                       Condition Box when none does *)
                     match
-                      List.find_opt
-                        (fun c -> not (holds node c))
-                        !spares
+                      match List.find_opt (fun c -> not (holds node c)) !spares with
+                      | Some c -> Some c
+                      | None ->
+                        condition_box ~stats ~teacher ~label:r.task_label
+                          ~context node
                     with
                     | Some c ->
                       conds := !conds @ [ c ];
@@ -599,7 +615,7 @@ let run ~(config : config) ~(teacher : Teacher.t) ~known ~on_auto ~on_phase
            | Xl_xquery.Value.Atom a -> Xl_xquery.Value.atom_to_string a)
          v)
   in
-  let reference = out tree in
+  let reference = Xl_obs.Obs.span ~name:"learn.reference" (fun () -> out tree) in
   let verify t = String.equal (out t) reference in
   on_phase Verifying;
   let verified =

@@ -12,13 +12,13 @@
       store's frozen arrays; a constructed (foreign) base takes the
       pointer walk [tree_select], the only engine that reaches it.
       Either way the result is memoized per (DFA, base node);
-    - an equality [where] clause whose build side is a path over a
-      [for] variable with a closed binding sequence executes as a hash
-      join — the build side is indexed once per (sequence, key) pair and
-      cached on the context, the probe side streams.  A [some]
-      quantifier of the same shape (Rel3 relay conditions) runs as a
-      hash semi-join over the same index.  Everything else is a nested
-      loop.
+    - an equality or node-identity ([is]) [where] clause whose build
+      side is a path over a [for] variable with a closed binding
+      sequence executes as a hash join — the build side is indexed once
+      per (comparison, sequence, key) and cached on the context, the
+      probe side streams.  A [some] quantifier of the same shape (Rel3
+      relay conditions, [is]-identity bodies) runs as a hash semi-join
+      over the same index.  Everything else is a nested loop.
 
     The nested-loop, pointer-walk-only reference that tests compare
     against is [Xl_fuzz.Ref_eval], built from this module's exported
@@ -35,18 +35,21 @@ type compiled_path = {
   live : bool array;  (** states from which a final state is reachable *)
 }
 
-(** Build side of a hash join, cached per (source sequence, key path). *)
+(** Build side of a hash join, cached per (comparison, source sequence,
+    key path). *)
 type join_index = {
   items : Value.item array;  (** the build sequence, original order *)
   buckets : (string, int list) Hashtbl.t;
-      (** {!Value.atom_hash_keys} key -> ascending indices into [items] *)
+      (** join key (see [join_keys]) -> ascending indices into [items] *)
 }
 
 (** A planned hash join for one FLWOR: bind [jp_var] (the [jp_binding]-th
     [for] binding, whose closed source is [jp_source]) by probing the
-    index of [jp_key] with the values of [jp_probe]; [jp_residual] is
-    what remains of the [where] clause. *)
+    index of [jp_key] with the values of [jp_probe] under the comparison
+    [jp_op] ([Eq] or [Is]); [jp_residual] is what remains of the [where]
+    clause. *)
 type join_plan = {
+  jp_op : Ast.cmp_op;
   jp_binding : int;
   jp_var : string;
   jp_source : Ast.expr;
@@ -60,7 +63,9 @@ type ctx = {
   alphabet : Xl_automata.Alphabet.t;
   cache : (Path_expr.t, compiled_path) Hashtbl.t;
   mutable constructed : int;  (** count of constructed elements (stats) *)
-  join_cache : (Ast.expr * Ast.expr, join_index) Hashtbl.t;
+  join_cache : (Ast.cmp_op * Ast.expr * Ast.expr, join_index) Hashtbl.t;
+      (** the comparison is part of the key: an [=] index and an [is]
+          index over the same source and key hold different keys *)
   plan_cache : (Ast.expr, join_plan option) Hashtbl.t;
       (** keyed by the [Flwor] or [Some_] expression planned *)
   frozen_syms : (int, int array * int) Hashtbl.t;
@@ -92,14 +97,20 @@ let c_extent_miss = Xl_obs.Obs.Counter.make "extent_cache_miss"
 
 let liveness = Xl_automata.Dfa.liveness
 
-let intern_doc_symbols alphabet doc =
-  List.iter
-    (fun n -> ignore (Xl_automata.Alphabet.intern alphabet (Node.symbol n)))
-    (Doc.all_nodes doc)
-
 let make_ctx (store : Store.t) : ctx =
   let alphabet = Xl_automata.Alphabet.create () in
-  List.iter (intern_doc_symbols alphabet) (Store.docs store);
+  (* each snapshot's symbol table is its symbols in first-appearance
+     document order, so interning the tables in store order gives the
+     alphabet a walk of every node would, without the walk; the document
+     node's own symbol is not a path symbol *)
+  List.iter
+    (fun (fz : Frozen.t) ->
+      Array.iter
+        (fun s ->
+          if not (String.equal s "#doc") then
+            ignore (Xl_automata.Alphabet.intern alphabet s))
+        fz.Frozen.symbols)
+    (Store.frozen_docs store);
   (* constructed text nodes must already be interned when a path walks a
      constructed tree: interning mid-walk invalidates every cached DFA *)
   ignore (Xl_automata.Alphabet.intern alphabet "#text");
@@ -462,7 +473,8 @@ let rec pure_expr (e : Ast.expr) : bool =
 (** Plan a hash join for [f], if its [where] clause supports one that is
     observationally equivalent to the nested-loop evaluation:
 
-    - the join conjunct is an equality whose build side mentions exactly
+    - the join conjunct is an equality or a node-identity ([is])
+      comparison whose build side mentions exactly
       one variable, bound by a [for] binding with a closed, pure source
       sequence, and whose probe side only mentions variables available
       before that binding expands (outer/free variables or earlier [for]
@@ -486,7 +498,7 @@ let plan_hash_join (f : Ast.flwor) : join_plan option =
         let rec go i = if i >= n then None else if String.equal (fst bindings.(i)) v then Some i else go (i + 1) in
         go 0
       in
-      let orient build probe =
+      let orient op build probe =
         if not (pure_expr build && pure_expr probe) then None
         else
           match Ast.free_vars build with
@@ -513,6 +525,7 @@ let plan_hash_join (f : Ast.flwor) : join_plan option =
               then
                 Some
                   {
+                    jp_op = op;
                     jp_binding = i;
                     jp_var = v;
                     jp_source = src;
@@ -529,8 +542,8 @@ let plan_hash_join (f : Ast.flwor) : join_plan option =
         | c :: rest -> (
           let plan =
             match c with
-            | Ast.Cmp (Ast.Eq, l, r) -> (
-              match orient l r with Some p -> Some p | None -> orient r l)
+            | Ast.Cmp ((Ast.Eq | Ast.Is) as op, l, r) -> (
+              match orient op l r with Some p -> Some p | None -> orient op r l)
             | _ -> None
           in
           match plan with
@@ -575,6 +588,21 @@ let memo_plan (ctx : ctx) (key : Ast.expr) plan : join_plan option =
     let p = plan () in
     Hashtbl.replace ctx.plan_cache key p;
     p
+
+(* The hash keys of a join side, deduplicated: two values share a key
+   iff the comparison holds between them.  [=] meets on
+   {!Value.atom_hash_keys}; [is] meets on node ids, and atoms, which are
+   identical to no node, get no keys. *)
+let join_keys (op : Ast.cmp_op) (v : Value.t) : string list =
+  let keys =
+    match op with
+    | Ast.Is ->
+      List.filter_map
+        (function Value.Node n -> Some (string_of_int n.Node.id) | Value.Atom _ -> None)
+        v
+    | _ -> List.concat_map Value.atom_hash_keys (Value.atomize v)
+  in
+  List.sort_uniq String.compare keys
 
 exception Type_error of string
 
@@ -666,6 +694,14 @@ let order_tuples (eval_in : Env.t -> Ast.expr -> Value.t)
   in
   List.map snd (List.stable_sort cmp_keys decorated)
 
+(* A path step applied to every node of [v]: from a single node both
+   engines already yield document order without duplicates, so only
+   several bases need the sort that merges their results *)
+let select_from (v : Value.t) (select : Node.t -> Node.t list) : Value.t =
+  match v with
+  | [ Value.Node n ] -> Value.of_nodes (select n)
+  | v -> Value.document_order (Value.of_nodes (List.concat_map select (Value.nodes_of v)))
+
 let rec eval (ctx : ctx) (env : Env.t) (e : Ast.expr) : Value.t =
   match e with
   | Ast.Literal a -> [ Value.Atom a ]
@@ -675,14 +711,8 @@ let rec eval (ctx : ctx) (env : Env.t) (e : Ast.expr) : Value.t =
     match uri with
     | None -> [ Value.Node (Store.default ctx.store).Doc.doc_node ]
     | Some u -> [ Value.Node (Store.find_exn ctx.store u).Doc.doc_node ])
-  | Ast.Path (e, p) ->
-    let v = eval ctx env e in
-    Value.document_order
-      (Value.of_nodes (List.concat_map (eval_path ctx p) (Value.nodes_of v)))
-  | Ast.Simple (e, p) ->
-    let v = eval ctx env e in
-    Value.document_order
-      (Value.of_nodes (List.concat_map (Simple_path.eval p) (Value.nodes_of v)))
+  | Ast.Path (e, p) -> select_from (eval ctx env e) (eval_path ctx p)
+  | Ast.Simple (e, p) -> select_from (eval ctx env e) (Simple_path.eval p)
   | Ast.Flwor f -> eval_flwor ctx env f
   | Ast.Some_ (bs, body) -> Value.of_bool (eval_quant ctx env bs body ~exists:true)
   | Ast.Every (bs, body) -> Value.of_bool (eval_quant ctx env bs body ~exists:false)
@@ -708,7 +738,7 @@ let rec eval (ctx : ctx) (env : Env.t) (e : Ast.expr) : Value.t =
 (** The build-side index for [p], shared across probes through the
     context and built once per context. *)
 and join_index_of (ctx : ctx) (p : join_plan) : join_index =
-  let key = (p.jp_source, p.jp_key) in
+  let key = (p.jp_op, p.jp_source, p.jp_key) in
   match Hashtbl.find_opt ctx.join_cache key with
   | Some ji -> ji
   | None ->
@@ -717,15 +747,11 @@ and join_index_of (ctx : ctx) (p : join_plan) : join_index =
     Array.iteri
       (fun i item ->
         let v = eval ctx (Env.bind Env.empty p.jp_var [ item ]) p.jp_key in
-        let keys =
-          List.sort_uniq String.compare
-            (List.concat_map Value.atom_hash_keys (Value.atomize v))
-        in
         List.iter
           (fun k ->
             let cur = Option.value ~default:[] (Hashtbl.find_opt buckets k) in
             Hashtbl.replace buckets k (i :: cur))
-          keys)
+          (join_keys p.jp_op v))
       items;
     Hashtbl.filter_map_inplace (fun _ is -> Some (List.rev is)) buckets;
     let ji = { items; buckets } in
@@ -737,11 +763,7 @@ and join_index_of (ctx : ctx) (p : join_plan) : join_index =
     the tuples the nested loop would keep for the join conjunct. *)
 and probe_join (ctx : ctx) (env : Env.t) (p : join_plan) : Env.t Seq.t =
   let ji = join_index_of ctx p in
-  let keys =
-    List.sort_uniq String.compare
-      (List.concat_map Value.atom_hash_keys
-         (Value.atomize (eval ctx env p.jp_probe)))
-  in
+  let keys = join_keys p.jp_op (eval ctx env p.jp_probe) in
   let idxs =
     List.sort_uniq Int.compare
       (List.concat_map

@@ -10,10 +10,10 @@
     engine.  Selections from store-resident bases scan the store's frozen
     arrays, selections from constructed nodes take the pointer walk
     ({!tree_select}), and both are memoized per (DFA, base node).
-    Eligible equality [where] clauses run as cached hash joins and
-    eligible [some] quantifiers (Rel3 relay conditions) as hash
-    semi-joins over the same cached index; everything else is a nested
-    loop.  FLWOR tuple streams are lazy.  [Xl_fuzz.Ref_eval], the
+    Eligible equality and node-identity ([is]) [where] clauses run as
+    cached hash joins and eligible [some] quantifiers (Rel3 relay
+    conditions, [is]-identity bodies) as hash semi-joins over the same
+    cached index; everything else is a nested loop.  FLWOR tuple streams are lazy.  [Xl_fuzz.Ref_eval], the
     nested-loop pointer-walk reference, is the differential oracle the
     tests hold this module to. *)
 
@@ -22,17 +22,20 @@ type compiled_path = {
   live : bool array;  (** states from which a final state is reachable *)
 }
 
-(** Build side of a hash join, cached per (source sequence, key path). *)
+(** Build side of a hash join, cached per (comparison, source sequence,
+    key path). *)
 type join_index = {
   items : Value.item array;  (** the build sequence, original order *)
   buckets : (string, int list) Hashtbl.t;
-      (** {!Value.atom_hash_keys} key -> ascending indices into [items] *)
+      (** join key -> ascending indices into [items]: an
+          {!Value.atom_hash_keys} key for [=], a node id for [is] *)
 }
 
 (** A planned hash join for one FLWOR or one [some] quantifier (see
     [plan_hash_join] and [plan_semi_join] in the implementation for the
     eligibility rules). *)
 type join_plan = {
+  jp_op : Ast.cmp_op;  (** the join comparison, [Eq] or [Is] *)
   jp_binding : int;  (** index of the build binding in [for_] *)
   jp_var : string;
   jp_source : Ast.expr;  (** closed source sequence of the build binding *)
@@ -48,7 +51,7 @@ type ctx = {
   alphabet : Xl_automata.Alphabet.t;
   cache : (Path_expr.t, compiled_path) Hashtbl.t;
   mutable constructed : int;  (** constructed-element counter *)
-  join_cache : (Ast.expr * Ast.expr, join_index) Hashtbl.t;
+  join_cache : (Ast.cmp_op * Ast.expr * Ast.expr, join_index) Hashtbl.t;
   plan_cache : (Ast.expr, join_plan option) Hashtbl.t;
       (** hash-join plans, keyed by the [Flwor] or [Some_] expression *)
   frozen_syms : (int, int array * int) Hashtbl.t;
@@ -69,8 +72,10 @@ val liveness : Xl_automata.Dfa.t -> bool array
     Alias of {!Xl_automata.Dfa.liveness}. *)
 
 val make_ctx : Xl_xml.Store.t -> ctx
-(** Interns every symbol of every document in the store.  A context
-    holds mutable caches: keep each one on a single domain. *)
+(** Interns every symbol of every document in the store, from the
+    snapshots' symbol tables in store order: the order a document-order
+    walk of every node would intern them in.  A context holds mutable
+    caches: keep each one on a single domain. *)
 
 val ctx_of_doc : Xl_xml.Doc.t -> ctx
 

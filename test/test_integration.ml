@@ -103,6 +103,20 @@ let test_xmark_q5_function () =
   check cint "Q5 one drop into the nested box" 1 s.Stats.dd;
   check cint "Q5 count() adds a terminal" 2 s.Stats.dd_terminals
 
+(* Q11's income theta join is stated in a Condition Box.  On these
+   seeds the drop context needs no condition, so learning ends without
+   one and only the repair sweep, routing the negative counterexample to
+   a Condition Box, can add it. *)
+let test_xmark_q11_seeded () =
+  List.iter
+    (fun seed ->
+      let sc = find (Xl_workload.Xmark_scenarios.all ~seed ()) "Q11" in
+      let r = Learn.run sc in
+      let tag = Printf.sprintf "Q11 seed %d" seed in
+      check cbool (tag ^ " verified") true r.Learn.verified;
+      check cbool (tag ^ " condition box raised") true (r.Learn.stats.Stats.cb >= 1))
+    [ 8; 28; 46 ]
+
 (* ---------- ablation: the rules are what makes it practical --------------------- *)
 
 let test_ablation_rules () =
@@ -283,6 +297,7 @@ let () =
           Alcotest.test_case "Q17 (negative box)" `Slow test_xmark_q17_ncb;
           Alcotest.test_case "Q19 (order by)" `Slow test_xmark_q19_orderby;
           Alcotest.test_case "Q5 (drop-box function)" `Slow test_xmark_q5_function;
+          Alcotest.test_case "Q11 verified on seeds 8, 28, 46" `Slow test_xmark_q11_seeded;
         ] );
       ( "ablation",
         [

@@ -300,6 +300,114 @@ let test_semi_join_scaling () =
   let row sc = Xl_core.Stats.to_row (Xl_core.Learn.run sc).Xl_core.Learn.stats in
   Alcotest.(check string) "Q9 row at 4x equals 1x" (row x1) (row x4)
 
+(* ---------- identity semi-join ------------------------------------------- *)
+
+(* [is] conjuncts are planned like [=] ones, keyed on node ids.  Q2's
+   condition is the first bidder's increase of some open auction; the
+   same shape as a FLWOR join, and the atoms, attributes and constructed
+   nodes that meet no node id, on every tiny instance. *)
+let identity_queries =
+  let first = "$b/bidder[1]/increase" in
+  [
+    ( "q2-some",
+      Printf.sprintf
+        "for $inc in /site/open_auctions/open_auction/bidder/increase where some $b in /site/open_auctions/open_auction satisfies $inc is %s return $inc"
+        first );
+    ( "q2-some-build-left",
+      Printf.sprintf
+        "for $inc in /site/open_auctions/open_auction/bidder/increase return <o>{some $b in /site/open_auctions/open_auction satisfies %s is $inc}</o>"
+        first );
+    ( "flwor-join",
+      Printf.sprintf
+        "for $inc in /site/open_auctions/open_auction/bidder/increase, $b in /site/open_auctions/open_auction where $inc is %s return <o>{$inc}{$b/@id}</o>"
+        first );
+    ( "join-with-residual",
+      "for $p in /site/people/person, $q in /site/people/person where $p is $q and exists($p/@id) return $q/@id"
+    );
+    ( "atom-probe",
+      "for $inc in /site/open_auctions/open_auction/bidder/increase return <o>{some $b in /site/open_auctions/open_auction satisfies data($inc) is $b/bidder[1]/increase}</o>"
+    );
+    ( "atom-build",
+      "for $inc in /site/open_auctions/open_auction/bidder/increase return <o>{some $b in /site/open_auctions/open_auction satisfies $inc is data($b/bidder[1]/increase)}</o>"
+    );
+    ( "constructed-probe",
+      "for $c in (<increase>1</increase>, <increase/>) return <o>{some $b in /site/open_auctions/open_auction satisfies $c is $b/bidder[1]/increase}</o>"
+    );
+    ( "mixed-probe",
+      Printf.sprintf
+        "for $inc in /site/open_auctions/open_auction/bidder/increase return <o>{some $b in /site/open_auctions/open_auction satisfies ($inc, data($inc)) is (%s, $b/bidder[1])}</o>"
+        first );
+  ]
+
+let test_identity_semi_join_parity () =
+  List.iter
+    (fun seed ->
+      let doc =
+        Xl_workload.Xmark_gen.generate ~seed Xl_workload.Xmark_gen.tiny_scale
+      in
+      let store = Xml.Store.of_docs [ doc ] in
+      check_query_parity ~suite:(Printf.sprintf "identity-seed%d" seed) store
+        identity_queries;
+      (* every query takes a join: a FLWOR hash join or a semi-join *)
+      List.iter
+        (fun (id, q) ->
+          let (), (s, n, _) =
+            with_quant_counts (fun () ->
+                ignore (Eval.run (Eval.make_ctx store) (Parser.parse q)))
+          in
+          let joins = s + quant_counter "eval_flwor_hash_join" in
+          Alcotest.(check bool) (id ^ ": joined") true (joins > 0);
+          Alcotest.(check int) (id ^ ": no nested quantifier") 0 n)
+        identity_queries)
+    [ 1; 2; 3 ]
+
+(* The join index cache is keyed on the comparison as well as on (source,
+   key): an [=] plan and an [is] plan over the same source and key
+   expressions index different keys, so whichever runs second on a shared
+   context must not be answered from the other's index.  Increases repeat
+   across auctions, so the two queries really differ. *)
+let test_identity_and_equality_share_no_index () =
+  let store =
+    Xml.Store.of_docs
+      [ Xl_workload.Xmark_gen.generate ~seed:1 Xl_workload.Xmark_gen.tiny_scale ]
+  in
+  let query op =
+    Printf.sprintf
+      "for $inc in /site/open_auctions/open_auction/bidder/increase return <o>{some $b in /site/open_auctions/open_auction satisfies $inc %s $b/bidder[1]/increase}</o>"
+      op
+    |> Parser.parse
+  in
+  let eq = query "=" and is = query "is" in
+  let reference q = Xl_fuzz.Ref_eval.run_to_string (Eval.make_ctx store) q in
+  let ref_eq = reference eq and ref_is = reference is in
+  Alcotest.(check bool) "= and is answer differently here" true
+    (not (String.equal ref_eq ref_is));
+  List.iter
+    (fun (order, first, second) ->
+      let ctx = Eval.make_ctx store in
+      let got_first = Eval.run_to_string ctx (fst first) in
+      let got_second = Eval.run_to_string ctx (fst second) in
+      Alcotest.(check string) (order ^ ": first") (snd first) got_first;
+      Alcotest.(check string) (order ^ ": second, shared context") (snd second)
+        got_second;
+      Alcotest.(check int) (order ^ ": one index per comparison") 2
+        (Hashtbl.length ctx.Eval.join_cache))
+    [ ("= then is", (eq, ref_eq), (is, ref_is)); ("is then =", (is, ref_is), (eq, ref_eq)) ]
+
+(* Counted: the learner's Q2 target evaluates its [where] quantifier as
+   the identity semi-join on every tuple, never as a nested loop. *)
+let test_q2_identity_semi_join () =
+  let sc = List.assoc "Q2" (Xl_workload.Xmark_scenarios.all ()) in
+  let store = sc.Xl_core.Scenario.store in
+  let ast = Xl_xqtree.Xqtree.to_ast sc.Xl_core.Scenario.target in
+  let reference = Xl_fuzz.Ref_eval.run_to_string (Eval.make_ctx store) ast in
+  let got, (semi, nested, _) =
+    with_quant_counts (fun () -> Eval.run_to_string (Eval.make_ctx store) ast)
+  in
+  Alcotest.(check string) "Q2 result, semi-join vs nested loop" reference got;
+  Alcotest.(check bool) "semi-joins" true (semi > 0);
+  Alcotest.(check int) "nested quantifiers" 0 nested
+
 (* XMark Q1's inner FLWOR joins items to their category by an equality
    [where]: on a 24-category instance it must be planned as a hash join
    on every one of the 24 outer iterations, never as a nested loop, and
@@ -464,6 +572,69 @@ let test_select_engine_parity () =
            sampled)
         [] mismatches)
     outcomes
+
+(* ---------- context alphabet ---------------------------------------------- *)
+
+(* The node walk the context alphabet was once built with: every node of
+   every document in document order, documents in store order, then
+   "#text" for constructed text.  [Eval.make_ctx] reads the snapshots'
+   symbol tables instead, and must intern the same symbols in the same
+   order — path DFAs, schema DFAs and pinned query texts all depend on
+   the numbering. *)
+let walk_alphabet (store : Xml.Store.t) : string list =
+  let a = Xl_automata.Alphabet.create () in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun n -> ignore (Xl_automata.Alphabet.intern a (Xml.Node.symbol n)))
+        (Xml.Doc.all_nodes d))
+    (Xml.Store.docs store);
+  ignore (Xl_automata.Alphabet.intern a "#text");
+  Xl_automata.Alphabet.symbols a
+
+let test_alphabet_order () =
+  let distinct_stores scenarios =
+    List.fold_left
+      (fun acc (_, (sc : Xl_core.Scenario.t)) ->
+        let st = sc.Xl_core.Scenario.store in
+        if List.exists (fun s -> s == st) acc then acc else acc @ [ st ])
+      [] scenarios
+  in
+  let named prefix stores = List.mapi (fun i st -> (Printf.sprintf "%s #%d" prefix i, st)) stores in
+  let xmark = Xl_workload.Xmark_scenarios.all () in
+  let catalog_doc = List.hd (Xml.Store.docs (snd (List.hd xmark)).Xl_core.Scenario.store) in
+  let reparsed =
+    Xml.Xml_parser.parse_doc ~uri:"catalog.xml"
+      (Xml.Serialize.node_to_string (Xml.Doc.root catalog_doc))
+  in
+  let stores =
+    named "fig16 xmark 1x" (distinct_stores xmark)
+    @ named "fig16 xmark 4x streamed"
+        (distinct_stores
+           (Xl_workload.Xmark_scenarios.all
+              ~scale:(Xl_workload.Xmark_gen.scale_factor 4) ~streamed:true ()))
+    @ named "fig16 xmp" (distinct_stores (Xl_workload.Xmp_scenarios.all ()))
+    @ [ ("xmp store", Xl_workload.Xmp_data.store ());
+        ("catalog serialized and re-parsed", Xml.Store.of_docs [ reparsed ]) ]
+    @ List.init 25 (fun index ->
+          ( Printf.sprintf "gen_doc case %d" index,
+            Xl_fuzz.Case.store_of (Xl_fuzz.Case.generate ~seed:20040301 ~index) ))
+  in
+  List.iter
+    (fun (label, store) ->
+      Alcotest.(check (list string)) label (walk_alphabet store)
+        (Xl_automata.Alphabet.symbols (Eval.make_ctx store).Eval.alphabet))
+    stores;
+  (* with no schema to add symbols, the oracle's context alphabet is the
+     store's own: the DataGuide scenarios' alphabet is the walk's *)
+  let q1 = List.assoc "Q1" xmark in
+  let o, _ =
+    Xl_core.Oracle.create
+      { q1 with Xl_core.Scenario.source_dtd = None; more_dtds = [] }
+  in
+  Alcotest.(check (list string)) "DataGuide scenario xmark Q1"
+    (walk_alphabet q1.Xl_core.Scenario.store)
+    (Xl_automata.Alphabet.symbols (Xl_core.Oracle.eval_ctx o).Eval.alphabet)
 
 (* Streaming-ingestion parity over the fuzz corpus: for each case's
    training document, the one-pass builder (fragment walk and SAX text
@@ -669,8 +840,9 @@ let test_pinned_fig16_counts () =
 
 (* The fill's counted work on the Figure-16 set (XMark 1x + XMP) with
    the counters on.  Batch traffic, its auto-answered share, genuine and
-   reused questions, L* rounds and conditions judged are the learner's
-   work, not the host's, so they are pinned exactly; and with no
+   reused questions, L* rounds, conditions judged and the evaluator
+   branches that answered are the learner's work, not the host's, so
+   they are pinned exactly; and with no
    [on_auto] observer only genuine questions are spelled into words. *)
 let test_fill_work_counted () =
   let module Obs = Xl_obs.Obs in
@@ -694,6 +866,10 @@ let test_fill_work_counted () =
       ("lstar_rounds", 70);
       (* one condition judged on one node, memo misses only *)
       ("cond_evals", 1858);
+      (* which evaluator branch answered: [is] bodies semi-join too *)
+      ("eval_quant_nested", 0);
+      ("eval_quant_semi_join", 1134);
+      ("eval_flwor_nested_loop", 132);
     ];
   if value "mq_spelled" > value "mq_user" then
     Alcotest.failf "%d words spelled for %d genuine questions" (value "mq_spelled")
@@ -715,6 +891,8 @@ let () =
             test_select_engine_parity;
           Alcotest.test_case "xmark Q1 takes the hash join" `Quick
             test_q1_hash_join;
+          Alcotest.test_case "make_ctx alphabet matches the node walk" `Quick
+            test_alphabet_order;
         ] );
       ( "semi-join",
         [
@@ -724,6 +902,12 @@ let () =
             test_semi_join_rel3_candidates;
           Alcotest.test_case "Q9 bodies scale with persons x items" `Quick
             test_semi_join_scaling;
+          Alcotest.test_case "is-identity joins on tiny XMark, 3 seeds" `Quick
+            test_identity_semi_join_parity;
+          Alcotest.test_case "= and is over one source and key" `Quick
+            test_identity_and_equality_share_no_index;
+          Alcotest.test_case "xmark Q2 takes the identity semi-join" `Quick
+            test_q2_identity_semi_join;
         ] );
       ( "streaming",
         [
