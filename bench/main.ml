@@ -393,21 +393,32 @@ let frozen_bench () =
    runs the Figure-16 XMark suite over a 10x streamed store to show the
    learner is oblivious to how its documents entered the store.  The
    costs of these paths are measured by perfbench (BENCHMARK.json), and
-   their allocation ratios pinned by test_xml. *)
+   their allocation ratios pinned by test_xml.  Each rung also reports
+   the memory a document costs once it is in the learner's hands: the
+   live heap bytes of the tree-path document plus its [Store.of_docs]
+   store (value index and snapshot), after a compaction, per node. *)
+let live_bytes () =
+  Gc.compact ();
+  (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+
 let stream_bench () =
   Obs.set_enabled false;
   print_endline line;
   print_endline "Streaming ingestion vs the tree path (XMark scale ladder)";
   print_endline line;
-  Printf.printf "%6s %9s %12s\n" "factor" "nodes" "xml_bytes";
+  Printf.printf "%6s %9s %12s %12s %10s\n" "factor" "nodes" "xml_bytes" "live_bytes"
+    "bytes/node";
   List.iter
     (fun factor ->
       let scale = Xl_workload.Xmark_gen.scale_factor factor in
       (* same fragment for both legs: the comparison is pure ingestion *)
       let frag = Xl_workload.Xmark_gen.generate_frag scale in
-      let tree_fz =
-        Xl_xml.Frozen.freeze (Xl_xml.Doc.of_frag ~uri:"auction.xml" frag)
+      let before = live_bytes () in
+      let store =
+        Xl_xml.Store.of_docs [ Xl_xml.Doc.of_frag ~uri:"auction.xml" frag ]
       in
+      let live = live_bytes () - before in
+      let tree_fz = List.hd (Xl_xml.Store.frozen_docs store) in
       let _, stream_fz = Xl_xml.Frozen_builder.of_frag ~uri:"auction.xml" frag in
       if not (Xl_xml.Frozen.structural_equal tree_fz stream_fz) then begin
         Printf.eprintf "FAIL: streamed snapshot differs from frozen tree at x%d\n"
@@ -420,10 +431,11 @@ let stream_bench () =
       in
       (* the serialized document must parse back through the builder *)
       ignore (Xl_xml.Frozen_builder.parse ~uri:"auction.xml" xml_text);
-      Printf.printf "%6d %9d %12d\n%!" factor
-        (Xl_xml.Frozen.size stream_fz)
-        (String.length xml_text))
-    [ 1; 10; 100 ];
+      let nodes = Xl_xml.Frozen.size stream_fz in
+      Printf.printf "%6d %9d %12d %12d %10.1f\n%!" factor nodes
+        (String.length xml_text) live
+        (float_of_int live /. float_of_int nodes))
+    [ 1; 4; 10; 100 ];
   (* the scaled Figure-16 variant: the whole XMark suite over a 10x
      document that entered the store through the streaming builder *)
   print_endline line;

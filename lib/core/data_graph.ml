@@ -144,7 +144,9 @@ let doc_uri_of (t : t) (n : Node.t) : string option =
       (Store.docs t.store)
 
 let density (t : t) : float =
-  let nodes = List.length (Store.nodes t.store) in
+  let nodes =
+    List.fold_left (fun acc d -> acc + List.length (Doc.nodes d)) 0 (Store.docs t.store)
+  in
   let edges =
     Hashtbl.fold
       (fun _ ns acc ->

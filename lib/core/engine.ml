@@ -116,7 +116,7 @@ let learn_task ~(config : config) ~(stats : Stats.t) ~(teacher : Teacher.t)
         match Extent.rel_path ~base:cnode dropped with
         | Some _ -> (
           match acc with
-          | Some prev when Dewey.is_ancestor cnode.Node.dewey prev.Node.dewey -> acc
+          | Some prev when Node.is_ancestor cnode prev -> acc
           | _ -> Some cnode)
         | None -> acc)
       None context

@@ -48,7 +48,7 @@ let node_ref (store : Store.t) (n : Node.t) : string * int list =
   match
     List.find_opt (fun (d : Doc.t) -> Node.equal d.Doc.doc_node root) (Store.docs store)
   with
-  | Some d -> (d.Doc.uri, n.Node.dewey)
+  | Some d -> (d.Doc.uri, Node.dewey n)
   | None ->
     invalid_arg
       "Machine: a teacher answer names a node outside the scenario's store"
@@ -57,11 +57,17 @@ let node_of_ref (store : Store.t) ~uri ~dewey : (Node.t, string) result =
   match Store.find store uri with
   | None -> Error (Printf.sprintf "document %S not in this store" uri)
   | Some doc ->
+    (* the k-th of the attributes-then-children, without joining them *)
+    let kth (n : Node.t) k =
+      match List.nth_opt n.Node.attributes (k - 1) with
+      | Some a -> Some a
+      | None -> List.nth_opt n.Node.children (k - 1 - List.length n.Node.attributes)
+    in
     let rec walk (n : Node.t) = function
       | [] -> Ok n
       | k :: _ when k < 1 -> Error (Printf.sprintf "dewey step %d is not positive" k)
       | k :: rest -> (
-        match List.nth_opt (Node.attributes n @ Node.children n) (k - 1) with
+        match kth n k with
         | Some child -> walk child rest
         | None ->
           Error

@@ -144,8 +144,9 @@ let buf_key : dbuf Domain.DLS.key =
               | _ -> ()));
       buf)
 
-let flush_domain () =
-  if !enabled_flag then flush_buf (Domain.DLS.get buf_key)
+(* unconditional: spans recorded while enabled must still merge after
+   [set_enabled false], or [spans] would lose this domain's last ones *)
+let flush_domain () = flush_buf (Domain.DLS.get buf_key)
 
 let set_session s = (Domain.DLS.get buf_key).buf_session <- s
 let current_session () = (Domain.DLS.get buf_key).buf_session

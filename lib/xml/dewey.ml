@@ -8,37 +8,12 @@
 
 type t = int list
 
-let root : t = [ 1 ]
-
-let child (d : t) (k : int) : t = d @ [ k ]
-
-let parent (d : t) : t option =
-  match d with
-  | [] | [ _ ] -> None
-  | _ ->
-    (* all but the last component *)
-    let rec drop_last = function
-      | [] | [ _ ] -> []
-      | x :: rest -> x :: drop_last rest
-    in
-    Some (drop_last d)
-
-let rec is_prefix (p : t) (d : t) : bool =
-  match p, d with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: p', y :: d' -> x = y && is_prefix p' d'
-
-let is_ancestor (a : t) (d : t) : bool = a <> d && is_prefix a d
-
 let rec compare (a : t) (b : t) : int =
   match a, b with
   | [], [] -> 0
   | [], _ -> -1
   | _, [] -> 1
   | x :: a', y :: b' -> if x <> y then Stdlib.compare x y else compare a' b'
-
-let depth = List.length
 
 let to_string (d : t) : string = String.concat "." (List.map string_of_int d)
 

@@ -4,29 +4,14 @@
     (attributes first, then element/text children in document order) has
     code [[1; k]].  Dewey order coincides with document order, and
     ancestor tests are prefix tests — the properties the paper relies on
-    for both node identifiers and XQ-Tree labels (Section 3). *)
+    for both node identifiers and XQ-Tree labels (Section 3).  Nodes do
+    not store their codes: {!Node.dewey} rebuilds one on demand for the
+    process-stable references of snapshots, digests and the wire. *)
 
 type t = int list
 
-val root : t
-(** The code of a document's root element, [[1]]. *)
-
-val child : t -> int -> t
-(** [child d k] is the code of [d]'s k-th child (1-based). *)
-
-val parent : t -> t option
-(** The parent code; [None] for the root. *)
-
-val is_prefix : t -> t -> bool
-(** [is_prefix p d]: is [p] a (non-strict) prefix of [d]? *)
-
-val is_ancestor : t -> t -> bool
-(** Strict ancestorship: prefix and not equal. *)
-
 val compare : t -> t -> int
 (** Document order. *)
-
-val depth : t -> int
 
 val to_string : t -> string
 (** ["1.2.3"] notation. *)

@@ -1,7 +1,7 @@
-(** Documents: indexed, identity-bearing XML trees.
+(** Documents: identity-bearing XML trees.
 
     [of_frag] materializes a {!Frag.t} into a {!Node.t} tree, assigning
-    fresh node ids and Dewey codes.  Node ids are unique across all
+    fresh node ids and preorder ranks.  Node ids are unique across all
     documents built in a process — the counter is atomic, so documents
     built concurrently on several domains still draw disjoint ids — and
     nodes from several documents can live in one extent or data graph. *)
@@ -10,14 +10,14 @@ type t = {
   uri : string;
   doc_node : Node.t;  (** kind [Document]; its single child is the root element *)
   root : Node.t;  (** the root element *)
-  by_id : (int, Node.t) Hashtbl.t;
+  node_count : int;  (** every node, the document node included *)
 }
 
 let next_node_id = Atomic.make 1
 
 let fresh_id () = Atomic.fetch_and_add next_node_id 1
 
-let make_node kind name value =
+let make_node ~rank ~ordinal kind name value =
   {
     Node.id = fresh_id ();
     kind;
@@ -26,60 +26,59 @@ let make_node kind name value =
     parent = None;
     children = [];
     attributes = [];
-    dewey = [];
+    rank;
+    ordinal;
   }
 
+let make_leaf ~next ~ordinal kind name value =
+  let rank = !next in
+  incr next;
+  make_node ~rank ~ordinal kind name value
+
+(* The preorder numbering every top-down tree producer shares: the
+   element takes the next rank, then its attributes, then each kid's
+   whole subtree; ordinals count attributes and kids with one counter. *)
+let make_element ~next ~ordinal tag attrs build kids =
+  let n = make_leaf ~next ~ordinal Node.Element tag "" in
+  let attr_nodes =
+    List.mapi
+      (fun i (name, value) ->
+        let a = make_leaf ~next ~ordinal:(i + 1) Node.Attribute name value in
+        a.Node.parent <- Some n;
+        a)
+      attrs
+  in
+  let k0 = List.length attrs in
+  let kid_nodes =
+    List.mapi
+      (fun i kid ->
+        let c = build ~ordinal:(k0 + i + 1) kid in
+        c.Node.parent <- Some n;
+        c)
+      kids
+  in
+  n.Node.attributes <- attr_nodes;
+  n.Node.children <- kid_nodes;
+  n
+
 let of_frag ?(uri = "doc.xml") (frag : Frag.t) : t =
-  let rec build dewey frag =
-    match frag with
-    | Frag.T s ->
-      let n = make_node Node.Text "" s in
-      n.Node.dewey <- dewey;
-      n
-    | Frag.E (tag, attrs, children) ->
-      let n = make_node Node.Element tag "" in
-      n.Node.dewey <- dewey;
-      let k = ref 0 in
-      let attr_nodes =
-        List.map
-          (fun (name, value) ->
-            incr k;
-            let a = make_node Node.Attribute name value in
-            a.Node.dewey <- Dewey.child dewey !k;
-            a.Node.parent <- Some n;
-            a)
-          attrs
-      in
-      let child_nodes =
-        List.map
-          (fun c ->
-            incr k;
-            let cn = build (Dewey.child dewey !k) c in
-            cn.Node.parent <- Some n;
-            cn)
-          children
-      in
-      n.Node.attributes <- attr_nodes;
-      n.Node.children <- child_nodes;
-      n
+  let next = ref 1 in
+  let rec build ~ordinal = function
+    | Frag.T s -> make_leaf ~next ~ordinal Node.Text "" s
+    | Frag.E (tag, attrs, kids) -> make_element ~next ~ordinal tag attrs build kids
   in
   let root =
     match frag with
-    | Frag.E _ -> build Dewey.root frag
+    | Frag.E _ -> build ~ordinal:1 frag
     | Frag.T _ -> invalid_arg "Doc.of_frag: document root must be an element"
   in
-  let doc_node = make_node Node.Document "" "" in
+  let doc_node = make_node ~rank:0 ~ordinal:0 Node.Document "" "" in
   doc_node.Node.children <- [ root ];
   root.Node.parent <- Some doc_node;
-  let by_id = Hashtbl.create 1024 in
-  List.iter (fun n -> Hashtbl.replace by_id n.Node.id n) (Node.all_nodes root);
-  Hashtbl.replace by_id doc_node.Node.id doc_node;
-  { uri; doc_node; root; by_id }
+  { uri; doc_node; root; node_count = !next }
 
 let root t = t.root
 let uri t = t.uri
-
-let find_by_id t id = Hashtbl.find_opt t.by_id id
 
 (** All element and attribute nodes of the document, document order.
     Text nodes are excluded: extents in the paper range over elements,
@@ -93,7 +92,7 @@ let nodes t =
 (** All nodes including text nodes. *)
 let all_nodes t = Node.all_nodes t.root
 
-let node_count t = Hashtbl.length t.by_id
+let node_count t = t.node_count
 
 (** First node (document order) whose tag path equals [path], if any.
     Used to turn an L* membership string into a concrete node to show the

@@ -2,8 +2,8 @@
 
     A [Frag.t] is a plain description of an XML tree — convenient for
     literals in tests, the data generators, and as the parser's output.
-    {!Doc.of_frag} turns a fragment into a fully indexed document with
-    node identities and Dewey codes. *)
+    {!Doc.of_frag} turns a fragment into a document with node identities
+    and preorder ranks. *)
 
 type t =
   | E of string * (string * string) list * t list

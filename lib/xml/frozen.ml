@@ -3,16 +3,8 @@
 
     The preorder enumeration must match {!Node.all_nodes} — attributes
     before element/text children, both in declaration order — because
-    {!Doc.of_frag} assigns Dewey codes with one shared counter over
-    attributes-then-children: preorder position IS document order. *)
-
-type pos_index =
-  | Dense of { base : int; tbl : int array }
-      (** node ids are contiguous ([base .. base + n - 1]): id -> position
-          is one array read.  The common case for a freshly built document
-          — ids come from one atomic counter, so they only fragment when
-          several documents are built concurrently. *)
-  | Sparse of (int, int) Hashtbl.t  (** fallback: node id -> position *)
+    that is the order {!Doc.make_element} ranks nodes in: preorder
+    position IS the node's rank, and document order. *)
 
 type t = {
   uid : int;
@@ -24,38 +16,9 @@ type t = {
   next_sibling : int array;
   doc : Doc.t;
   nodes : Node.t array;
-  pos_of_id : pos_index;
 }
 
 let next_uid = Atomic.make 0
-
-(* fallback accounting: how often a snapshot had to keep the hashtable
-   because its node ids were not contiguous *)
-let c_pos_dense = Xl_obs.Obs.Counter.make "frozen_pos_dense"
-let c_pos_sparse = Xl_obs.Obs.Counter.make "frozen_pos_sparse"
-
-let make_pos_index (nodes : Node.t array) : pos_index =
-  let n = Array.length nodes in
-  let mn = ref max_int and mx = ref min_int in
-  Array.iter
-    (fun (nd : Node.t) ->
-      let id = nd.Node.id in
-      if id < !mn then mn := id;
-      if id > !mx then mx := id)
-    nodes;
-  if n > 0 && !mx - !mn = n - 1 then begin
-    (* ids are unique, so spanning exactly n values means contiguous *)
-    Xl_obs.Obs.Counter.incr c_pos_dense;
-    let tbl = Array.make n 0 in
-    Array.iteri (fun p (nd : Node.t) -> tbl.(nd.Node.id - !mn) <- p) nodes;
-    Dense { base = !mn; tbl }
-  end
-  else begin
-    Xl_obs.Obs.Counter.incr c_pos_sparse;
-    let h = Hashtbl.create (2 * max 1 n) in
-    Array.iteri (fun p (nd : Node.t) -> Hashtbl.replace h nd.Node.id p) nodes;
-    Sparse h
-  end
 
 (* sibling ranges are contiguous: the next sibling of [p] starts where
    [p]'s subtree ends, provided that position is still inside the
@@ -72,9 +35,9 @@ let link_siblings ~(parent : int array) ~(subtree_end : int array) :
   done;
   (first_child, next_sibling)
 
-(* Derive the sibling links and the position index and draw a fresh
-   uid.  Callers ({!freeze}, [Frozen_builder]) are responsible for the
-   layout contract: [nodes] in preorder with attributes before children,
+(* Derive the sibling links and draw a fresh uid.  Callers ({!freeze},
+   [Frozen_builder]) are responsible for the layout contract: [nodes] in
+   preorder with attributes before children, ranked by position,
    position 0 the document node, [sym] interned in first-appearance
    (= preorder) order. *)
 let of_arrays ~(doc : Doc.t) ~(nodes : Node.t array) ~(symbols : string array)
@@ -90,7 +53,6 @@ let of_arrays ~(doc : Doc.t) ~(nodes : Node.t array) ~(symbols : string array)
     next_sibling;
     doc;
     nodes;
-    pos_of_id = make_pos_index nodes;
   }
 
 let freeze (doc : Doc.t) : t =
@@ -120,6 +82,8 @@ let freeze (doc : Doc.t) : t =
   let rec go parent_pos (node : Node.t) =
     let p = !next in
     incr next;
+    if node.Node.rank <> p then
+      invalid_arg "Frozen.freeze: node rank is not its preorder position";
     nodes.(p) <- node;
     parent.(p) <- parent_pos;
     sym.(p) <- intern (Node.symbol node);
@@ -138,23 +102,11 @@ let nodes t = t.nodes
 let node t p = t.nodes.(p)
 
 let pos_of_node t (n : Node.t) : int option =
-  let id = n.Node.id in
-  let raw =
-    match t.pos_of_id with
-    | Dense { base; tbl } ->
-      let i = id - base in
-      if i >= 0 && i < Array.length tbl then Some tbl.(i) else None
-    | Sparse h -> Hashtbl.find_opt h id
-  in
-  match raw with
-  | Some p when Node.equal t.nodes.(p) n -> Some p
-  | _ -> None
-
-let pos_index_is_dense t =
-  match t.pos_of_id with Dense _ -> true | Sparse _ -> false
+  let p = n.Node.rank in
+  if p >= 0 && p < Array.length t.nodes && t.nodes.(p) == n then Some p else None
 
 (* Equality of everything the evaluator can observe: the int arrays, the
-   symbol table, and each position's node kind/name/value/Dewey code.
+   symbol table, and each position's node kind/name/value/rank/ordinal.
    Node ids are deliberately ignored — two ingestions of the same
    document draw different ids from the process-wide counter. *)
 let structural_equal (a : t) (b : t) : bool =
@@ -170,5 +122,6 @@ let structural_equal (a : t) (b : t) : bool =
          x.Node.kind = y.Node.kind
          && String.equal x.Node.name y.Node.name
          && String.equal x.Node.value y.Node.value
-         && x.Node.dewey = y.Node.dewey)
+         && x.Node.rank = y.Node.rank
+         && x.Node.ordinal = y.Node.ordinal)
        a.nodes b.nodes

@@ -9,26 +9,17 @@
     becomes a single linear scan with O(1) subtree skips instead of a
     pointer chase with string comparisons.
 
-    Each snapshot also carries its pointer-tree side — the {!Doc.t}, the
-    position -> {!Node.t} array and the id -> position index — so a
-    snapshot is complete when it is made and is shared across domains
-    as it is.
+    Each snapshot also carries its pointer-tree side — the {!Doc.t} and
+    the position -> {!Node.t} array — so a snapshot is complete when it
+    is made and is shared across domains as it is.  The way back is the
+    node's own preorder rank: [nodes.(n.rank) == n] for every node of
+    the snapshot.
 
     Two producers share this layout: {!freeze} (walk an existing
     {!Doc.t}) and [Frozen_builder] (append rows directly from parser
     events or a fragment, no intermediate tree walk).  Both must yield
     structurally equal snapshots for the same document — see
     {!structural_equal}. *)
-
-(** Node-id -> position index.  Freshly built documents draw their ids
-    from one atomic counter, so the ids of a single document are usually
-    contiguous and the index is a dense array ([Dense]); documents built
-    concurrently on several domains interleave ids and fall back to a
-    hashtable ([Sparse]).  The [frozen_pos_dense] / [frozen_pos_sparse]
-    Obs counters record how often each case is taken. *)
-type pos_index =
-  | Dense of { base : int; tbl : int array }
-  | Sparse of (int, int) Hashtbl.t
 
 type t = private {
   uid : int;  (** process-unique snapshot identity, for per-context caches *)
@@ -42,13 +33,14 @@ type t = private {
       (** position of the first attribute/child, or -1 for leaves *)
   next_sibling : int array;  (** next sibling position, or -1 at the last *)
   doc : Doc.t;
-  nodes : Node.t array;  (** position -> node, document order; 0 = doc node *)
-  pos_of_id : pos_index;  (** node id -> position *)
+  nodes : Node.t array;
+      (** position -> node, document order; 0 = doc node; position = rank *)
 }
 
 val freeze : Doc.t -> t
 (** Snapshot a document.  O(node count); the result shares the document's
-    {!Node.t} values (positions map back to them via {!nodes}). *)
+    {!Node.t} values (positions map back to them via {!nodes}).  Raises
+    [Invalid_argument] if a node's rank is not its preorder position. *)
 
 val of_arrays :
   doc:Doc.t ->
@@ -59,10 +51,10 @@ val of_arrays :
   subtree_end:int array ->
   t
 (** Assemble a snapshot from preorder arrays: derives the sibling links
-    and the position index and draws a fresh [uid].  For the streaming
-    builder; the caller owns the layout contract ([nodes] in preorder
-    with attributes before element/text children, position 0 the
-    document node, [symbols] interned in first-appearance order,
+    and draws a fresh [uid].  For the streaming builder; the caller owns
+    the layout contract ([nodes] in preorder with attributes before
+    element/text children, each node's rank its position, position 0
+    the document node, [symbols] interned in first-appearance order,
     [subtree_end] exclusive). *)
 
 val size : t -> int
@@ -78,13 +70,11 @@ val node : t -> int -> Node.t
 (** [node t p] = [(nodes t).(p)]. *)
 
 val pos_of_node : t -> Node.t -> int option
-(** The position of a node of this document, [None] for foreign nodes. *)
-
-val pos_index_is_dense : t -> bool
-(** Whether the id -> position index took the dense-array fast path. *)
+(** The position of a node of this document — its rank — and [None] for
+    foreign nodes. *)
 
 val structural_equal : t -> t -> bool
 (** Equality of everything the evaluator can observe: the int arrays,
-    the symbol table, and per-position node kind/name/value/Dewey.  Node
-    ids are ignored — separate ingestions of one document draw different
+    the symbol table, and per-position node kind/name/value/rank/ordinal.
+    Node ids are ignored — separate ingestions of one document draw different
     ids. *)

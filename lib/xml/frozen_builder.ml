@@ -10,7 +10,7 @@
 
     Equivalence contract: for any event stream, [finish] yields a
     {!Doc.t} whose tree equals [Doc.of_frag] of the corresponding
-    fragment (same kinds, names, values, Dewey codes, same
+    fragment (same kinds, names, values, ranks and ordinals, same
     attributes-before-children order) and a {!Frozen.t} that is
     {!Frozen.structural_equal} to [Frozen.freeze] of that document.
     The parity suite in [test_perf_parity.ml] enforces this over the
@@ -18,8 +18,7 @@
 
 type frame = {
   f_node : Node.t;  (** the open element *)
-  f_pos : int;  (** its preorder position *)
-  f_dewey : Dewey.t;
+  f_pos : int;  (** its preorder position, = its rank *)
   mutable f_k : int;  (** shared attribute/child ordinal, as in Doc.of_frag *)
   mutable f_rev_children : Node.t list;
 }
@@ -38,22 +37,9 @@ type t = {
   sym_ids : (string, int) Hashtbl.t;
   mutable rev_symbols : string list;
   mutable sym_count : int;
-  by_id : (int, Node.t) Hashtbl.t;
   mutable root : Node.t option;
   mutable finished : bool;
 }
-
-let fresh_node kind name value : Node.t =
-  {
-    Node.id = Doc.fresh_id ();
-    kind;
-    name;
-    value;
-    parent = None;
-    children = [];
-    attributes = [];
-    dewey = [];
-  }
 
 let intern b s =
   match Hashtbl.find_opt b.sym_ids s with
@@ -78,21 +64,22 @@ let grow b =
   b.parent <- copy (fun c -> Array.make c (-1)) b.parent;
   b.sub_end <- copy (fun c -> Array.make c 0) b.sub_end
 
-(* append one preorder row; [sub_end] starts as a placeholder and is set
-   when the node's subtree is known (immediately for leaves, on close
-   for elements, at [finish] for the document node) *)
-let append b (node : Node.t) sym_id parent_pos : int =
+(* append one preorder row for a fresh node ranked by its position;
+   [sub_end] starts as a placeholder and is set when the node's subtree
+   is known (immediately for leaves, on close for elements, at [finish]
+   for the document node) *)
+let append b ~ordinal kind name value sym_id parent_pos : Node.t * int =
   if b.len = Array.length b.sym then grow b;
   let p = b.len in
+  let node = Doc.make_node ~rank:p ~ordinal kind name value in
   b.len <- p + 1;
   b.nodes.(p) <- node;
   b.sym.(p) <- sym_id;
   b.parent.(p) <- parent_pos;
-  Hashtbl.replace b.by_id node.Node.id node;
-  p
+  (node, p)
 
 let create ?(uri = "doc.xml") ?(hint = 1024) () : t =
-  let doc_node = fresh_node Node.Document "" "" in
+  let doc_node = Doc.make_node ~rank:0 ~ordinal:0 Node.Document "" "" in
   let cap = max 16 hint in
   let b =
     {
@@ -103,16 +90,16 @@ let create ?(uri = "doc.xml") ?(hint = 1024) () : t =
       sym = Array.make cap 0;
       parent = Array.make cap (-1);
       sub_end = Array.make cap 0;
-      len = 0;
+      len = 1;
       sym_ids = Hashtbl.create 64;
       rev_symbols = [];
       sym_count = 0;
-      by_id = Hashtbl.create (2 * cap);
       root = None;
       finished = false;
     }
   in
-  ignore (append b doc_node (intern b "#doc") (-1));
+  (* row 0 is the document node: its parent (-1) is already in place *)
+  b.sym.(0) <- intern b "#doc";
   b
 
 let check_open b what =
@@ -121,42 +108,40 @@ let check_open b what =
 
 let open_element b tag attrs =
   check_open b "open_element";
-  let parent_node, parent_pos, dewey =
+  let parent_node, parent_pos, ordinal =
     match b.stack with
     | [] ->
       if b.root <> None then
         invalid_arg "Frozen_builder.open_element: second root element";
-      (b.doc_node, 0, Dewey.root)
+      (b.doc_node, 0, 1)
     | fr :: _ ->
       fr.f_k <- fr.f_k + 1;
-      (fr.f_node, fr.f_pos, Dewey.child fr.f_dewey fr.f_k)
+      (fr.f_node, fr.f_pos, fr.f_k)
   in
-  let elem = fresh_node Node.Element tag "" in
-  elem.Node.dewey <- dewey;
+  let sym_id = intern b tag in
+  let elem, pos = append b ~ordinal Node.Element tag "" sym_id parent_pos in
   elem.Node.parent <- Some parent_node;
-  let pos = append b elem (intern b tag) parent_pos in
   (match b.stack with
   | [] ->
     b.root <- Some elem;
     b.doc_node.Node.children <- [ elem ]
   | fr :: _ -> fr.f_rev_children <- elem :: fr.f_rev_children);
   (* attributes are numbered before children, from the same counter *)
-  let k = ref 0 in
   let attr_nodes =
-    List.map
-      (fun (name, value) ->
-        incr k;
-        let a = fresh_node Node.Attribute name value in
-        a.Node.dewey <- Dewey.child dewey !k;
+    List.mapi
+      (fun i (name, value) ->
+        let sym_id = intern b ("@" ^ name) in
+        let a, ap =
+          append b ~ordinal:(i + 1) Node.Attribute name value sym_id pos
+        in
         a.Node.parent <- Some elem;
-        let ap = append b a (intern b ("@" ^ name)) pos in
         b.sub_end.(ap) <- ap + 1;
         a)
       attrs
   in
   elem.Node.attributes <- attr_nodes;
   b.stack <-
-    { f_node = elem; f_pos = pos; f_dewey = dewey; f_k = !k; f_rev_children = [] }
+    { f_node = elem; f_pos = pos; f_k = List.length attrs; f_rev_children = [] }
     :: b.stack
 
 let text b s =
@@ -165,10 +150,9 @@ let text b s =
   | [] -> invalid_arg "Frozen_builder.text: text outside the root element"
   | fr :: _ ->
     fr.f_k <- fr.f_k + 1;
-    let n = fresh_node Node.Text "" s in
-    n.Node.dewey <- Dewey.child fr.f_dewey fr.f_k;
+    let sym_id = intern b "#text" in
+    let n, p = append b ~ordinal:fr.f_k Node.Text "" s sym_id fr.f_pos in
     n.Node.parent <- Some fr.f_node;
-    let p = append b n (intern b "#text") fr.f_pos in
     b.sub_end.(p) <- p + 1;
     fr.f_rev_children <- n :: fr.f_rev_children
 
@@ -198,7 +182,7 @@ let finish b : Doc.t * Frozen.t =
   b.finished <- true;
   b.sub_end.(0) <- b.len;
   let trim a = Array.sub a 0 b.len in
-  let doc = { Doc.uri = b.uri; doc_node = b.doc_node; root; by_id = b.by_id } in
+  let doc = { Doc.uri = b.uri; doc_node = b.doc_node; root; node_count = b.len } in
   let fz =
     Frozen.of_arrays ~doc ~nodes:(trim b.nodes)
       ~symbols:(Array.of_list (List.rev b.rev_symbols))
@@ -214,9 +198,8 @@ let rec add_frag b = function
     close_element b
 
 (* exact row count of a fragment (elements + attributes + texts); an
-   alloc-free pre-walk that right-sizes the arrays and the id table —
-   without it the doubling copies and hashtable rehashes eat the
-   one-pass advantage on large documents *)
+   alloc-free pre-walk that right-sizes the arrays — without it the
+   doubling copies eat the one-pass advantage on large documents *)
 let rec count_rows = function
   | Frag.T _ -> 1
   | Frag.E (_, attrs, kids) ->

@@ -3,10 +3,12 @@
     Nodes follow the XQuery data model restricted to the kinds the paper
     needs: documents, elements, attributes and text.  Each node has a
     globally unique [id] (node identity — "[v1 is v2]" in the paper is id
-    equality) and a Dewey code giving document order.
+    equality), a preorder [rank] giving document order within its tree
+    and an [ordinal] among its siblings, from which the Dewey code is
+    rebuilt on demand.
 
-    The structure is built once by {!Doc} and never mutated afterwards;
-    the mutable fields exist only so construction can tie parent knots. *)
+    The structure is built once and never mutated afterwards; the mutable
+    fields exist only so construction can tie parent knots. *)
 
 type kind =
   | Document
@@ -22,17 +24,40 @@ type t = {
   mutable parent : t option;
   mutable children : t list;  (** element and text children, document order *)
   mutable attributes : t list;
-  mutable dewey : Dewey.t;
+  rank : int;  (** preorder position, attributes before children *)
+  ordinal : int;  (** 1-based among the parent's attributes and children *)
 }
 
 let compare_id a b = Stdlib.compare a.id b.id
 let equal a b = a.id = b.id
 let hash a = a.id
 
-(** Document order. *)
+let rec root n = match n.parent with None -> n | Some p -> root p
+
+(** The Dewey code from parent links and ordinals: a document node
+    contributes nothing, so a root element (attached or constructed) is
+    [[1]]. *)
+let dewey n =
+  let rec up acc n =
+    match n.kind, n.parent with
+    | Document, _ -> acc
+    | _, None -> n.ordinal :: acc
+    | _, Some p -> up (n.ordinal :: acc) p
+  in
+  up [] n
+
+(** Document order.  Within one tree preorder rank is Dewey order; across
+    trees, Dewey codes interleave the documents and ids break ties. *)
 let compare_order a b =
-  let c = Dewey.compare a.dewey b.dewey in
-  if c <> 0 then c else Stdlib.compare a.id b.id
+  if a == b then 0
+  else if root a == root b then Int.compare a.rank b.rank
+  else
+    let c = Dewey.compare (dewey a) (dewey b) in
+    if c <> 0 then c else Int.compare a.id b.id
+
+let is_ancestor a d =
+  let rec up n = match n.parent with None -> false | Some p -> p == a || up p in
+  up d
 
 let is_element n = n.kind = Element
 let is_attribute n = n.kind = Attribute
@@ -86,30 +111,14 @@ let direct_value n =
   | Text -> Some n.value
   | Document -> None
 
-(** Typed view used by general comparisons: numeric when parseable. *)
-let numeric_value n =
-  match float_of_string_opt (String.trim (string_value n)) with
-  | Some f -> Some f
-  | None -> None
-
 let element_children n = List.filter is_element n.children
 
 let attribute n name =
   List.find_opt (fun a -> String.equal a.name name) n.attributes
-
-(** All descendant-or-self nodes in document order (elements and text;
-    attributes are reachable through [attributes]). *)
-let rec descendants_or_self n =
-  n :: List.concat_map descendants_or_self n.children
-
-let descendants n = List.concat_map descendants_or_self n.children
 
 (** Descendant-or-self elements, attributes included as leaves —
     the node universe used for extents and the data graph. *)
 let rec all_nodes n =
   (n :: n.attributes) @ List.concat_map all_nodes n.children
 
-let rec root n = match n.parent with None -> n | Some p -> root p
-
-let pp fmt n =
-  Format.fprintf fmt "%s(%s)" (symbol n) (Dewey.to_string n.dewey)
+let pp fmt n = Format.fprintf fmt "%s(%s)" (symbol n) (Dewey.to_string (dewey n))

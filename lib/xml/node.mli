@@ -3,10 +3,12 @@
     The XQuery data model restricted to the kinds the paper needs:
     documents, elements, attributes and text.  Each node has a globally
     unique [id] — the paper's node identity, "[v1 is v2]", is [id]
-    equality — and a Dewey code giving document order.
+    equality — and a preorder [rank] giving document order within its
+    tree.
 
-    Nodes are built once by {!Doc} and never mutated afterwards; the
-    mutable fields exist only so construction can tie the parent knots. *)
+    Nodes are built once ({!Doc}, [Frozen_builder], the evaluator's
+    element constructor) and never mutated afterwards; the mutable
+    fields exist only so construction can tie the parent knots. *)
 
 type kind =
   | Document
@@ -23,7 +25,14 @@ type t = {
   mutable parent : t option;
   mutable children : t list;  (** element and text children, document order *)
   mutable attributes : t list;
-  mutable dewey : Dewey.t;
+  rank : int;
+      (** preorder position in the tree, attributes before children; a
+          document node is 0, so a stored node's rank is its {!Frozen}
+          position *)
+  ordinal : int;
+      (** 1-based position among the parent's attributes and children
+          (attributes first) — the last component of the Dewey code; 0
+          for a document node *)
 }
 
 val compare_id : t -> t -> int
@@ -32,8 +41,16 @@ val equal : t -> t -> bool
 
 val hash : t -> int
 
+val dewey : t -> Dewey.t
+(** The node's Dewey code, rebuilt from parent links and ordinals in
+    O(depth): [[]] for a document node, [[1]] for a root element. *)
+
 val compare_order : t -> t -> int
-(** Document order (Dewey order, ties broken by id across documents). *)
+(** Document order: ranks within one tree; across trees, Dewey order
+    with ties broken by id. *)
+
+val is_ancestor : t -> t -> bool
+(** [is_ancestor a d]: is [a] a strict ancestor of [d]? *)
 
 val is_element : t -> bool
 val is_attribute : t -> bool
@@ -60,18 +77,10 @@ val direct_value : t -> string option
     value, an element's own text when it has text children and no element
     children, a text node's content.  [None] otherwise. *)
 
-val numeric_value : t -> float option
-(** The string value parsed as a number, when possible. *)
-
 val element_children : t -> t list
 
 val attribute : t -> string -> t option
 (** Attribute node by name. *)
-
-val descendants_or_self : t -> t list
-(** Elements and text, document order. *)
-
-val descendants : t -> t list
 
 val all_nodes : t -> t list
 (** Descendant-or-self elements with their attribute nodes — the node

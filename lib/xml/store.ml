@@ -4,18 +4,14 @@
     the learner a single universe of nodes spanning several documents
     (XMP scenarios join [bib.xml] with [reviews.xml]).
 
-    A store is complete when its constructor returns: the flattened
-    element/attribute node universe, a value index and the frozen array
-    snapshots are built once, up front, and nothing
+    A store is complete when its constructor returns: a value index and
+    the frozen array snapshots are built once, up front, and nothing
     changes them afterwards.  The value index is shared with
     {!Xl_core.Data_graph} so building the data graph does not re-scan
     every document. *)
 
 type t = {
   docs : Doc.t list;  (** registration order *)
-  univ : Node.t list;
-      (** element/attribute nodes, document order within each document,
-          documents in registration order — the extent universe *)
   by_value : (string, Node.t list) Hashtbl.t;
       (** direct value -> value-bearing nodes (v-equality neighbours) *)
   frozen : Frozen.t list;
@@ -28,24 +24,28 @@ type t = {
 let build (entries : (Doc.t * Frozen.t option) list) : t =
   Xl_obs.Obs.span ~name:"store.index_build" (fun () ->
   let docs = List.map fst entries in
-  let univ = List.concat_map Doc.nodes docs in
-  (* value index: same construction (and hence same bucket order) as the
-     data graph historically used, so learner behaviour is unchanged *)
-  let by_value = Hashtbl.create 4096 in
-  List.iter
-    (fun n ->
-      match Node.direct_value n with
-      | Some v when v <> "" ->
-        let cur = Option.value ~default:[] (Hashtbl.find_opt by_value v) in
-        Hashtbl.replace by_value v (n :: cur)
-      | _ -> ())
-    univ;
   let frozen =
     List.map
       (fun (d, fz) -> match fz with Some fz -> fz | None -> Frozen.freeze d)
       entries
   in
-  { docs; univ; by_value; frozen })
+  (* value index over the element/attribute nodes, document order within
+     each document, documents in registration order: same construction
+     (and hence same bucket order) as the data graph historically used,
+     so learner behaviour is unchanged *)
+  let by_value = Hashtbl.create 4096 in
+  List.iter
+    (fun fz ->
+      Array.iter
+        (fun (n : Node.t) ->
+          match n.Node.kind, Node.direct_value n with
+          | (Node.Element | Node.Attribute), Some v when v <> "" ->
+            let cur = Option.value ~default:[] (Hashtbl.find_opt by_value v) in
+            Hashtbl.replace by_value v (n :: cur)
+          | _ -> ())
+        (Frozen.nodes fz))
+    frozen;
+  { docs; by_value; frozen })
 
 let of_docs docs = build (List.map (fun d -> (d, None)) docs)
 
@@ -73,14 +73,6 @@ let find_exn t uri =
 let docs t = t.docs
 
 let prepare (_ : t) = ()
-
-(** Every element/attribute node of every document, document order within
-    each document, documents in registration order. *)
-let nodes t = t.univ
-
-(** Value-bearing nodes whose direct value is [v] — the v-equality
-    neighbours of the data graph. *)
-let with_value t v = Option.value ~default:[] (Hashtbl.find_opt t.by_value v)
 
 (** The raw value index, shared with the data graph.  Treat as read-only. *)
 let value_index t = t.by_value

@@ -5,11 +5,10 @@
     scenarios join [bib.xml] with [reviews.xml] and [prices.xml]).
 
     A store is immutable and complete when {!of_docs} or {!of_frozen}
-    returns: the flattened node universe, the v-equality value index
-    and the frozen array snapshots are built then, once, under the
-    [store.index_build] span.  Every reader is a pure lookup, so a store
-    can be shared read-only across domains straight from its
-    constructor. *)
+    returns: the v-equality value index and the frozen array snapshots
+    are built then, once, under the [store.index_build] span.  Every
+    reader is a pure lookup, so a store can be shared read-only across
+    domains straight from its constructor. *)
 
 type t
 
@@ -37,14 +36,6 @@ val docs : t -> Doc.t list
 val prepare : t -> unit
 (** A no-op: a store is complete at construction.  Kept only for the
     callers in the benchmark that still invoke it. *)
-
-val nodes : t -> Node.t list
-(** Every element/attribute node of every document, document order within
-    each document, documents in registration order. *)
-
-val with_value : t -> string -> Node.t list
-(** Value-bearing nodes with the given direct value — the v-equality
-    neighbours of the data graph. *)
 
 val value_index : t -> (string, Node.t list) Hashtbl.t
 (** The raw value index (shared with {!Xl_core.Data_graph}).  Read-only. *)

@@ -328,10 +328,11 @@ let eval_path (ctx : ctx) (p : Path_expr.t) (from : Node.t) : Node.t list =
 (* ---------- element construction ---------------------------------------- *)
 
 (* Constructed content: adjacent atoms joined by a space, nodes copied.
-   Construction builds the node tree directly — same ids, Dewey numbering
-   and text splitting as the old Frag round-trip through [Doc.of_frag],
-   without serializing copied subtrees or allocating a document and its
-   id table (constructed trees are never registered in the store). *)
+   Construction builds the node tree directly with [Doc.make_element] —
+   same ids, ranks, ordinals and text splitting as the old Frag
+   round-trip through [Doc.of_frag], without serializing copied subtrees
+   or allocating a document node (constructed trees are never registered
+   in the store). *)
 
 type kid =
   | K_text of string
@@ -356,50 +357,14 @@ let content_kids (v : Value.t) : kid list =
   in
   go v
 
-let fresh_node kind name value dewey =
-  {
-    Node.id = Doc.fresh_id ();
-    kind;
-    name;
-    value;
-    parent = None;
-    children = [];
-    attributes = [];
-    dewey;
-  }
-
-(* Deep copy with fresh ids, renumbering Dewey codes under [dewey] with
-   the shared attribute/child counter [Doc.of_frag] uses. *)
-let rec copy_element dewey (src : Node.t) : Node.t =
-  let n = fresh_node Node.Element src.Node.name "" dewey in
-  let k = ref 0 in
-  let attrs =
-    List.map
-      (fun (a : Node.t) ->
-        incr k;
-        let c =
-          fresh_node Node.Attribute a.Node.name a.Node.value (Dewey.child dewey !k)
-        in
-        c.Node.parent <- Some n;
-        c)
-      src.Node.attributes
-  in
-  let kids =
-    List.map
-      (fun (c : Node.t) ->
-        incr k;
-        let d = Dewey.child dewey !k in
-        let cc =
-          if Node.is_text c then fresh_node Node.Text "" c.Node.value d
-          else copy_element d c
-        in
-        cc.Node.parent <- Some n;
-        cc)
-      src.Node.children
-  in
-  n.Node.attributes <- attrs;
-  n.Node.children <- kids;
-  n
+(* Deep copy with fresh ids, numbered from [next] like the rest of the
+   constructed tree. *)
+let rec copy_node ~next ~ordinal (src : Node.t) : Node.t =
+  if Node.is_text src then Doc.make_leaf ~next ~ordinal Node.Text "" src.Node.value
+  else
+    Doc.make_element ~next ~ordinal src.Node.name
+      (List.map (fun (a : Node.t) -> (a.Node.name, a.Node.value)) src.Node.attributes)
+      (copy_node ~next) src.Node.children
 
 let construct_element (ctx : ctx) tag (attrs : (string * string) list)
     (kids : kid list) : Node.t =
@@ -409,35 +374,14 @@ let construct_element (ctx : ctx) tag (attrs : (string * string) list)
   List.iter
     (fun (name, _) -> ignore (Xl_automata.Alphabet.intern ctx.alphabet ("@" ^ name)))
     attrs;
-  let dewey = Dewey.root in
-  let n = fresh_node Node.Element tag "" dewey in
-  let k = ref 0 in
-  let attr_nodes =
-    List.map
-      (fun (name, value) ->
-        incr k;
-        let a = fresh_node Node.Attribute name value (Dewey.child dewey !k) in
-        a.Node.parent <- Some n;
-        a)
-      attrs
-  in
-  let kid_nodes =
-    List.map
-      (fun kid ->
-        incr k;
-        let d = Dewey.child dewey !k in
-        let c =
-          match kid with
-          | K_text s -> fresh_node Node.Text "" s d
-          | K_copy src -> copy_element d src
-        in
-        c.Node.parent <- Some n;
-        c)
-      kids
-  in
-  n.Node.attributes <- attr_nodes;
-  n.Node.children <- kid_nodes;
-  n
+  (* ranked as [Doc.of_frag] ranks a root element: 1, below an absent
+     document node *)
+  let next = ref 1 in
+  Doc.make_element ~next ~ordinal:1 tag attrs
+    (fun ~ordinal -> function
+      | K_text s -> Doc.make_leaf ~next ~ordinal Node.Text "" s
+      | K_copy src -> copy_node ~next ~ordinal src)
+    kids
 
 (* ---------- hash-join planning ------------------------------------------ *)
 

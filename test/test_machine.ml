@@ -498,8 +498,8 @@ let test_dewey_step_zero () =
         match a with
         | M.Eq (Xl_core.Teacher.Counter { node; positive }) ->
           incr zeroed;
-          let dewey = List.rev (0 :: List.tl (List.rev node.Xl_xml.Node.dewey)) in
-          (qh, M.Eq (Xl_core.Teacher.Counter { node = { node with dewey }; positive }))
+          let node = { node with Xl_xml.Node.ordinal = 0 } in
+          (qh, M.Eq (Xl_core.Teacher.Counter { node; positive }))
         | _ -> (qh, a))
       entries
   in

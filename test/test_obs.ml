@@ -441,6 +441,25 @@ let test_at_exit_flush () =
       Alcotest.(check bool) "dead domain's buffer is empty" true
         (Obs.domain_buffer_empty id))
 
+(* Spans recorded while enabled are read after telemetry is switched
+   off: disabling must not strand the calling domain's unflushed spans. *)
+let test_flush_after_disable () =
+  with_obs (fun () ->
+      for i = 1 to 5 do
+        Obs.span ~name:"before-off" ~detail:(string_of_int i) (fun () -> ())
+      done;
+      Obs.set_enabled false;
+      let got =
+        List.filter (fun s -> s.Obs.sp_name = "before-off") (Obs.spans ())
+      in
+      Alcotest.(check (list string)) "every span is still in Obs.spans"
+        [ "1"; "2"; "3"; "4"; "5" ]
+        (List.map (fun s -> Option.value ~default:"" s.Obs.sp_detail) got);
+      Alcotest.(check int) "and in span_totals" 5
+        (List.fold_left
+           (fun acc t -> if t.Obs.st_name = "before-off" then acc + t.Obs.st_count else acc)
+           0 (Obs.span_totals ())))
+
 (* ---------- Perfetto export ---------------------------------------------- *)
 
 let perfetto_x_events text =
@@ -682,6 +701,8 @@ let () =
         [
           Alcotest.test_case "Domain.at_exit backstop" `Quick
             test_at_exit_flush;
+          Alcotest.test_case "spans survive set_enabled false" `Quick
+            test_flush_after_disable;
         ] );
       ( "disabled",
         [ Alcotest.test_case "zero allocation" `Quick test_disabled_no_alloc ] );

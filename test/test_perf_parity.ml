@@ -489,7 +489,9 @@ let test_select_engine_parity () =
       (fun (suite, store) ->
         (* every 7th node: a deterministic spread over document order *)
         let sample =
-          List.filteri (fun i _ -> i mod 7 = 0) (Xml.Store.nodes store)
+          List.filteri
+            (fun i _ -> i mod 7 = 0)
+            (List.concat_map Xml.Doc.nodes (Xml.Store.docs store))
         in
         [ (suite, store, sample) ])
       stores
@@ -592,34 +594,45 @@ let walk_alphabet (store : Xml.Store.t) : string list =
   ignore (Xl_automata.Alphabet.intern a "#text");
   Xl_automata.Alphabet.symbols a
 
+(* Every store the whole-store oracles run over: the Figure-16 stores at
+   1x and streamed 4x, the XMP store, the 1x catalog serialized and
+   re-parsed (tree path and streaming parse), and the 25-seed [Gen_doc]
+   corpus. *)
+let oracle_stores =
+  lazy
+    (let distinct_stores scenarios =
+       List.fold_left
+         (fun acc (_, (sc : Xl_core.Scenario.t)) ->
+           let st = sc.Xl_core.Scenario.store in
+           if List.exists (fun s -> s == st) acc then acc else acc @ [ st ])
+         [] scenarios
+     in
+     let named prefix stores =
+       List.mapi (fun i st -> (Printf.sprintf "%s #%d" prefix i, st)) stores
+     in
+     let xmark = Xl_workload.Xmark_scenarios.all () in
+     let catalog_doc =
+       List.hd (Xml.Store.docs (snd (List.hd xmark)).Xl_core.Scenario.store)
+     in
+     let catalog_text = Xml.Serialize.node_to_string (Xml.Doc.root catalog_doc) in
+     let reparsed = Xml.Xml_parser.parse_doc ~uri:"catalog.xml" catalog_text in
+     let _, streamed = Xml.Frozen_builder.parse ~uri:"catalog.xml" catalog_text in
+     named "fig16 xmark 1x" (distinct_stores xmark)
+     @ named "fig16 xmark 4x streamed"
+         (distinct_stores
+            (Xl_workload.Xmark_scenarios.all
+               ~scale:(Xl_workload.Xmark_gen.scale_factor 4) ~streamed:true ()))
+     @ named "fig16 xmp" (distinct_stores (Xl_workload.Xmp_scenarios.all ()))
+     @ [ ("xmp store", Xl_workload.Xmp_data.store ());
+         ("catalog serialized and re-parsed", Xml.Store.of_docs [ reparsed ]);
+         ("catalog serialized and streamed", Xml.Store.of_frozen [ streamed ]) ]
+     @ List.init 25 (fun index ->
+           ( Printf.sprintf "gen_doc case %d" index,
+             Xl_fuzz.Case.store_of (Xl_fuzz.Case.generate ~seed:20040301 ~index) )))
+
 let test_alphabet_order () =
-  let distinct_stores scenarios =
-    List.fold_left
-      (fun acc (_, (sc : Xl_core.Scenario.t)) ->
-        let st = sc.Xl_core.Scenario.store in
-        if List.exists (fun s -> s == st) acc then acc else acc @ [ st ])
-      [] scenarios
-  in
-  let named prefix stores = List.mapi (fun i st -> (Printf.sprintf "%s #%d" prefix i, st)) stores in
   let xmark = Xl_workload.Xmark_scenarios.all () in
-  let catalog_doc = List.hd (Xml.Store.docs (snd (List.hd xmark)).Xl_core.Scenario.store) in
-  let reparsed =
-    Xml.Xml_parser.parse_doc ~uri:"catalog.xml"
-      (Xml.Serialize.node_to_string (Xml.Doc.root catalog_doc))
-  in
-  let stores =
-    named "fig16 xmark 1x" (distinct_stores xmark)
-    @ named "fig16 xmark 4x streamed"
-        (distinct_stores
-           (Xl_workload.Xmark_scenarios.all
-              ~scale:(Xl_workload.Xmark_gen.scale_factor 4) ~streamed:true ()))
-    @ named "fig16 xmp" (distinct_stores (Xl_workload.Xmp_scenarios.all ()))
-    @ [ ("xmp store", Xl_workload.Xmp_data.store ());
-        ("catalog serialized and re-parsed", Xml.Store.of_docs [ reparsed ]) ]
-    @ List.init 25 (fun index ->
-          ( Printf.sprintf "gen_doc case %d" index,
-            Xl_fuzz.Case.store_of (Xl_fuzz.Case.generate ~seed:20040301 ~index) ))
-  in
+  let stores = Lazy.force oracle_stores in
   List.iter
     (fun (label, store) ->
       Alcotest.(check (list string)) label (walk_alphabet store)
@@ -635,6 +648,116 @@ let test_alphabet_order () =
   Alcotest.(check (list string)) "DataGuide scenario xmark Q1"
     (walk_alphabet q1.Xl_core.Scenario.store)
     (Xl_automata.Alphabet.symbols (Xl_core.Oracle.eval_ctx o).Eval.alphabet)
+
+(* ---------- node ranks, Dewey codes and document order --------------------- *)
+
+(* The Dewey numbering nodes once stored in a list field: [[1]] for a
+   root element (attached or constructed), [d @ [k]] for the k-th of an
+   element's attributes-then-children, [[]] for a document node.
+   [Node.dewey] must rebuild exactly these codes, and [Node.compare_order]
+   must agree with the order they gave: Dewey order, then ids. *)
+let list_dewey (tbl : (int, int list) Hashtbl.t) (top : Xml.Node.t) =
+  let rec go d (n : Xml.Node.t) =
+    Hashtbl.replace tbl n.Xml.Node.id d;
+    List.iteri
+      (fun i c -> go (d @ [ i + 1 ]) c)
+      (n.Xml.Node.attributes @ n.Xml.Node.children)
+  in
+  match top.Xml.Node.kind with
+  | Xml.Node.Document ->
+    Hashtbl.replace tbl top.Xml.Node.id [];
+    List.iter (go [ 1 ]) top.Xml.Node.children
+  | _ -> go [ 1 ] top
+
+let list_order tbl (a : Xml.Node.t) (b : Xml.Node.t) =
+  let c =
+    Xml.Dewey.compare (Hashtbl.find tbl a.Xml.Node.id) (Hashtbl.find tbl b.Xml.Node.id)
+  in
+  if c <> 0 then c else compare a.Xml.Node.id b.Xml.Node.id
+
+let test_rank_dewey_oracle () =
+  let tbl = Hashtbl.create 65536 in
+  let sign x = compare x 0 in
+  let rng = Random.State.make [| 20040301 |] in
+  (* [pairs] random pairs drawn from [nodes]: the rank order must be the
+     list order *)
+  let check_pairs label (nodes : Xml.Node.t array) pairs =
+    let n = Array.length nodes in
+    let bad = ref 0 in
+    for _ = 1 to pairs do
+      let a = nodes.(Random.State.int rng n) and b = nodes.(Random.State.int rng n) in
+      if sign (Xml.Node.compare_order a b) <> sign (list_order tbl a b) then incr bad
+    done;
+    Alcotest.(check int) (Printf.sprintf "%s: %d random pairs in list order" label pairs)
+      0 !bad
+  in
+  let check_codes label nodes =
+    let bad =
+      List.filter
+        (fun (n : Xml.Node.t) ->
+          Xml.Node.dewey n <> Hashtbl.find tbl n.Xml.Node.id)
+        nodes
+    in
+    Alcotest.(check int) (label ^ ": Dewey codes equal the list oracle") 0 (List.length bad)
+  in
+  (* store documents: both producers rank every node by its position *)
+  let sampled = ref [] in
+  List.iter
+    (fun (label, store) ->
+      let nodes =
+        List.concat_map
+          (fun fz ->
+            let doc = Xml.Frozen.doc fz in
+            list_dewey tbl doc.Xml.Doc.doc_node;
+            Alcotest.(check int) (label ^ ": node_count is the row count")
+              (Xml.Frozen.size fz) (Xml.Doc.node_count doc);
+            let misranked = ref 0 in
+            Array.iteri
+              (fun p (n : Xml.Node.t) -> if n.Xml.Node.rank <> p then incr misranked)
+              (Xml.Frozen.nodes fz);
+            Alcotest.(check int) (label ^ ": nodes.(p).rank = p") 0 !misranked;
+            Array.to_list (Xml.Frozen.nodes fz))
+          (Xml.Store.frozen_docs store)
+      in
+      check_codes label nodes;
+      check_pairs label (Array.of_list nodes) 2000;
+      sampled := List.filteri (fun i _ -> i mod 11 = 0) nodes :: !sampled)
+    (Lazy.force oracle_stores);
+  (* constructed elements: copies of stored subtrees under new roots *)
+  let constructed =
+    List.concat_map
+      (fun (store, q) ->
+        let v = Eval.run (Eval.make_ctx store) (Parser.parse q) in
+        List.concat_map
+          (fun (it : Value.item) ->
+            match it with
+            | Value.Node n when n.Xml.Node.parent = None ->
+              list_dewey tbl n;
+              Xml.Node.all_nodes n
+            | _ -> [])
+          v)
+      [ ( (snd (List.hd (Xl_workload.Xmark_scenarios.all ()))).Xl_core.Scenario.store,
+          "for $i in /site/regions/europe/item return <hit n=\"x\" m=\"y\">{$i/name}<w>{$i/@id}</w>{$i}</hit>" );
+        ( Xl_workload.Xmp_data.store (),
+          "for $b in document(\"bib.xml\")//book return <r>{$b/title}{$b}</r>" ) ]
+  in
+  Alcotest.(check bool) "queries construct elements" true (List.length constructed > 100);
+  check_codes "constructed" constructed;
+  let misranked =
+    List.filter
+      (fun (n : Xml.Node.t) ->
+        let all = Xml.Node.all_nodes (Xml.Node.root n) in
+        let rec index i = function
+          | [] -> -1
+          | m :: rest -> if m == n then i else index (i + 1) rest
+        in
+        n.Xml.Node.rank <> 1 + index 0 all)
+      constructed
+  in
+  Alcotest.(check int) "constructed: ranks are preorder from 1" 0 (List.length misranked);
+  (* across documents and stores, with constructed nodes mixed in *)
+  let mixed = Array.of_list (constructed @ List.concat !sampled) in
+  check_pairs "stores and constructed mixed" mixed 50000
 
 (* Streaming-ingestion parity over the fuzz corpus: for each case's
    training document, the one-pass builder (fragment walk and SAX text
@@ -893,6 +1016,8 @@ let () =
             test_q1_hash_join;
           Alcotest.test_case "make_ctx alphabet matches the node walk" `Quick
             test_alphabet_order;
+          Alcotest.test_case "node ranks and Dewey codes match the list oracle"
+            `Quick test_rank_dewey_oracle;
         ] );
       ( "semi-join",
         [

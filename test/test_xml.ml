@@ -15,16 +15,10 @@ let test_dewey_order () =
   check cbool "sibling order" true (Dewey.compare [ 1; 2 ] [ 1; 10 ] < 0);
   check cbool "document order across depth" true (Dewey.compare [ 1; 2; 9 ] [ 1; 3 ] < 0)
 
-let test_dewey_ancestor () =
-  check cbool "ancestor" true (Dewey.is_ancestor [ 1 ] [ 1; 4; 2 ]);
-  check cbool "self is not ancestor" false (Dewey.is_ancestor [ 1; 4 ] [ 1; 4 ]);
-  check cbool "sibling not ancestor" false (Dewey.is_ancestor [ 1; 4 ] [ 1; 5; 1 ])
 
 let test_dewey_strings () =
   check cstr "to_string" "1.2.3" (Dewey.to_string [ 1; 2; 3 ]);
-  check cbool "roundtrip" true (Dewey.of_string "1.2.3" = [ 1; 2; 3 ]);
-  check cbool "parent" true (Dewey.parent [ 1; 2; 3 ] = Some [ 1; 2 ]);
-  check cbool "parent of root" true (Dewey.parent [ 1 ] = None)
+  check cbool "roundtrip" true (Dewey.of_string "1.2.3" = [ 1; 2; 3 ])
 
 (* ---------- Frag -------------------------------------------------------- *)
 
@@ -90,17 +84,54 @@ let test_document_order () =
   | Some a, Some b -> check cbool "item name before category name" true (Node.compare_order a b < 0)
   | _ -> Alcotest.fail "nodes missing"
 
-let test_find_by_id () =
+let test_rank_ordinal_dewey () =
   let d = doc () in
-  let n = Option.get (Doc.node_with_path d [ "site"; "categories" ]) in
-  check cbool "find_by_id" true
-    (match Doc.find_by_id d n.Node.id with Some m -> Node.equal m n | None -> false)
+  (* preorder, attributes before children, the document node first *)
+  List.iteri
+    (fun r n -> check cint (Printf.sprintf "rank of %s" (Node.symbol n)) r n.Node.rank)
+    (d.Doc.doc_node :: Doc.all_nodes d);
+  let at path = Option.get (Doc.node_with_path d path) in
+  let item = at [ "site"; "regions"; "europe"; "item" ] in
+  let id = at [ "site"; "regions"; "europe"; "item"; "@id" ] in
+  let name = at [ "site"; "regions"; "europe"; "item"; "name" ] in
+  let cat = at [ "site"; "categories" ] in
+  check cint "attribute ordinal" 1 id.Node.ordinal;
+  check cint "children count after attributes" 2 name.Node.ordinal;
+  check cbool "document node code" true (Node.dewey d.Doc.doc_node = []);
+  check cbool "root element code" true (Node.dewey (Doc.root d) = [ 1 ]);
+  check cbool "attribute code" true (Node.dewey id = [ 1; 1; 1; 1; 1 ]);
+  check cbool "child code" true (Node.dewey name = [ 1; 1; 1; 1; 2 ]);
+  check cbool "second child code" true (Node.dewey cat = [ 1; 2 ]);
+  check cstr "pp shows the code" "name(1.1.1.1.2)" (Format.asprintf "%a" Node.pp name);
+  check cbool "the attribute hangs off the item" true
+    (match Node.parent id with Some p -> p == item | None -> false)
 
 let test_all_nodes_count () =
   let d = doc () in
   (* 9 elements + 2 attributes + 3 texts + 1 document node indexed *)
   check cint "node_count" 15 (Doc.node_count d);
   check cint "element+attr nodes" 11 (List.length (Doc.nodes d))
+
+(* Ancestorship by parent links is strict Dewey-prefix ancestorship. *)
+let test_dewey_ancestor () =
+  let d = doc () in
+  let rec strict_prefix p q =
+    match p, q with
+    | [], _ :: _ -> true
+    | x :: p', y :: q' -> x = y && strict_prefix p' q'
+    | _ -> false
+  in
+  let nodes = d.Doc.doc_node :: Doc.all_nodes d in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun n ->
+          check cbool
+            (Format.asprintf "%a ancestor of %a" Node.pp a Node.pp n)
+            (strict_prefix (Node.dewey a) (Node.dewey n))
+            (Node.is_ancestor a n))
+        nodes)
+    nodes
 
 (* ---------- Parser ------------------------------------------------------- *)
 
@@ -164,7 +195,10 @@ let test_store () =
   check cbool "find by uri" true (Store.find st "b.xml" <> None);
   check cbool "find by basename" true (Store.find st "/tmp/b.xml" <> None);
   check cbool "missing" true (Store.find st "c.xml" = None);
-  check cint "all nodes" 2 (List.length (Store.nodes st))
+  check cbool "value index covers both documents" true
+    (List.for_all
+       (fun v -> List.length (Hashtbl.find (Store.value_index st) v) = 1)
+       [ "1"; "2" ])
 
 let test_store_reuse () =
   let _, fz = Frozen_builder.of_frag ~uri:"sample.xml" sample in
@@ -176,7 +210,9 @@ let test_store_reuse () =
     | _ -> false);
   check cbool "store queries work" true
     (List.length
-       (List.filter (fun n -> String.equal (Node.symbol n) "item") (Store.nodes store))
+       (List.filter
+          (fun n -> String.equal (Node.symbol n) "item")
+          (Doc.nodes (Store.default store)))
      = 1)
 
 (* ---------- Frozen ---------------------------------------------------------- *)
@@ -339,54 +375,59 @@ let test_builder_misuse () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* ---------- Position index ---------------------------------------------- *)
+(* ---------- Positions from ranks ------------------------------------------- *)
 
-let counter name =
-  match Xl_obs.Obs.Counter.find name with
-  | Some c -> Xl_obs.Obs.Counter.value c
-  | None -> Alcotest.failf "counter %s not registered" name
-
-let test_pos_index_dense_and_sparse () =
-  Xl_obs.Obs.set_enabled true;
-  Fun.protect ~finally:(fun () -> Xl_obs.Obs.set_enabled false) @@ fun () ->
-  let dense_before = counter "frozen_pos_dense" in
-  let fz = Frozen.freeze (doc ()) in
-  check cbool "fresh document takes the dense index" true
-    (Frozen.pos_index_is_dense fz);
-  check cint "dense counter ticked" (dense_before + 1) (counter "frozen_pos_dense");
-  (* a document with a hole in its id range must fall back to the
-     hashtable: hand-assemble one the way the evaluator's element
-     constructor would *)
-  let mk kind name value =
-    {
-      Node.id = Doc.fresh_id ();
-      kind;
-      name;
-      value;
-      parent = None;
-      children = [];
-      attributes = [];
-      dewey = [];
-    }
+(* [pos_of_node] reads the node's rank and checks the slot holds that very
+   node, so neither id gaps nor interleaved ids matter, and a node of
+   another snapshot with the same rank is foreign. *)
+let test_pos_of_node_gaps_and_domains () =
+  let roundtrip label fz =
+    Array.iteri
+      (fun p n ->
+        check cbool (Printf.sprintf "%s: position %d round-trips" label p) true
+          (Frozen.pos_of_node fz n = Some p))
+      (Frozen.nodes fz)
   in
-  let doc_node = mk Node.Document "" "" in
-  ignore (Doc.fresh_id ());
-  (* the hole *)
-  let root = mk Node.Element "r" "" in
-  root.Node.dewey <- Dewey.root;
+  (* a document with a hole in its id range, hand-assembled the way the
+     streaming builder places nodes *)
+  let doc_node = Doc.make_node ~rank:0 ~ordinal:0 Node.Document "" "" in
+  ignore (Doc.make_node ~rank:0 ~ordinal:0 Node.Text "" "the hole");
+  let root = Doc.make_node ~rank:1 ~ordinal:1 Node.Element "r" "" in
   root.Node.parent <- Some doc_node;
   doc_node.Node.children <- [ root ];
-  let by_id = Hashtbl.create 4 in
-  List.iter (fun n -> Hashtbl.replace by_id n.Node.id n) [ doc_node; root ];
-  let gappy = { Doc.uri = "gap.xml"; doc_node; root; by_id } in
-  let sparse_before = counter "frozen_pos_sparse" in
-  let gz = Frozen.freeze gappy in
-  check cbool "gappy ids fall back to the hashtable" false
-    (Frozen.pos_index_is_dense gz);
-  check cint "sparse counter ticked" (sparse_before + 1)
-    (counter "frozen_pos_sparse");
-  check cbool "sparse lookup still works" true
-    (Frozen.pos_of_node gz root = Some 1)
+  let gappy =
+    Frozen.freeze { Doc.uri = "gap.xml"; doc_node; root; node_count = 2 }
+  in
+  check cbool "the ids have a gap" true (root.Node.id - doc_node.Node.id > 1);
+  roundtrip "id gap" gappy;
+  (* two documents built at once on two domains draw interleaved ids *)
+  let build () =
+    Frozen.freeze (Doc.of_frag (Frag.e "r" (List.init 500 (fun i -> Frag.elem "c" (string_of_int i)))))
+  in
+  let other = Domain.spawn build in
+  let mine = build () in
+  let theirs = Domain.join other in
+  roundtrip "built on this domain" mine;
+  roundtrip "built on another domain" theirs;
+  Array.iteri
+    (fun p n ->
+      check cbool (Printf.sprintf "same rank %d, other snapshot" p) true
+        (Frozen.pos_of_node mine n = None))
+    (Frozen.nodes theirs);
+  check cbool "same rank, other snapshot (id gap)" true
+    (Frozen.pos_of_node gappy (Frozen.node mine 1) = None);
+  (* freezing checks the ranks it relies on *)
+  let misranked = Doc.make_node ~rank:7 ~ordinal:1 Node.Element "r" "" in
+  let doc_node' = Doc.make_node ~rank:0 ~ordinal:0 Node.Document "" "" in
+  misranked.Node.parent <- Some doc_node';
+  doc_node'.Node.children <- [ misranked ];
+  check cbool "a misranked node is refused" true
+    (match
+       Frozen.freeze
+         { Doc.uri = "bad.xml"; doc_node = doc_node'; root = misranked; node_count = 2 }
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
 
 (* ---------- Ingestion cost ----------------------------------------------- *)
 
@@ -513,7 +554,7 @@ let () =
           Alcotest.test_case "tag_path" `Quick test_tag_path;
           Alcotest.test_case "attribute path" `Quick test_attribute_path;
           Alcotest.test_case "document order" `Quick test_document_order;
-          Alcotest.test_case "find_by_id" `Quick test_find_by_id;
+          Alcotest.test_case "rank, ordinal and Dewey code" `Quick test_rank_ordinal_dewey;
           Alcotest.test_case "node counts" `Quick test_all_nodes_count;
         ] );
       ( "parser",
@@ -553,7 +594,8 @@ let () =
           Alcotest.test_case "document order" `Quick test_frozen_document_order;
           Alcotest.test_case "structure consistency" `Quick test_frozen_structure_consistency;
           Alcotest.test_case "pos_of_node roundtrip" `Quick test_frozen_pos_of_node;
-          Alcotest.test_case "dense and sparse index" `Quick test_pos_index_dense_and_sparse;
+          Alcotest.test_case "pos_of_node across id gaps and domains" `Quick
+            test_pos_of_node_gaps_and_domains;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
