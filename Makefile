@@ -23,10 +23,11 @@ bench-frozen:
 	dune exec bench/main.exe -- frozen -j 1
 	dune exec bench/main.exe -- frozen -j 4
 
-# Streaming ingestion ladder (DESIGN.md §5i): one-pass builder vs tree
-# walk + freeze at XMark 1x/4x/10x/100x and a parse of the serialized
-# document, then the Figure-16 XMark suite on a 10x streamed store.
-# Every leg is parity-checked (exit 1 on any structural difference).
+# Ingestion ladder (DESIGN.md §5i): XMark 1x/4x/10x/100x built through
+# Doc.of_frag + Store.of_docs, each serialized and parsed back to the
+# same text (exit 1 otherwise), with live bytes per node; then the
+# Figure-16 XMark suite on the 10x instance (exit 1 on any unverified
+# scenario).
 bench-stream:
 	dune build bench/main.exe
 	dune exec bench/main.exe -- stream

@@ -33,7 +33,7 @@ let build ?(max_depth = 3) (store : Store.t) : t =
          domains *)
       List.iter
         (fun d ->
-          Hashtbl.replace doc_uri_cache d.Doc.doc_node.Node.id (Some (Doc.uri d));
+          Hashtbl.replace doc_uri_cache (Doc.doc_node d).Node.id (Some (Doc.uri d));
           Hashtbl.replace doc_uri_cache (Doc.root d).Node.id (Some (Doc.uri d)))
         (Store.docs store);
       {
@@ -138,7 +138,7 @@ let doc_uri_of (t : t) (n : Node.t) : string option =
        pool domains, so the table must stay read-only after [build] *)
     List.find_map
       (fun d ->
-        if Node.equal d.Doc.doc_node root || Node.equal (Doc.root d) root then
+        if Node.equal (Doc.doc_node d) root || Node.equal (Doc.root d) root then
           Some (Doc.uri d)
         else None)
       (Store.docs t.store)

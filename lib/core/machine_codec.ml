@@ -46,7 +46,7 @@ let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 let node_ref (store : Store.t) (n : Node.t) : string * int list =
   let root = Node.root n in
   match
-    List.find_opt (fun (d : Doc.t) -> Node.equal d.Doc.doc_node root) (Store.docs store)
+    List.find_opt (fun (d : Doc.t) -> Node.equal (Doc.doc_node d) root) (Store.docs store)
   with
   | Some d -> (d.Doc.uri, Node.dewey n)
   | None ->
@@ -73,7 +73,7 @@ let node_of_ref (store : Store.t) ~uri ~dewey : (Node.t, string) result =
           Error
             (Printf.sprintf "dewey step %d out of range under %s" k (Node.symbol n)))
     in
-    walk doc.Doc.doc_node dewey
+    walk (Doc.doc_node doc) dewey
 
 let phase_name : Engine.phase -> string = function
   | Dropping -> "dropping"

@@ -36,11 +36,11 @@ let base (tree : Xqtree.t) (store : Xl_xml.Store.t) (t : t)
       | None -> Xl_xml.Store.default store
       | Some u -> Xl_xml.Store.find_exn store u
     in
-    Some doc.Xl_xml.Doc.doc_node
+    Some (Xl_xml.Doc.doc_node doc)
   | _ -> (
     match Xqtree.base_var tree anchor.Xqtree.label with
     | Some v -> List.assoc_opt v context
-    | None -> Some (Xl_xml.Store.default store).Xl_xml.Doc.doc_node)
+    | None -> Some (Xl_xml.Doc.doc_node (Xl_xml.Store.default store)))
 
 (** All tasks of a tree, in the depth-first learning order. *)
 let tasks_of (tree : Xqtree.t) : t list =

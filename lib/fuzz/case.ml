@@ -23,7 +23,7 @@ type t = {
 
 let bases_of ctx doc base (n : Xqtree.node) =
   match n.Xqtree.source with
-  | Some (Xqtree.Abs (_, p)) -> Eval.eval_path ctx p doc.Doc.doc_node
+  | Some (Xqtree.Abs (_, p)) -> Eval.eval_path ctx p (Doc.doc_node doc)
   | Some (Xqtree.Rel p) -> (
     match base with Some b -> Eval.eval_path ctx p b | None -> [])
   | None -> []

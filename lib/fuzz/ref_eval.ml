@@ -30,9 +30,9 @@ let rec eval (ctx : Eval.ctx) (env : Env.t) (e : Ast.expr) : Value.t =
   | Ast.Literal a -> [ Value.Atom a ]
   | Ast.Sequence es -> List.concat_map (eval ctx env) es
   | Ast.Var v -> Env.find_exn env v
-  | Ast.Doc_root None -> [ Value.Node (Store.default ctx.Eval.store).Doc.doc_node ]
+  | Ast.Doc_root None -> [ Value.Node (Doc.doc_node (Store.default ctx.Eval.store)) ]
   | Ast.Doc_root (Some u) ->
-    [ Value.Node (Store.find_exn ctx.Eval.store u).Doc.doc_node ]
+    [ Value.Node (Doc.doc_node (Store.find_exn ctx.Eval.store u)) ]
   | Ast.Path (e, p) ->
     Value.document_order
       (Value.of_nodes

@@ -45,16 +45,6 @@ let scale_factor f =
 
 let regions = [ "africa"; "asia"; "australia"; "europe"; "namerica"; "samerica" ]
 
-(* rough preorder row count, used to pre-size the streaming builder *)
-let estimated_nodes (s : scale) =
-  let items = s.items_per_region * List.length regions in
-  256
-  + (s.categories * 14)
-  + (items * 32)
-  + (s.people * 28)
-  + (s.open_auctions * 38)
-  + (s.closed_auctions * 22)
-
 let nouns =
   [ "gold"; "duty"; "prove"; "rusty"; "seven"; "march"; "crown"; "ocean"; "table";
     "chair"; "amber"; "cider"; "piano"; "quilt"; "raven"; "sword"; "torch"; "vase" ]
@@ -313,14 +303,6 @@ let generate_frag ?(seed = 20040301) (scale : scale) : Frag.t =
 
 let generate ?seed (scale : scale) : Doc.t =
   Doc.of_frag ~uri:"auction.xml" (generate_frag ?seed scale)
-
-(** Generate straight into the streaming builder: the fragment is walked
-    exactly once, producing the document and its frozen snapshot together
-    (no [Doc.of_frag] + [Frozen.freeze] double walk).  This is the path
-    that makes 10-100x documents ({!scale_factor}) affordable. *)
-let generate_frozen ?seed (scale : scale) : Doc.t * Frozen.t =
-  Frozen_builder.of_frag ~uri:"auction.xml" ~hint:(estimated_nodes scale)
-    (generate_frag ?seed scale)
 
 (** Generate and validate against the DTD (used by tests). *)
 let generate_valid ?seed scale : Doc.t * Xl_schema.Validate.violation list =

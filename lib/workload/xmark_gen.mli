@@ -33,12 +33,6 @@ val generate_frag : ?seed:int -> scale -> Xl_xml.Frag.t
 
 val generate : ?seed:int -> scale -> Xl_xml.Doc.t
 
-val generate_frozen : ?seed:int -> scale -> Xl_xml.Doc.t * Xl_xml.Frozen.t
-(** One-pass generation straight into the streaming builder: document
-    and frozen snapshot together, without the [Doc.of_frag] +
-    [Frozen.freeze] double walk.  Use with {!scale_factor} for large
-    instances. *)
-
 val generate_valid :
   ?seed:int -> scale -> Xl_xml.Doc.t * Xl_schema.Validate.violation list
 (** Generate and validate against the DTD. *)

@@ -16,9 +16,3 @@ let rec compare (a : t) (b : t) : int =
   | x :: a', y :: b' -> if x <> y then Stdlib.compare x y else compare a' b'
 
 let to_string (d : t) : string = String.concat "." (List.map string_of_int d)
-
-let of_string (s : string) : t =
-  if s = "" then invalid_arg "Dewey.of_string: empty"
-  else List.map int_of_string (String.split_on_char '.' s)
-
-let pp fmt d = Format.pp_print_string fmt (to_string d)

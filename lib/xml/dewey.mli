@@ -15,8 +15,3 @@ val compare : t -> t -> int
 
 val to_string : t -> string
 (** ["1.2.3"] notation. *)
-
-val of_string : string -> t
-(** Inverse of {!to_string}.  Raises [Invalid_argument] on garbage. *)
-
-val pp : Format.formatter -> t -> unit

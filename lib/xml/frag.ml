@@ -1,8 +1,7 @@
 (** Lightweight immutable XML fragments.
 
     A [Frag.t] is a plain description of an XML tree, convenient for
-    literals in tests, the data generators, and as the output of the
-    parser.  [Doc.of_frag] turns a fragment into a document with node
+    literals in tests, the data generators and serialization.  [Doc.of_frag] turns a fragment into a document with node
     identities and preorder ranks. *)
 
 type t =

@@ -6,7 +6,7 @@
     equality — and a preorder [rank] giving document order within its
     tree.
 
-    Nodes are built once ({!Doc}, [Frozen_builder], the evaluator's
+    Nodes are built once (by the {!Doc} builder, or by the evaluator's
     element constructor) and never mutated afterwards; the mutable
     fields exist only so construction can tie the parent knots. *)
 
@@ -27,7 +27,7 @@ type t = {
   mutable attributes : t list;
   rank : int;
       (** preorder position in the tree, attributes before children; a
-          document node is 0, so a stored node's rank is its {!Frozen}
+          document node is 0, so a stored node's rank is its {!Doc}
           position *)
   ordinal : int;
       (** 1-based position among the parent's attributes and children

@@ -4,9 +4,9 @@
     learner a single node universe spanning several documents (the XMP
     scenarios join [bib.xml] with [reviews.xml] and [prices.xml]).
 
-    A store is immutable and complete when {!of_docs} or {!of_frozen}
-    returns: the v-equality value index and the frozen array snapshots
-    are built then, once, under the [store.index_build] span.  Every
+    A store is immutable and complete when {!of_docs} returns: the
+    v-equality value index is built then, once, under the
+    [store.index_build] span, and the documents arrive finished.  Every
     reader is a pure lookup, so a store can be shared read-only across
     domains straight from its constructor. *)
 
@@ -14,12 +14,7 @@ type t
 
 val of_docs : Doc.t list -> t
 (** A store over the documents, registration order; the first becomes
-    the default.  Freezes every document. *)
-
-val of_frozen : Frozen.t list -> t
-(** A store over pre-built snapshots (the streaming builder's output),
-    which it keeps instead of re-freezing; the first becomes the
-    default. *)
+    the default. *)
 
 val default : t -> Doc.t
 (** The target of paths starting at the plain document root.
@@ -40,9 +35,6 @@ val prepare : t -> unit
 val value_index : t -> (string, Node.t list) Hashtbl.t
 (** The raw value index (shared with {!Xl_core.Data_graph}).  Read-only. *)
 
-val frozen_docs : t -> Frozen.t list
-(** The frozen array snapshot of every document, registration order. *)
-
-val frozen_of_node : t -> Node.t -> (Frozen.t * int) option
-(** Snapshot and position of a store-resident node; [None] for foreign
+val locate : t -> Node.t -> (Doc.t * int) option
+(** Document and position of a store-resident node; [None] for foreign
     nodes (constructed elements), which must take the pointer walks. *)

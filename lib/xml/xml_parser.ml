@@ -7,11 +7,9 @@
     are decoded.  Whitespace-only text between elements is dropped, which
     matches how the paper's data sets are used.
 
-    The lexer drives a flat event loop ({!iter_events}); the tree parser
-    ({!parse}) is one consumer of those events, and {!Frozen_builder}
-    is another — both observe the identical event stream, which is what
-    makes the streaming ingestion path provably equivalent to the
-    freeze-of-tree path. *)
+    The lexer drives a flat event loop ({!iter_events}); {!parse_doc}
+    feeds those events to the {!Doc} builder, so a document is built in
+    the same single pass that lexes it. *)
 
 type location = { offset : int; line : int; col : int }
 
@@ -285,41 +283,19 @@ let run_events st (f : event -> unit) : unit =
 let iter_events (src : string) (f : event -> unit) : unit =
   run_events { src; pos = 0 } f
 
-(** Left fold over the event stream. *)
-let fold_events (src : string) ~(init : 'a) ~(f : 'a -> event -> 'a) : 'a =
-  let acc = ref init in
-  iter_events src (fun ev -> acc := f !acc ev);
-  !acc
-
 (* ---------------------------------------------------------------------- *)
-(* Tree parser, as one event consumer                                      *)
+(* Documents                                                              *)
 (* ---------------------------------------------------------------------- *)
 
-(** Parse a complete document (prolog + one root element) into a fragment. *)
-let parse (src : string) : Frag.t =
+(** Parse a complete document straight into the {!Doc} builder, one
+    pass: no fragment, no second walk. *)
+let parse_doc ?uri (src : string) : Doc.t =
   Xl_obs.Obs.span ~name:"xml.parse" (fun () ->
-      (* one frame per open element: tag, attrs, children so far (reversed) *)
-      let stack : (string * (string * string) list * Frag.t list) list ref =
-        ref []
-      in
-      let result = ref None in
-      iter_events src (fun ev ->
-          match ev, !stack with
-          | Start_element (tag, attrs), _ -> stack := (tag, attrs, []) :: !stack
-          | Text s, (tag, attrs, kids) :: rest ->
-            stack := (tag, attrs, Frag.T s :: kids) :: rest
-          | End_element, (tag, attrs, kids) :: rest ->
-            let e = Frag.E (tag, attrs, List.rev kids) in
-            (match rest with
-            | (ptag, pattrs, pkids) :: rest' ->
-              stack := (ptag, pattrs, e :: pkids) :: rest'
-            | [] -> result := Some e)
-          | (Text _ | End_element), [] ->
-            (* iter_events only emits these inside the root element *)
-            assert false);
-      match !result with
-      | Some root -> root
-      | None -> error { src; pos = 0 } "expected root element")
-
-(** Parse straight to an indexed {!Doc.t}. *)
-let parse_doc ?uri (src : string) : Doc.t = Doc.of_frag ?uri (parse src)
+      (* rough row estimate: the benchmark corpora average ~25 source
+         bytes per node; halving over-allocation beats a late doubling *)
+      let b = Doc.create ?uri ~hint:(max 64 (String.length src / 24)) () in
+      iter_events src (function
+        | Start_element (tag, attrs) -> Doc.open_element b tag attrs
+        | Text s -> Doc.text b s
+        | End_element -> Doc.close_element b);
+      Doc.finish b)

@@ -7,9 +7,7 @@
     elements is dropped.
 
     The event stream ({!iter_events}) is the single source of truth:
-    {!parse} assembles a {!Frag.t} from it, and [Frozen_builder] appends
-    frozen snapshot rows from it — so the streaming ingestion path sees
-    exactly what the tree path sees. *)
+    {!parse_doc} feeds it to the {!Doc} builder in the same pass. *)
 
 type location = { offset : int; line : int; col : int }
 (** Error position: byte [offset] into the source, plus the 1-based
@@ -39,13 +37,7 @@ val iter_events : string -> (event -> unit) -> unit
     Raises {!Parse_error} on malformed input, including trailing
     content. *)
 
-val fold_events : string -> init:'a -> f:('a -> event -> 'a) -> 'a
-(** Left fold over the event stream. *)
-
-val parse : string -> Frag.t
-(** Parse a complete document (prolog + exactly one root element).
-    Raises {!Parse_error} on malformed input, including trailing
-    content. *)
-
 val parse_doc : ?uri:string -> string -> Doc.t
-(** Parse straight to an indexed document. *)
+(** Parse a complete document (prolog + exactly one root element)
+    straight into a {!Doc.t}, under the [xml.parse] span.  Raises
+    {!Parse_error} on malformed input, including trailing content. *)

@@ -9,7 +9,7 @@
     There is one evaluation path, chosen by the input alone:
 
     - a selection from a store-resident base is a linear scan of the
-      store's frozen arrays; a constructed (foreign) base takes the
+      document's arrays; a constructed (foreign) base takes the
       pointer walk [tree_select], the only engine that reaches it.
       Either way the result is memoized per (DFA, base node);
     - an equality or node-identity ([is]) [where] clause whose build
@@ -69,7 +69,7 @@ type ctx = {
   plan_cache : (Ast.expr, join_plan option) Hashtbl.t;
       (** keyed by the [Flwor] or [Some_] expression planned *)
   frozen_syms : (int, int array * int) Hashtbl.t;
-      (** {!Xl_xml.Frozen.t} uid -> (local symbol id -> alphabet id or -1,
+      (** {!Xl_xml.Doc.t} uid -> (local symbol id -> alphabet id or -1,
           alphabet size at build) — rebuilt when the alphabet grows *)
   extent_cache : (Xl_automata.Dfa.t * int, Node.t list) Hashtbl.t;
       (** (DFA, base node id) -> selection *)
@@ -99,18 +99,18 @@ let liveness = Xl_automata.Dfa.liveness
 
 let make_ctx (store : Store.t) : ctx =
   let alphabet = Xl_automata.Alphabet.create () in
-  (* each snapshot's symbol table is its symbols in first-appearance
+  (* each document's symbol table is its symbols in first-appearance
      document order, so interning the tables in store order gives the
      alphabet a walk of every node would, without the walk; the document
      node's own symbol is not a path symbol *)
   List.iter
-    (fun (fz : Frozen.t) ->
+    (fun (d : Doc.t) ->
       Array.iter
         (fun s ->
           if not (String.equal s "#doc") then
             ignore (Xl_automata.Alphabet.intern alphabet s))
-        fz.Frozen.symbols)
-    (Store.frozen_docs store);
+        d.Doc.symbols)
+    (Store.docs store);
   (* constructed text nodes must already be interned when a path walks a
      constructed tree: interning mid-walk invalidates every cached DFA *)
   ignore (Xl_automata.Alphabet.intern alphabet "#text");
@@ -172,8 +172,8 @@ let live_of (ctx : ctx) (dfa : Xl_automata.Dfa.t) : bool array =
 
 (* The pointer walk with dead-state pruning: the engine for constructed
    bases, and the reference the frozen scan is tested against.  A DFS
-   taking attributes before element/text children — the order
-   [Doc.of_frag] numbered them in — emits document order directly, so
+   taking attributes before element/text children — the order the
+   [Doc] builder numbers them in — emits document order directly, so
    the accumulator only needs reversing, never sorting. *)
 let tree_select (ctx : ctx) (dfa : Xl_automata.Dfa.t) (live : bool array)
     (base : Node.t) : Node.t list =
@@ -215,13 +215,13 @@ let tree_select (ctx : ctx) (dfa : Xl_automata.Dfa.t) (live : bool array)
   Xl_obs.Obs.Counter.add c_nodes_visited !visited;
   List.rev !out
 
-(* The snapshot's local symbol ids mapped to this context's alphabet
+(* The document's local symbol ids mapped to this context's alphabet
    (-1 for symbols the alphabet has never seen).  The map depends only
    on the alphabet size — the alphabet is append-only — so it is rebuilt
    exactly when the alphabet has grown since it was built. *)
-let frozen_sym_map (ctx : ctx) (fz : Frozen.t) : int array =
+let frozen_sym_map (ctx : ctx) (d : Doc.t) : int array =
   let asize = Xl_automata.Alphabet.size ctx.alphabet in
-  match Hashtbl.find_opt ctx.frozen_syms fz.Frozen.uid with
+  match Hashtbl.find_opt ctx.frozen_syms d.Doc.uid with
   | Some (map, stamp) when stamp = asize -> map
   | _ ->
     let map =
@@ -230,9 +230,9 @@ let frozen_sym_map (ctx : ctx) (fz : Frozen.t) : int array =
           match Xl_automata.Alphabet.find ctx.alphabet s with
           | Some i -> i
           | None -> -1)
-        fz.Frozen.symbols
+        d.Doc.symbols
     in
-    Hashtbl.replace ctx.frozen_syms fz.Frozen.uid (map, asize);
+    Hashtbl.replace ctx.frozen_syms d.Doc.uid (map, asize);
     map
 
 (* Frozen fast path: one linear scan of the document-order arrays over
@@ -244,16 +244,16 @@ let frozen_sym_map (ctx : ctx) (fz : Frozen.t) : int array =
    base has its parent's state already assigned: a position is only
    reached either as parent+1 or by skipping a preceding sibling
    subtree, never from inside a skipped subtree. *)
-let frozen_select (ctx : ctx) (fz : Frozen.t) ~(base_pos : int)
+let frozen_select (ctx : ctx) (d : Doc.t) ~(base_pos : int)
     (dfa : Xl_automata.Dfa.t) (live : bool array) : Node.t list =
-  let map = frozen_sym_map ctx fz in
+  let map = frozen_sym_map ctx d in
   let k = dfa.Xl_automata.Dfa.alphabet_size in
   let delta = dfa.Xl_automata.Dfa.delta in
   let finals = dfa.Xl_automata.Dfa.finals in
-  let sym = fz.Frozen.sym
-  and parent = fz.Frozen.parent
-  and sub_end = fz.Frozen.subtree_end
-  and nodes = Frozen.nodes fz in
+  let sym = d.Doc.sym
+  and parent = d.Doc.parent
+  and sub_end = d.Doc.subtree_end
+  and nodes = d.Doc.nodes in
   let b = base_pos in
   let e = sub_end.(b) in
   (* dirty scratch, grown on demand: [states.(parent.(p) - b)] below is
@@ -290,8 +290,8 @@ let frozen_select (ctx : ctx) (fz : Frozen.t) ~(base_pos : int)
 
 let raw_select (ctx : ctx) (dfa : Xl_automata.Dfa.t) (live : bool array)
     (base : Node.t) : Node.t list =
-  match Store.frozen_of_node ctx.store base with
-  | Some (fz, pos) -> frozen_select ctx fz ~base_pos:pos dfa live
+  match Store.locate ctx.store base with
+  | Some (d, pos) -> frozen_select ctx d ~base_pos:pos dfa live
   | None -> tree_select ctx dfa live base
 
 (* The one memoized selection entry point.  The cache key pairs the DFA
@@ -329,8 +329,8 @@ let eval_path (ctx : ctx) (p : Path_expr.t) (from : Node.t) : Node.t list =
 
 (* Constructed content: adjacent atoms joined by a space, nodes copied.
    Construction builds the node tree directly with [Doc.make_element] —
-   same ids, ranks, ordinals and text splitting as the old Frag
-   round-trip through [Doc.of_frag], without serializing copied subtrees
+   same ids, ranks, ordinals and text splitting as a Frag round-trip
+   through [Doc.of_frag], without serializing copied subtrees
    or allocating a document node (constructed trees are never registered
    in the store). *)
 
@@ -653,8 +653,8 @@ let rec eval (ctx : ctx) (env : Env.t) (e : Ast.expr) : Value.t =
   | Ast.Var v -> Env.find_exn env v
   | Ast.Doc_root uri -> (
     match uri with
-    | None -> [ Value.Node (Store.default ctx.store).Doc.doc_node ]
-    | Some u -> [ Value.Node (Store.find_exn ctx.store u).Doc.doc_node ])
+    | None -> [ Value.Node (Doc.doc_node (Store.default ctx.store)) ]
+    | Some u -> [ Value.Node (Doc.doc_node (Store.find_exn ctx.store u)) ])
   | Ast.Path (e, p) -> select_from (eval ctx env e) (eval_path ctx p)
   | Ast.Simple (e, p) -> select_from (eval ctx env e) (Simple_path.eval p)
   | Ast.Flwor f -> eval_flwor ctx env f

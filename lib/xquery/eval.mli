@@ -7,7 +7,7 @@
     repeatedly during learning.
 
     There is one evaluation path and no switch: the input picks the
-    engine.  Selections from store-resident bases scan the store's frozen
+    engine.  Selections from store-resident bases scan their document's
     arrays, selections from constructed nodes take the pointer walk
     ({!tree_select}), and both are memoized per (DFA, base node).
     Eligible equality and node-identity ([is]) [where] clauses run as
@@ -55,7 +55,7 @@ type ctx = {
   plan_cache : (Ast.expr, join_plan option) Hashtbl.t;
       (** hash-join plans, keyed by the [Flwor] or [Some_] expression *)
   frozen_syms : (int, int array * int) Hashtbl.t;
-      (** {!Xl_xml.Frozen.t} uid -> (local symbol id -> alphabet id or
+      (** {!Xl_xml.Doc.t} uid -> (local symbol id -> alphabet id or
           -1, alphabet size at build); rebuilt when the alphabet grows *)
   extent_cache : (Xl_automata.Dfa.t * int, Xl_xml.Node.t list) Hashtbl.t;
       (** (DFA, base node id) -> selection — the cross-round extent cache

@@ -100,7 +100,7 @@ let test_concurrent_store_ids () =
       (fun store ->
         List.concat_map
           (fun d ->
-            d.Xml.Doc.doc_node.Xml.Node.id
+            (Xml.Doc.doc_node d).Xml.Node.id
             :: List.map (fun n -> n.Xml.Node.id) (Xml.Doc.all_nodes d))
           (Xml.Store.docs store))
       stores
@@ -109,19 +109,19 @@ let test_concurrent_store_ids () =
   Alcotest.(check int)
     "no duplicate node ids across concurrently built stores"
     (List.length all_ids) (List.length sorted);
-  (* and each store's snapshots resolve its own nodes, exactly *)
+  (* and each store's documents resolve its own nodes, exactly *)
   List.iter
     (fun store ->
       List.iter
         (fun d ->
           List.iter
             (fun n ->
-              match Xml.Store.frozen_of_node store n with
-              | Some (fz, p) ->
+              match Xml.Store.locate store n with
+              | Some (d, p) ->
                 Alcotest.(check bool)
-                  "frozen_of_node finds the node itself" true
-                  (Xml.Frozen.node fz p == n)
-              | None -> Alcotest.fail "frozen_of_node lost a node")
+                  "locate finds the node itself" true
+                  (d.Xml.Doc.nodes.(p) == n)
+              | None -> Alcotest.fail "locate lost a node")
             (Xml.Doc.all_nodes d))
         (Xml.Store.docs store))
     stores

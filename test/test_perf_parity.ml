@@ -25,8 +25,8 @@ let fingerprint (store : Xml.Store.t) (v : Value.t) : string =
        (fun (it : Value.item) ->
          match it with
          | Value.Node n -> (
-           match Xml.Store.frozen_of_node store n with
-           | Some (fz, p) when Xml.Frozen.node fz p == n -> Printf.sprintf "#%d" n.Xml.Node.id
+           match Xml.Store.locate store n with
+           | Some _ -> Printf.sprintf "#%d" n.Xml.Node.id
            | _ -> "C:" ^ Xml.Serialize.node_to_string n)
          | Value.Atom a -> "A:" ^ Value.atom_to_string a)
        v)
@@ -272,8 +272,7 @@ let test_semi_join_rel3_candidates () =
    4x grows the bodies evaluated by about persons x items (16x); the
    nested loop grows by persons x items x closed auctions (64x). *)
 let test_semi_join_scaling () =
-  let q9 ?scale ?streamed () =
-    List.assoc "Q9" (Xl_workload.Xmark_scenarios.all ?scale ?streamed ())
+  let q9 ?scale () = List.assoc "Q9" (Xl_workload.Xmark_scenarios.all ?scale ())
   in
   let count (sc : Xl_core.Scenario.t) run_to_string =
     let store = sc.Xl_core.Scenario.store in
@@ -283,7 +282,7 @@ let test_semi_join_scaling () =
   let eval = Eval.run_to_string ?env:None
   and reference = Xl_fuzz.Ref_eval.run_to_string ?env:None in
   let x1 = q9 () in
-  let x4 = q9 ~scale:(Xl_workload.Xmark_gen.scale_factor 4) ~streamed:true () in
+  let x4 = q9 ~scale:(Xl_workload.Xmark_gen.scale_factor 4) () in
   let r1, (q1, _, w1) = count x1 eval in
   let r4, (q4, _, w4) = count x4 eval in
   let n1, (_, _, nw1) = count x1 reference in
@@ -512,11 +511,11 @@ let test_select_engine_parity () =
               match
                 List.find_opt
                   (fun (d : Xml.Doc.t) ->
-                    Xml.Node.equal d.Xml.Doc.doc_node root
+                    Xml.Node.equal (Xml.Doc.doc_node d) root
                     || Xml.Node.equal (Xml.Doc.root d) root)
                   (Xml.Store.docs store)
               with
-              | Some d -> d.Xml.Doc.doc_node
+              | Some d -> Xml.Doc.doc_node d
               | None -> root
             in
             let checks =
@@ -595,9 +594,8 @@ let walk_alphabet (store : Xml.Store.t) : string list =
   Xl_automata.Alphabet.symbols a
 
 (* Every store the whole-store oracles run over: the Figure-16 stores at
-   1x and streamed 4x, the XMP store, the 1x catalog serialized and
-   re-parsed (tree path and streaming parse), and the 25-seed [Gen_doc]
-   corpus. *)
+   1x and 4x, the XMP store, the 1x catalog serialized and re-parsed, and
+   the 25-seed [Gen_doc] corpus. *)
 let oracle_stores =
   lazy
     (let distinct_stores scenarios =
@@ -616,16 +614,14 @@ let oracle_stores =
      in
      let catalog_text = Xml.Serialize.node_to_string (Xml.Doc.root catalog_doc) in
      let reparsed = Xml.Xml_parser.parse_doc ~uri:"catalog.xml" catalog_text in
-     let _, streamed = Xml.Frozen_builder.parse ~uri:"catalog.xml" catalog_text in
      named "fig16 xmark 1x" (distinct_stores xmark)
-     @ named "fig16 xmark 4x streamed"
+     @ named "fig16 xmark 4x"
          (distinct_stores
             (Xl_workload.Xmark_scenarios.all
-               ~scale:(Xl_workload.Xmark_gen.scale_factor 4) ~streamed:true ()))
+               ~scale:(Xl_workload.Xmark_gen.scale_factor 4) ()))
      @ named "fig16 xmp" (distinct_stores (Xl_workload.Xmp_scenarios.all ()))
      @ [ ("xmp store", Xl_workload.Xmp_data.store ());
-         ("catalog serialized and re-parsed", Xml.Store.of_docs [ reparsed ]);
-         ("catalog serialized and streamed", Xml.Store.of_frozen [ streamed ]) ]
+         ("catalog serialized and re-parsed", Xml.Store.of_docs [ reparsed ]) ]
      @ List.init 25 (fun index ->
            ( Printf.sprintf "gen_doc case %d" index,
              Xl_fuzz.Case.store_of (Xl_fuzz.Case.generate ~seed:20040301 ~index) )))
@@ -700,24 +696,21 @@ let test_rank_dewey_oracle () =
     in
     Alcotest.(check int) (label ^ ": Dewey codes equal the list oracle") 0 (List.length bad)
   in
-  (* store documents: both producers rank every node by its position *)
+  (* store documents: the builder ranks every node by its position *)
   let sampled = ref [] in
   List.iter
     (fun (label, store) ->
       let nodes =
         List.concat_map
-          (fun fz ->
-            let doc = Xml.Frozen.doc fz in
-            list_dewey tbl doc.Xml.Doc.doc_node;
-            Alcotest.(check int) (label ^ ": node_count is the row count")
-              (Xml.Frozen.size fz) (Xml.Doc.node_count doc);
+          (fun (doc : Xml.Doc.t) ->
+            list_dewey tbl (Xml.Doc.doc_node doc);
             let misranked = ref 0 in
             Array.iteri
               (fun p (n : Xml.Node.t) -> if n.Xml.Node.rank <> p then incr misranked)
-              (Xml.Frozen.nodes fz);
+              doc.Xml.Doc.nodes;
             Alcotest.(check int) (label ^ ": nodes.(p).rank = p") 0 !misranked;
-            Array.to_list (Xml.Frozen.nodes fz))
-          (Xml.Store.frozen_docs store)
+            Array.to_list doc.Xml.Doc.nodes)
+          (Xml.Store.docs store)
       in
       check_codes label nodes;
       check_pairs label (Array.of_list nodes) 2000;
@@ -759,64 +752,61 @@ let test_rank_dewey_oracle () =
   let mixed = Array.of_list (constructed @ List.concat !sampled) in
   check_pairs "stores and constructed mixed" mixed 50000
 
-(* Streaming-ingestion parity over the fuzz corpus: for each case's
-   training document, the one-pass builder (fragment walk and SAX text
-   parse) must reproduce the two-pass freeze-of-tree snapshot node for
-   node. *)
-let test_streaming_fuzz_parity () =
-  let outcomes =
-    Xl_exec.Pool.map pool
-      (fun index ->
-        let case = Xl_fuzz.Case.generate ~seed:20040301 ~index in
-        let frag = case.Xl_fuzz.Case.training in
-        let tree_fz = Xml.Frozen.freeze (Xml.Doc.of_frag ~uri:"t.xml" frag) in
-        let _, frag_fz = Xml.Frozen_builder.of_frag ~uri:"t.xml" frag in
-        let text = Xml.Serialize.frag_to_string frag in
-        let _, parse_fz = Xml.Frozen_builder.parse ~uri:"t.xml" text in
-        let eq = Xml.Frozen.structural_equal tree_fz in
-        (index, eq frag_fz, eq parse_fz))
-      (List.init 25 Fun.id)
-  in
-  List.iter
-    (fun (index, frag_ok, parse_ok) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "fuzz case %d streamed fragment walk" index)
-        true frag_ok;
-      Alcotest.(check bool)
-        (Printf.sprintf "fuzz case %d streamed text parse" index)
-        true parse_ok)
-    outcomes
+(* ---------- documents against the two-pass oracle ------------------------ *)
 
-(* The same parity on the Figure-16 documents: the XMark generator's
-   direct-to-builder path against generate-then-freeze (same seed, same
-   scale), and each XMP document re-ingested through the SAX parser. *)
-let test_streaming_fig16_parity () =
+(* Every document of every oracle store is laid out exactly as the
+   freeze walk of its own pointer tree lays it out ([Ref_doc]). *)
+let test_doc_arrays_oracle () =
   List.iter
-    (fun seed ->
-      let tree_fz =
-        Xml.Frozen.freeze
-          (Xl_workload.Xmark_gen.generate ~seed Xl_workload.Xmark_gen.tiny_scale)
-      in
-      let _, stream_fz =
-        Xl_workload.Xmark_gen.generate_frozen ~seed
-          Xl_workload.Xmark_gen.tiny_scale
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "xmark seed %d streamed vs tree" seed)
-        true
-        (Xml.Frozen.structural_equal tree_fz stream_fz))
-    [ 1; 2; 3 ];
-  List.iter
-    (fun (d : Xml.Doc.t) ->
-      let text = Xml.Serialize.node_to_string (Xml.Doc.root d) in
-      let uri = Xml.Doc.uri d in
-      let tree_fz = Xml.Frozen.freeze (Xml.Xml_parser.parse_doc ~uri text) in
-      let _, stream_fz = Xml.Frozen_builder.parse ~uri text in
-      Alcotest.(check bool)
-        (Printf.sprintf "xmp %s streamed vs tree" uri)
-        true
-        (Xml.Frozen.structural_equal tree_fz stream_fz))
+    (fun (label, store) ->
+      List.iter
+        (fun d ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s, %s: arrays are the freeze walk" label (Xml.Doc.uri d))
+            None (Ref_doc.arrays_mismatch d))
+        (Xml.Store.docs store))
+    (Lazy.force oracle_stores)
+
+(* The fragments behind the oracle stores: the 25-seed corpus' training
+   documents, the XMP documents and the Figure-16 XMark instance at 1x
+   and 4x. *)
+let corpus_frags () =
+  List.init 25 (fun index ->
+      ( Printf.sprintf "gen_doc case %d" index,
+        (Xl_fuzz.Case.generate ~seed:20040301 ~index).Xl_fuzz.Case.training ))
+
+let xmp_frags () =
+  List.map
+    (fun d -> (Xml.Doc.uri d, Xml.Serialize.node_to_frag (Xml.Doc.root d)))
     (Xml.Store.docs (Xl_workload.Xmp_data.store ()))
+
+let xmark_frags () =
+  List.map
+    (fun f ->
+      ( Printf.sprintf "xmark %dx" f,
+        Xl_workload.Xmark_gen.generate_frag (Xl_workload.Xmark_gen.scale_factor f) ))
+    [ 1; 4 ]
+
+(* [Doc.of_frag] numbers the nodes as the recursive tree walk did: same
+   kinds, names, values, ranks and ordinals. *)
+let test_of_frag_oracle () =
+  List.iter
+    (fun (label, frag) ->
+      Alcotest.(check bool) (label ^ ": of_frag is the oracle tree") true
+        (Ref_doc.same_tree (Ref_doc.tree frag)
+           (Xml.Doc.doc_node (Xml.Doc.of_frag frag))))
+    (corpus_frags () @ xmp_frags () @ xmark_frags ())
+
+(* Parsing a fragment's serialization builds the document the fragment
+   builds, on the corpus and the XMP documents. *)
+let test_parse_doc_oracle () =
+  List.iter
+    (fun (label, frag) ->
+      Alcotest.(check bool) (label ^ ": parse_doc equals of_frag") true
+        (Ref_doc.equal
+           (Xml.Xml_parser.parse_doc (Xml.Serialize.frag_to_string frag))
+           (Xml.Doc.of_frag frag)))
+    (corpus_frags () @ xmp_frags ())
 
 (* One comparable line per learning run: interaction counts and the
    verified flag. *)
@@ -833,27 +823,6 @@ let stats_row (name : string) (r : Xl_core.Learn.result) : string =
 let fig16_scenarios () =
   List.map (fun (n, sc) -> ("xmark", n, sc)) (Xl_workload.Xmark_scenarios.all ())
   @ List.map (fun (n, sc) -> ("xmp", n, sc)) (Xl_workload.Xmp_scenarios.all ())
-
-(* A streamed XMark store (documents ingested through the builder and
-   registered with their pre-built snapshots) must be indistinguishable
-   from the tree-built store: same interaction counts on every Figure-16
-   scenario. *)
-let test_streamed_store_learner_parity () =
-  let rows scenarios =
-    Xl_exec.Pool.map pool
-      (fun (name, sc) ->
-        match Xl_core.Learn.run sc with
-        | r -> stats_row name r
-        | exception e -> name ^ " FAILED " ^ Printexc.to_string e)
-      scenarios
-  in
-  let tree = rows (Xl_workload.Xmark_scenarios.all ()) in
-  let streamed = rows (Xl_workload.Xmark_scenarios.all ~streamed:true ()) in
-  Alcotest.(check int) "same number of scenarios" (List.length tree)
-    (List.length streamed);
-  List.iter2
-    (fun t s -> Alcotest.(check string) "interaction counts" t s)
-    tree streamed
 
 (* Pool invariance (DESIGN.md §5h): the intra-scenario pool (oracle
    batch chunks, schema precompute, relay scan) changes who computes
@@ -1034,17 +1003,17 @@ let () =
           Alcotest.test_case "xmark Q2 takes the identity semi-join" `Quick
             test_q2_identity_semi_join;
         ] );
-      ( "streaming",
+      ( "documents",
         [
-          Alcotest.test_case "fuzz corpus, streamed vs tree" `Quick
-            test_streaming_fuzz_parity;
-          Alcotest.test_case "fig16 documents, streamed vs tree" `Quick
-            test_streaming_fig16_parity;
+          Alcotest.test_case "arrays are the freeze walk" `Quick
+            test_doc_arrays_oracle;
+          Alcotest.test_case "of_frag is the oracle tree" `Quick
+            test_of_frag_oracle;
+          Alcotest.test_case "parse_doc equals of_frag" `Quick
+            test_parse_doc_oracle;
         ] );
       ( "learner",
         [
-          Alcotest.test_case "xmark suite, streamed store vs tree store" `Slow
-            test_streamed_store_learner_parity;
           Alcotest.test_case "fig16 suites, one vs four domains" `Slow
             test_learner_pool_parity;
           Alcotest.test_case "fuzz corpus, one vs four domains" `Slow

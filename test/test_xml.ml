@@ -18,7 +18,7 @@ let test_dewey_order () =
 
 let test_dewey_strings () =
   check cstr "to_string" "1.2.3" (Dewey.to_string [ 1; 2; 3 ]);
-  check cbool "roundtrip" true (Dewey.of_string "1.2.3" = [ 1; 2; 3 ])
+  check cstr "root element" "1" (Dewey.to_string [ 1 ])
 
 (* ---------- Frag -------------------------------------------------------- *)
 
@@ -89,7 +89,7 @@ let test_rank_ordinal_dewey () =
   (* preorder, attributes before children, the document node first *)
   List.iteri
     (fun r n -> check cint (Printf.sprintf "rank of %s" (Node.symbol n)) r n.Node.rank)
-    (d.Doc.doc_node :: Doc.all_nodes d);
+    (Doc.doc_node d :: Doc.all_nodes d);
   let at path = Option.get (Doc.node_with_path d path) in
   let item = at [ "site"; "regions"; "europe"; "item" ] in
   let id = at [ "site"; "regions"; "europe"; "item"; "@id" ] in
@@ -97,7 +97,7 @@ let test_rank_ordinal_dewey () =
   let cat = at [ "site"; "categories" ] in
   check cint "attribute ordinal" 1 id.Node.ordinal;
   check cint "children count after attributes" 2 name.Node.ordinal;
-  check cbool "document node code" true (Node.dewey d.Doc.doc_node = []);
+  check cbool "document node code" true (Node.dewey (Doc.doc_node d) = []);
   check cbool "root element code" true (Node.dewey (Doc.root d) = [ 1 ]);
   check cbool "attribute code" true (Node.dewey id = [ 1; 1; 1; 1; 1 ]);
   check cbool "child code" true (Node.dewey name = [ 1; 1; 1; 1; 2 ]);
@@ -121,7 +121,7 @@ let test_dewey_ancestor () =
     | x :: p', y :: q' -> x = y && strict_prefix p' q'
     | _ -> false
   in
-  let nodes = d.Doc.doc_node :: Doc.all_nodes d in
+  let nodes = Doc.doc_node d :: Doc.all_nodes d in
   List.iter
     (fun a ->
       List.iter
@@ -135,35 +135,38 @@ let test_dewey_ancestor () =
 
 (* ---------- Parser ------------------------------------------------------- *)
 
+(* a parsed document, read back as the fragment of its root element *)
+let parse src = Serialize.node_to_frag (Doc.root (Xml_parser.parse_doc src))
+
 let test_parse_simple () =
-  let f = Xml_parser.parse "<a x='1'><b>hi</b><c/></a>" in
+  let f = parse "<a x='1'><b>hi</b><c/></a>" in
   check cbool "structure" true
     (Frag.equal f (Frag.e "a" ~attrs:[ ("x", "1") ] [ Frag.elem "b" "hi"; Frag.e "c" [] ]))
 
 let test_parse_entities () =
-  let f = Xml_parser.parse "<a>&lt;tag&gt; &amp; &quot;x&quot; &#65;&#x42;</a>" in
+  let f = parse "<a>&lt;tag&gt; &amp; &quot;x&quot; &#65;&#x42;</a>" in
   check cstr "decoded" "<tag> & \"x\" AB" (Frag.string_value f)
 
 let test_parse_cdata_comments () =
-  let f = Xml_parser.parse "<a><!-- note --><![CDATA[1 < 2 & 3]]></a>" in
+  let f = parse "<a><!-- note --><![CDATA[1 < 2 & 3]]></a>" in
   check cstr "cdata" "1 < 2 & 3" (Frag.string_value f)
 
 let test_parse_prolog_doctype () =
   let f =
-    Xml_parser.parse
+    parse
       "<?xml version=\"1.0\"?><!DOCTYPE site [<!ELEMENT site (a)*>]><site><a/></site>"
   in
   check cbool "root" true (match f with Frag.E ("site", _, _) -> true | _ -> false)
 
 let test_parse_whitespace_dropped () =
-  let f = Xml_parser.parse "<a>\n  <b>x</b>\n  <c>y</c>\n</a>" in
+  let f = parse "<a>\n  <b>x</b>\n  <c>y</c>\n</a>" in
   match f with
   | Frag.E ("a", _, kids) -> check cint "two children, no ws text" 2 (List.length kids)
   | _ -> Alcotest.fail "bad parse"
 
 let test_parse_errors () =
   let fails s =
-    match Xml_parser.parse s with
+    match Xml_parser.parse_doc s with
     | exception Xml_parser.Parse_error _ -> true
     | _ -> false
   in
@@ -182,7 +185,7 @@ let test_serialize_escaping () =
 let test_serialize_node_roundtrip () =
   let d = doc () in
   let s = Serialize.node_to_string (Doc.root d) in
-  let f = Xml_parser.parse s in
+  let f = parse s in
   check cbool "frag equal after roundtrip" true (Frag.equal f sample)
 
 (* ---------- Store ---------------------------------------------------------- *)
@@ -201,12 +204,12 @@ let test_store () =
        [ "1"; "2" ])
 
 let test_store_reuse () =
-  let _, fz = Frozen_builder.of_frag ~uri:"sample.xml" sample in
-  let store = Store.of_frozen [ fz ] in
-  (* the store must keep the given snapshot, not re-freeze *)
-  check cbool "store reuses the supplied snapshot" true
-    (match Store.frozen_docs store with
-    | [ fz' ] -> fz' == fz
+  let d = Doc.of_frag ~uri:"sample.xml" sample in
+  let store = Store.of_docs [ d ] in
+  (* the store keeps the given document, not a copy *)
+  check cbool "store reuses the supplied document" true
+    (match Store.docs store with
+    | [ d' ] -> d' == d
     | _ -> false);
   check cbool "store queries work" true
     (List.length
@@ -215,86 +218,76 @@ let test_store_reuse () =
           (Doc.nodes (Store.default store)))
      = 1)
 
-(* ---------- Frozen ---------------------------------------------------------- *)
+(* ---------- Preorder arrays ------------------------------------------------- *)
 
 let test_frozen_document_order () =
   let d = doc () in
-  let fz = Frozen.freeze d in
-  (* Doc.all_nodes omits the document node, which freezing puts at 0 *)
-  let expected = List.sort Node.compare_order (d.Doc.doc_node :: Doc.all_nodes d) in
-  check cint "size is node count" (List.length expected) (Frozen.size fz);
-  check cint "nodes array matches size" (Frozen.size fz) (Array.length (Frozen.nodes fz));
+  (* Doc.all_nodes omits the document node, which sits at position 0 *)
+  let expected = List.sort Node.compare_order (Doc.doc_node d :: Doc.all_nodes d) in
+  check cint "node count" (List.length expected) (Doc.node_count d);
   List.iteri
     (fun p n ->
       check cbool
         (Printf.sprintf "position %d is document-order node %d" p n.Node.id)
         true
-        (Node.equal (Frozen.node fz p) n))
+        (Node.equal d.Doc.nodes.(p) n))
     expected;
   check cbool "position 0 is the doc node" true
-    ((Frozen.node fz 0).Node.kind = Node.Document);
+    (d.Doc.nodes.(0).Node.kind = Node.Document);
   (* per-position symbol ids decode to the node's symbol *)
   Array.iteri
     (fun p n ->
       check cstr
         (Printf.sprintf "symbol at %d" p)
         (Node.symbol n)
-        fz.Frozen.symbols.(fz.Frozen.sym.(p)))
-    (Frozen.nodes fz)
+        d.Doc.symbols.(d.Doc.sym.(p)))
+    d.Doc.nodes
 
 let test_frozen_structure_consistency () =
   let d = doc () in
-  let fz = Frozen.freeze d in
-  let n = Frozen.size fz in
-  check cint "doc node has no parent" (-1) fz.Frozen.parent.(0);
-  check cint "doc subtree spans everything" n fz.Frozen.subtree_end.(0);
+  let n = Doc.node_count d in
+  check cint "doc node has no parent" (-1) d.Doc.parent.(0);
+  check cint "doc subtree spans everything" n d.Doc.subtree_end.(0);
   for p = 0 to n - 1 do
-    let e = fz.Frozen.subtree_end.(p) in
+    let e = d.Doc.subtree_end.(p) in
     check cbool (Printf.sprintf "subtree of %d is non-empty and in range" p) true
       (e > p && e <= n);
     (* every position strictly inside [p]'s subtree has its parent inside
        it too, and every position outside doesn't chain back to [p] *)
     for q = p + 1 to n - 1 do
       let inside = q < e in
-      let par = fz.Frozen.parent.(q) in
+      let par = d.Doc.parent.(q) in
       if inside then
         check cbool (Printf.sprintf "parent of %d stays in subtree of %d" q p) true
           (par >= p && par < e)
       else
         check cbool (Printf.sprintf "%d outside subtree of %d" q p) true (par < p || par >= e)
-    done;
-    (* sibling/child links agree with parent links *)
-    let fc = fz.Frozen.first_child.(p) in
-    if fc >= 0 then (
-      check cint (Printf.sprintf "first child of %d" p) p fz.Frozen.parent.(fc);
-      check cint "first child is the next position" (p + 1) fc);
-    let ns = fz.Frozen.next_sibling.(p) in
-    if ns >= 0 then (
-      check cbool (Printf.sprintf "next sibling of %d shares parent" p) true
-        (fz.Frozen.parent.(ns) = fz.Frozen.parent.(p));
-      check cint (Printf.sprintf "sibling of %d starts after its subtree" p) e ns)
+    done
   done
 
 let test_frozen_pos_of_node () =
   let d = doc () in
-  let fz = Frozen.freeze d in
   Array.iteri
     (fun p n ->
-      match Frozen.pos_of_node fz n with
+      match Doc.pos_of_node d n with
       | Some p' -> check cint (Printf.sprintf "pos_of_node roundtrip %d" p) p p'
       | None -> Alcotest.failf "node at position %d not found" p)
-    (Frozen.nodes fz);
+    d.Doc.nodes;
   let other = Doc.of_frag ~uri:"other.xml" (Frag.elem "a" "x") in
   check cbool "foreign node has no position" true
-    (Frozen.pos_of_node fz (Doc.root other) = None)
+    (Doc.pos_of_node d (Doc.root other) = None)
 
 (* ---------- SAX events and error locations ------------------------------ *)
 
 let test_sax_events () =
   let src = "<a x=\"1\"><!-- c --><b/>hi<![CDATA[ there ]]></a>" in
-  let events = List.rev (Xml_parser.fold_events src ~init:[] ~f:(fun acc e -> e :: acc)) in
+  let events src =
+    let acc = ref [] in
+    Xml_parser.iter_events src (fun e -> acc := e :: !acc);
+    List.rev !acc
+  in
   check cbool "event stream" true
-    (events
+    (events src
     = [
         Xml_parser.Start_element ("a", [ ("x", "1") ]);
         Xml_parser.Start_element ("b", []);
@@ -305,15 +298,13 @@ let test_sax_events () =
       ]);
   (* whitespace-only text (CDATA included) never reaches the consumer *)
   let ws = "<a>\n  <b> </b> <![CDATA[\n]]></a>" in
-  let texts =
-    Xml_parser.fold_events ws ~init:0 ~f:(fun acc -> function
-      | Xml_parser.Text _ -> acc + 1 | _ -> acc)
-  in
-  check cint "no ws-only text events" 0 texts
+  check cint "no ws-only text events" 0
+    (List.length
+       (List.filter (function Xml_parser.Text _ -> true | _ -> false) (events ws)))
 
 let test_parse_error_location () =
   let expect_loc src line col =
-    match Xml_parser.parse src with
+    match Xml_parser.parse_doc src with
     | _ -> Alcotest.failf "parse of %S should fail" src
     | exception Xml_parser.Parse_error (_, loc) ->
       check cint (Printf.sprintf "line of %S" src) line loc.Xml_parser.line;
@@ -326,83 +317,89 @@ let test_parse_error_location () =
   (* broken attribute syntax on line 1 *)
   expect_loc "<a x=1></a>" 1 6
 
-(* ---------- Streaming builder ------------------------------------------- *)
+(* ---------- The builder ------------------------------------------------- *)
 
 let streaming_sample_xml =
   "<site><regions><europe><item id=\"i7\" featured=\"yes\"><name>H. \
    Potter</name><desc>Best &amp; <em>seller</em><!-- note --></desc></item>\n\
    <item id=\"i8\"/></europe></regions><people/></site>"
 
+(* the document the parser builds in one pass is the one its fragment
+   builds *)
 let test_streaming_matches_tree () =
-  let tree_fz =
-    Frozen.freeze (Xml_parser.parse_doc ~uri:"s.xml" streaming_sample_xml)
+  let parsed = Xml_parser.parse_doc ~uri:"s.xml" streaming_sample_xml in
+  let built =
+    Doc.of_frag ~uri:"s.xml"
+      (Frag.e "site"
+         [ Frag.e "regions"
+             [ Frag.e "europe"
+                 [ Frag.e "item" ~attrs:[ ("id", "i7"); ("featured", "yes") ]
+                     [ Frag.elem "name" "H. Potter";
+                       Frag.e "desc" [ Frag.T "Best & "; Frag.elem "em" "seller" ] ];
+                   Frag.e "item" ~attrs:[ ("id", "i8") ] [] ] ];
+           Frag.e "people" [] ])
   in
-  let _, stream_fz = Frozen_builder.parse ~uri:"s.xml" streaming_sample_xml in
-  check cbool "streamed snapshot equals frozen tree" true
-    (Frozen.structural_equal tree_fz stream_fz);
-  (* the builder's document side behaves like Doc.of_frag's *)
-  let sdoc, fz2 = Frozen_builder.parse ~uri:"s.xml" streaming_sample_xml in
-  check cbool "builder doc indexed" true
-    (Doc.node_with_path sdoc [ "site"; "regions"; "europe"; "item" ] <> None);
-  check cint "doc node count matches rows" (Doc.node_count sdoc) (Frozen.size fz2)
+  check cbool "parse_doc equals of_frag of the source's fragment" true
+    (Ref_doc.equal parsed built);
+  check cbool "arrays are the freeze walk of the tree" true
+    (Ref_doc.arrays_mismatch parsed = None);
+  check cbool "indexed" true
+    (Doc.node_with_path parsed [ "site"; "regions"; "europe"; "item" ] <> None)
 
 let test_streaming_of_frag () =
-  let tree_fz = Frozen.freeze (Doc.of_frag ~uri:"sample.xml" sample) in
-  let _, stream_fz = Frozen_builder.of_frag ~uri:"sample.xml" sample in
-  check cbool "of_frag parity on the shared sample" true
-    (Frozen.structural_equal tree_fz stream_fz);
+  let d = Doc.of_frag ~uri:"sample.xml" sample in
+  check cbool "of_frag equals the oracle tree" true
+    (Ref_doc.same_tree (Ref_doc.tree sample) (Doc.doc_node d));
+  check cbool "arrays are the freeze walk of the tree" true
+    (Ref_doc.arrays_mismatch d = None);
   check cbool "text root rejected" true
-    (match Frozen_builder.of_frag (Frag.T "x") with
+    (match Doc.of_frag (Frag.T "x") with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_builder_misuse () =
-  let b = Frozen_builder.create () in
-  check cbool "close without open" true
-    (match Frozen_builder.close_element b with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  Frozen_builder.open_element b "r" [];
-  Frozen_builder.close_element b;
+  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  let b = Doc.create () in
+  check cbool "close without open" true (raises (fun () -> Doc.close_element b));
+  check cbool "text outside the root" true (raises (fun () -> Doc.text b "x"));
+  check cbool "finish without a root" true (raises (fun () -> Doc.finish b));
+  Doc.open_element b "r" [];
+  Doc.close_element b;
   check cbool "second root rejected" true
-    (match Frozen_builder.open_element b "r2" [] with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  let b2 = Frozen_builder.create () in
-  Frozen_builder.open_element b2 "r" [];
+    (raises (fun () -> Doc.open_element b "r2" []));
+  ignore (Doc.finish b);
+  check cbool "finish is one-shot" true (raises (fun () -> Doc.finish b));
+  let b2 = Doc.create () in
+  Doc.open_element b2 "r" [];
   check cbool "finish with open elements rejected" true
-    (match Frozen_builder.finish b2 with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+    (raises (fun () -> Doc.finish b2))
 
 (* ---------- Positions from ranks ------------------------------------------- *)
 
 (* [pos_of_node] reads the node's rank and checks the slot holds that very
    node, so neither id gaps nor interleaved ids matter, and a node of
-   another snapshot with the same rank is foreign. *)
+   another document with the same rank is foreign. *)
 let test_pos_of_node_gaps_and_domains () =
-  let roundtrip label fz =
+  let roundtrip label d =
     Array.iteri
       (fun p n ->
         check cbool (Printf.sprintf "%s: position %d round-trips" label p) true
-          (Frozen.pos_of_node fz n = Some p))
-      (Frozen.nodes fz)
+          (Doc.pos_of_node d n = Some p))
+      d.Doc.nodes
   in
-  (* a document with a hole in its id range, hand-assembled the way the
-     streaming builder places nodes *)
-  let doc_node = Doc.make_node ~rank:0 ~ordinal:0 Node.Document "" "" in
-  ignore (Doc.make_node ~rank:0 ~ordinal:0 Node.Text "" "the hole");
-  let root = Doc.make_node ~rank:1 ~ordinal:1 Node.Element "r" "" in
-  root.Node.parent <- Some doc_node;
-  doc_node.Node.children <- [ root ];
-  let gappy =
-    Frozen.freeze { Doc.uri = "gap.xml"; doc_node; root; node_count = 2 }
-  in
-  check cbool "the ids have a gap" true (root.Node.id - doc_node.Node.id > 1);
+  (* a document whose ids have a hole: another document draws ids while
+     this one is being built *)
+  let b = Doc.create ~uri:"gap.xml" () in
+  ignore (Doc.of_frag (Frag.elem "h" "the hole"));
+  Doc.open_element b "r" [];
+  Doc.close_element b;
+  let gappy = Doc.finish b in
+  check cbool "the ids have a gap" true
+    ((Doc.root gappy).Node.id - (Doc.doc_node gappy).Node.id > 1);
   roundtrip "id gap" gappy;
   (* two documents built at once on two domains draw interleaved ids *)
   let build () =
-    Frozen.freeze (Doc.of_frag (Frag.e "r" (List.init 500 (fun i -> Frag.elem "c" (string_of_int i)))))
+    Doc.of_frag (Frag.e "r" (List.init 500 (fun i -> Frag.elem "c" (string_of_int i))))
   in
   let other = Domain.spawn build in
   let mine = build () in
@@ -411,62 +408,11 @@ let test_pos_of_node_gaps_and_domains () =
   roundtrip "built on another domain" theirs;
   Array.iteri
     (fun p n ->
-      check cbool (Printf.sprintf "same rank %d, other snapshot" p) true
-        (Frozen.pos_of_node mine n = None))
-    (Frozen.nodes theirs);
-  check cbool "same rank, other snapshot (id gap)" true
-    (Frozen.pos_of_node gappy (Frozen.node mine 1) = None);
-  (* freezing checks the ranks it relies on *)
-  let misranked = Doc.make_node ~rank:7 ~ordinal:1 Node.Element "r" "" in
-  let doc_node' = Doc.make_node ~rank:0 ~ordinal:0 Node.Document "" "" in
-  misranked.Node.parent <- Some doc_node';
-  doc_node'.Node.children <- [ misranked ];
-  check cbool "a misranked node is refused" true
-    (match
-       Frozen.freeze
-         { Doc.uri = "bad.xml"; doc_node = doc_node'; root = misranked; node_count = 2 }
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-(* ---------- Ingestion cost ----------------------------------------------- *)
-
-(* The ingestion paths compared by what they allocate on one XMark
-   instance (24 categories) — counts that do not depend on the host,
-   unlike wall time.  Each path runs once unmeasured first, so one-time
-   interning of tag names is not charged to the measured run, and the
-   measurement starts from a collected heap: the byte count subtracts
-   promoted words, which otherwise vary with where the minor heap
-   happens to stand. *)
-let xmark_text =
-  lazy
-    (let scale =
-       {
-         Xl_workload.Xmark_gen.categories = 24;
-         items_per_region = 30;
-         people = 30;
-         open_auctions = 20;
-         closed_auctions = 25;
-       }
-     in
-     Serialize.node_to_string (Doc.root (Xl_workload.Xmark_gen.generate scale)))
-
-let allocated_by f =
-  ignore (Sys.opaque_identity (f ()));
-  Gc.full_major ();
-  let before = Gc.allocated_bytes () in
-  ignore (Sys.opaque_identity (f ()));
-  Gc.allocated_bytes () -. before
-
-let parse_plus_freeze text = Frozen.freeze (Xml_parser.parse_doc text)
-
-let test_stream_allocates_less () =
-  let text = Lazy.force xmark_text in
-  let tree = allocated_by (fun () -> parse_plus_freeze text) in
-  let stream = allocated_by (fun () -> Frozen_builder.parse text) in
-  if not (stream < tree) then
-    Alcotest.failf "streamed build allocates %.0f bytes, parse + freeze %.0f" stream
-      tree
+      check cbool (Printf.sprintf "same rank %d, other document" p) true
+        (Doc.pos_of_node mine n = None))
+    theirs.Doc.nodes;
+  check cbool "same rank, other document (id gap)" true
+    (Doc.pos_of_node gappy mine.Doc.nodes.(1) = None)
 
 (* ---------- Properties ------------------------------------------------------ *)
 
@@ -517,7 +463,7 @@ let prop_roundtrip =
       (* whitespace-only text nodes are dropped by the parser, so only
          generate non-ws text (the generator above does) *)
       let s = Serialize.frag_to_string f in
-      Frag.equal (Xml_parser.parse s) f)
+      Frag.equal (parse s) f)
 
 let prop_dewey_total_order =
   let open QCheck2 in
@@ -573,11 +519,6 @@ let () =
           Alcotest.test_case "matches tree path" `Quick test_streaming_matches_tree;
           Alcotest.test_case "of_frag parity" `Quick test_streaming_of_frag;
           Alcotest.test_case "builder misuse" `Quick test_builder_misuse;
-        ] );
-      ( "ingestion",
-        [
-          Alcotest.test_case "streamed build allocates less than parse + freeze"
-            `Quick test_stream_allocates_less;
         ] );
       ( "serializer",
         [
